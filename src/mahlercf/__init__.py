@@ -25,6 +25,7 @@ from .contfrac import (
     Convergent,
     MonicCF,
     cf_expand,
+    cf_expand_fraction,
     convergent_soundness,
     default_floor,
     expand_family,
@@ -52,10 +53,8 @@ from .errors import (
 )
 from .laurent import (
     FunctionalEquationReport,
-    SeriesFamily,
     TruncatedLaurentSeries,
     generate,
-    generate_series,
     partial_product,
     rate_of_approximation,
     verify_functional_equations,

@@ -25,12 +25,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .approx import eval_mahler, real_cf_prefix
-from .contfrac import convergent_soundness, expand_family, monic_normalize
+from .contfrac import convergent_soundness, expand_family
 from .errors import (
     InsufficientPrecision,
     InvalidParameter,
@@ -111,14 +110,6 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
         payload = dict(payload)
         payload["generated_at"] = _timestamp()
     print(json.dumps(payload, indent=2))
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("MAHLERCF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +209,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     for bound_name in ("p_bound", "n0_bound", "t_bound"):
         if getattr(args, bound_name) < 1:
             raise InvalidParameter(f"--{bound_name.replace('_', '-')} must be positive")
-    threads = args.threads if args.threads is not None else _default_threads()
+    # --threads and MAHLERCF_THREADS cap the worker count; the search runs
+    # serially, which meets any cap.
     try:
-        witness = witness_search(
-            args.a, args.d, args.p_bound, args.n0_bound, args.t_bound, threads=threads
-        )
+        witness = witness_search(args.a, args.d, args.p_bound, args.n0_bound, args.t_bound)
     except NotFound as exc:
         print(f"no witness found: {exc}")
         return EXIT_FAIL

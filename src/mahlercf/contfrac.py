@@ -16,8 +16,9 @@ whenever 2*deg(q_i) <= -floor:
 
 Quotients past the certified prefix are never emitted: the expander raises
 InsufficientPrecision and the caller regenerates the series with a deeper
-floor.  Series carrying exact rational provenance (p, q) bypass truncation
-entirely and terminate exactly.
+floor.  A rational function p/q needs no truncation at all:
+``cf_expand_fraction`` runs Euclid on p and q themselves and terminates
+exactly.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    IdentityFailure,
     InsufficientPrecision,
     InvalidParameter,
-    ZERO_SO_FAR,
+    RateViolation,
 )
 from .laurent import TruncatedLaurentSeries, generate, rate_of_approximation
 from .polys import RatPoly, poly_divmod
@@ -87,13 +89,15 @@ class CFExpansion:
             q_cur, q_prev = a * q_cur + q_prev, q_cur
             self.raw_p.append(p_cur)
             self.raw_q.append(q_cur)
-        # Degree bookkeeping: deg q_{n+1} = sum of deg a_1..a_{n+1}.
+        # Degree bookkeeping: deg q_{n+1} = sum of deg a_1..a_{n+1}.  Euclid
+        # certifies quotients against this sum, so it is checked on the chain.
         total = 0
-        for i, a in enumerate(self.partial_quotients):
-            if i == 0:
-                continue
-            total += int(a.degree())
-            assert int(self.raw_q[i].degree()) == total, "degree bookkeeping broken"
+        for i in range(1, len(partial_quotients)):
+            total += int(partial_quotients[i].degree())
+            if int(self.raw_q[i].degree()) != total:
+                raise IdentityFailure(
+                    f"deg q_{i} = {self.raw_q[i].degree()}, but deg a_1..a_{i} sum to {total}"
+                )
         self.convergents: list[Convergent] = []
         for i, (p, q) in enumerate(zip(self.raw_p, self.raw_q)):
             sign = 1 if q.leading_coefficient() > 0 else -1
@@ -132,52 +136,53 @@ class CFExpansion:
         return data
 
 
-def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
-    """Expand u as a continued fraction with partial quotients a_0..a_n.
-
-    Rational-provenance input terminates exactly (possibly before a_n);
-    truncated input emits only quotients certified by 2*deg(q_i) <= -floor
-    and raises InsufficientPrecision if a_n is not reachable.
-    """
+def _check_count(n: int) -> None:
     if not isinstance(n, int) or n < 0:
         raise InvalidParameter(f"quotient count must be an integer >= 0, got {n!r}")
-    if u.fraction is not None:
-        return _cf_expand_exact(*u.fraction, n)
-    return _cf_expand_truncated(u, n)
 
 
 def _euclid_chain(num: RatPoly, den: RatPoly, n: int, certify_degree: int | None):
     """Shared Euclid loop.  Emits quotients of num/den; when certify_degree is
-    given, stops before any quotient whose denominator-chain degree g_i would
-    violate 2*g_i <= certify_degree.  Returns (quotients, terminated)."""
+    given, stops before any quotient whose denominator degree g_i would
+    violate 2*g_i <= certify_degree.  g_i is the running sum of the quotient
+    degrees (CFExpansion checks that sum on the denominators it builds).
+    Returns (quotients, terminated)."""
     quotients: list[RatPoly] = []
     a0, rem = poly_divmod(num, den)
     quotients.append(a0)
     x_cur, y_cur = den, rem
-    q_prev, q_cur = RatPoly.zero(), RatPoly.one()
+    deg_q = 0
     while len(quotients) <= n and not y_cur.is_zero():
         a, rem = poly_divmod(x_cur, y_cur)
-        q_next = a * q_cur + q_prev
-        if certify_degree is not None and 2 * int(q_next.degree()) > certify_degree:
+        deg_q += int(a.degree())
+        if certify_degree is not None and 2 * deg_q > certify_degree:
             return quotients, False
         quotients.append(a)
-        q_prev, q_cur = q_cur, q_next
         x_cur, y_cur = y_cur, rem
     return quotients, y_cur.is_zero()
 
 
-def _cf_expand_exact(p: RatPoly, q: RatPoly, n: int) -> CFExpansion:
+def cf_expand_fraction(p: RatPoly, q: RatPoly, n: int) -> CFExpansion:
+    """Expand the rational function p/q exactly, with partial quotients
+    a_0..a_n, or fewer when Euclid terminates first."""
+    _check_count(n)
     quotients, terminated = _euclid_chain(p, q, n, certify_degree=None)
     return CFExpansion(quotients, terminated=terminated)
 
 
-def _cf_expand_truncated(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
+def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
+    """Expand u as a continued fraction with partial quotients a_0..a_n.
+
+    Only quotients certified by 2*deg(q_i) <= -floor are emitted;
+    InsufficientPrecision is raised if a_n is not reachable.
+    """
+    _check_count(n)
     floor = u.floor
     # Shift every known coefficient up into an honest polynomial pair:
     # u = N / x^{-floor} with N collecting degrees floor..top.
     num = RatPoly({deg - floor: c for deg, c in u.coeffs.items()})
     den = RatPoly.monomial(-floor)
-    quotients, exhausted = _euclid_chain(num, den, n, certify_degree=-floor)
+    quotients, _ = _euclid_chain(num, den, n, certify_degree=-floor)
     if len(quotients) <= n:
         # Either a quotient failed certification or the truncation's Euclid
         # ran dry; in both cases the true series is not pinned down: a tail
@@ -251,7 +256,8 @@ def monic_normalize(cf: CFExpansion) -> MonicCF:
         betas[i] = rho[i - 2] / rho[i]
     for i in range(1, m + 1):
         rebuilt = ahat[i] * qhat[i - 1] + betas[i] * qhat[i - 2]
-        assert rebuilt == qhat[i], f"monic recurrence failed to rebuild qhat_{i}"
+        if rebuilt != qhat[i]:
+            raise IdentityFailure(f"monic recurrence failed to rebuild qhat_{i}")
     return MonicCF(
         max_index=m,
         _betas=betas,
@@ -263,18 +269,20 @@ def monic_normalize(cf: CFExpansion) -> MonicCF:
 
 def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int]:
     """Measure the rate of approximation of every convergent against u and
-    assert it equals the degree of the next partial quotient (and is >= 1).
-    Returns the list of measured rates."""
+    check that it equals the degree of the next partial quotient and is >= 1
+    (RateViolation otherwise).  Returns the list of measured rates."""
     rates: list[int] = []
     for conv in cf.convergents:
         if conv.rate is None:
             break
         measured = rate_of_approximation(u, conv.p, conv.q)
-        assert measured == conv.rate, (
-            f"convergent {conv.index}: measured rate {measured} != deg a_{conv.index + 1} "
-            f"= {conv.rate}"
-        )
-        assert measured >= 1, f"convergent {conv.index} has nonpositive rate {measured}"
+        if measured != conv.rate:
+            raise RateViolation(
+                f"convergent {conv.index}: measured rate {measured} != "
+                f"deg a_{conv.index + 1} = {conv.rate}"
+            )
+        if measured < 1:
+            raise RateViolation(f"convergent {conv.index} has nonpositive rate {measured}")
         rates.append(measured)
     return rates
 

@@ -6,7 +6,6 @@ operation computes the deepest floor at which its result is still exact:
 
 * add/sub: ``max`` of the floors;
 * multiply by an exactly-known Laurent polynomial b: floor + top-degree(b);
-* multiply two truncated series a, b: ``max(F_a + ||b||, F_b + ||a||)``;
 * divide by an exactly-known polynomial with leading degree e: floor - e
   (division by a positive-degree polynomial *deepens* knowledge);
 * divide by a truncated series v with leading degree e:
@@ -21,6 +20,10 @@ The family generators produce the infinite products
 and the companions g_d = x^{-(d-1)} f_d, h_d = x^{-1} f_d,
 u_d = (1 - x^{-1}) f_d, exactly down to any requested floor: factors with
 d^t > -floor cannot touch degrees >= floor, so the product is finite.
+
+A rational function p/q enters through ``from_fraction`` as an ordinary
+truncation; its exact continued fraction comes from
+``contfrac.cf_expand_fraction``, which works on p and q directly.
 """
 
 from __future__ import annotations
@@ -37,47 +40,19 @@ from .errors import (
     ZERO_SO_FAR,
     ZeroSoFarDivision,
 )
-from .polys import RatPoly, Rational
+from .polys import RatPoly, _divide, _mul, _render_terms
 
 _Scalar = Union[int, Fraction]
 
 FAMILY_KINDS = ("F", "G", "H", "U")
 
 
-@dataclass(frozen=True)
-class SeriesFamily:
-    """Selects one of the four studied series: F = f_d, G = x^{-(d-1)} f_d,
-    H = x^{-1} f_d, U = (1 - x^{-1}) f_d, at a given precision floor."""
-
-    d: int
-    kind: str
-    floor: int
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 2:
-            raise InvalidParameter(f"family parameter d must be an integer >= 2, got {self.d!r}")
-        if self.kind not in FAMILY_KINDS:
-            raise InvalidParameter(f"family kind must be one of {FAMILY_KINDS}, got {self.kind!r}")
-        if not isinstance(self.floor, int) or self.floor > 0:
-            raise InvalidParameter(f"floor must be an integer <= 0, got {self.floor!r}")
-
-
 class TruncatedLaurentSeries:
-    """Finitely many exact coefficients of a Laurent series in x^{-1}.
+    """Finitely many exact coefficients of a Laurent series in x^{-1}."""
 
-    ``fraction`` optionally records an exact rational-function provenance
-    (p, q) with series == p/q; consumers (the continued-fraction expander)
-    use it to terminate exactly on rational inputs.
-    """
+    __slots__ = ("_coeffs", "_floor")
 
-    __slots__ = ("_coeffs", "_floor", "_fraction")
-
-    def __init__(
-        self,
-        coeffs: Mapping[int, _Scalar],
-        floor: int,
-        fraction: tuple[RatPoly, RatPoly] | None = None,
-    ):
+    def __init__(self, coeffs: Mapping[int, _Scalar], floor: int):
         if not isinstance(floor, int):
             raise InvalidParameter(f"floor must be an integer, got {floor!r}")
         clean: dict[int, Fraction] = {}
@@ -91,7 +66,6 @@ class TruncatedLaurentSeries:
                 clean[deg] = frac
         self._coeffs = clean
         self._floor = floor
-        self._fraction = fraction
 
     # -- queries ------------------------------------------------------
 
@@ -102,10 +76,6 @@ class TruncatedLaurentSeries:
     @property
     def coeffs(self) -> dict[int, Fraction]:
         return dict(self._coeffs)
-
-    @property
-    def fraction(self) -> tuple[RatPoly, RatPoly] | None:
-        return self._fraction
 
     def degree(self):
         """Largest degree with a nonzero coefficient, or ZERO_SO_FAR when all
@@ -146,23 +116,7 @@ class TruncatedLaurentSeries:
         return self + other.negate()
 
     def negate(self) -> "TruncatedLaurentSeries":
-        frac = None
-        if self._fraction is not None:
-            frac = (-self._fraction[0], self._fraction[1])
-        return TruncatedLaurentSeries(
-            {deg: -c for deg, c in self._coeffs.items()}, self._floor, frac
-        )
-
-    def scale(self, factor: _Scalar) -> "TruncatedLaurentSeries":
-        factor = factor if isinstance(factor, Fraction) else Fraction(factor)
-        if factor == 0:
-            return TruncatedLaurentSeries({}, self._floor)
-        frac = None
-        if self._fraction is not None:
-            frac = (self._fraction[0] * factor, self._fraction[1])
-        return TruncatedLaurentSeries(
-            {deg: c * factor for deg, c in self._coeffs.items()}, self._floor, frac
-        )
+        return TruncatedLaurentSeries({deg: -c for deg, c in self._coeffs.items()}, self._floor)
 
     def mul_laurent(self, poly: Mapping[int, _Scalar]) -> "TruncatedLaurentSeries":
         """Multiply by an exactly-known Laurent polynomial (degree -> coeff).
@@ -174,61 +128,16 @@ class TruncatedLaurentSeries:
         terms = {d: (c if isinstance(c, Fraction) else Fraction(c)) for d, c in poly.items() if c}
         if not terms:
             return TruncatedLaurentSeries({}, self._floor)
-        top = max(terms)
-        floor = self._floor + top
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in terms.items():
-                deg = d1 + d2
-                if deg < floor:
-                    continue
-                s = out.get(deg, Fraction(0)) + c1 * c2
-                if s:
-                    out[deg] = s
-                else:
-                    out.pop(deg, None)
-        return TruncatedLaurentSeries(out, floor)
+        floor = self._floor + max(terms)
+        return TruncatedLaurentSeries(_mul(self._coeffs, terms, floor), floor)
 
     def mul_poly(self, poly: RatPoly) -> "TruncatedLaurentSeries":
         return self.mul_laurent(poly.coeffs)
 
-    def mul_series(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        """Multiply two truncated series; floor = max(F_a + ||b||, F_b + ||a||)."""
-        deg_a = self.degree()
-        deg_b = other.degree()
-        if deg_a is ZERO_SO_FAR or deg_b is ZERO_SO_FAR:
-            # A factor with no known nonzero coefficient: the product is not
-            # known to be nonzero anywhere above the combined floor.
-            floor = max(
-                self._floor + (deg_b if deg_b is not ZERO_SO_FAR else other._floor),
-                other._floor + (deg_a if deg_a is not ZERO_SO_FAR else self._floor),
-            )
-            return TruncatedLaurentSeries({}, floor)
-        floor = max(self._floor + deg_b, other._floor + deg_a)
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                deg = d1 + d2
-                if deg < floor:
-                    continue
-                s = out.get(deg, Fraction(0)) + c1 * c2
-                if s:
-                    out[deg] = s
-                else:
-                    out.pop(deg, None)
-        return TruncatedLaurentSeries(out, floor)
-
     def shift(self, offset: int) -> "TruncatedLaurentSeries":
         """Multiply by x^offset (exact monomial: floor moves by offset)."""
-        frac = None
-        if self._fraction is not None:
-            p, q = self._fraction
-            if offset >= 0:
-                frac = (p.shift_degrees(offset), q)
-            else:
-                frac = (p, q.shift_degrees(-offset))
         return TruncatedLaurentSeries(
-            {deg + offset: c for deg, c in self._coeffs.items()}, self._floor + offset, frac
+            {deg + offset: c for deg, c in self._coeffs.items()}, self._floor + offset
         )
 
     def truncate(self, new_floor: int) -> "TruncatedLaurentSeries":
@@ -238,21 +147,15 @@ class TruncatedLaurentSeries:
                 f"cannot deepen a truncation: floor {self._floor}, requested {new_floor}"
             )
         return TruncatedLaurentSeries(
-            {deg: c for deg, c in self._coeffs.items() if deg >= new_floor},
-            new_floor,
-            self._fraction,
+            {deg: c for deg, c in self._coeffs.items() if deg >= new_floor}, new_floor
         )
 
     def substitute_power(self, d: int) -> "TruncatedLaurentSeries":
         """Return the series with x replaced by x^d; floor becomes d*floor."""
         if not isinstance(d, int) or d < 1:
             raise InvalidParameter(f"substitution power must be a positive integer, got {d!r}")
-        frac = None
-        if self._fraction is not None:
-            p, q = self._fraction
-            frac = (p.substitute_power(d), q.substitute_power(d))
         return TruncatedLaurentSeries(
-            {deg * d: c for deg, c in self._coeffs.items()}, self._floor * d, frac
+            {deg * d: c for deg, c in self._coeffs.items()}, self._floor * d
         )
 
     def div_exact_poly(self, divisor: RatPoly) -> "TruncatedLaurentSeries":
@@ -264,14 +167,8 @@ class TruncatedLaurentSeries:
         """
         if divisor.is_zero():
             raise DivisionByZeroPoly("series division by the zero polynomial")
-        e = int(divisor.degree())
-        floor = self._floor - e
-        out = _laurent_long_division(self._coeffs, divisor.coeffs, floor)
-        frac = None
-        if self._fraction is not None:
-            p, q = self._fraction
-            frac = (p, q * divisor)
-        return TruncatedLaurentSeries(out, floor, frac)
+        floor = self._floor - int(divisor.degree())
+        return TruncatedLaurentSeries(_divide(self._coeffs, divisor.coeffs, floor)[0], floor)
 
     def div_series(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
         """Divide by another truncated series (leading degree e = ||v||).
@@ -290,8 +187,7 @@ class TruncatedLaurentSeries:
             floor = max(self._floor - e, other._floor + self._floor - 2 * e)
             return TruncatedLaurentSeries({}, floor)
         floor = max(self._floor - e, other._floor + deg_u - 2 * e)
-        out = _laurent_long_division(self._coeffs, other._coeffs, floor)
-        return TruncatedLaurentSeries(out, floor)
+        return TruncatedLaurentSeries(_divide(self._coeffs, other._coeffs, floor)[0], floor)
 
     # -- identity -----------------------------------------------------
 
@@ -303,18 +199,14 @@ class TruncatedLaurentSeries:
     def __hash__(self) -> int:
         return hash((self._floor, frozenset(self._coeffs.items())))
 
-    # -- construction from exact fractions ------------------------------
+    # -- construction from rational functions ---------------------------
 
     @classmethod
     def from_fraction(cls, p: RatPoly, q: RatPoly, floor: int) -> "TruncatedLaurentSeries":
-        """Expand the rational function p/q as a Laurent series down to floor.
-
-        The result carries (p, q) as exact provenance.
-        """
+        """Expand the rational function p/q as a Laurent series down to floor."""
         if q.is_zero():
             raise DivisionByZeroPoly("fraction with zero denominator")
-        coeffs = _laurent_long_division(p.coeffs, q.coeffs, floor)
-        return cls(coeffs, floor, fraction=(p, q))
+        return cls(_divide(p.coeffs, q.coeffs, floor)[0], floor)
 
     @classmethod
     def from_polynomial(cls, p: RatPoly, floor: int) -> "TruncatedLaurentSeries":
@@ -334,114 +226,37 @@ class TruncatedLaurentSeries:
     def __str__(self) -> str:
         if not self._coeffs:
             return f"0 (down to x^{self._floor})"
-        terms = []
-        for deg in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[deg]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if deg == 0:
-                body = str(mag)
-            else:
-                var = "x" if deg == 1 else f"x^{deg}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out + f"  (exact down to x^{self._floor})"
+        return _render_terms(self._coeffs) + f"  (exact down to x^{self._floor})"
 
 
-def _laurent_long_division(
-    num: Mapping[int, Fraction],
-    den: Mapping[int, Fraction],
-    stop_floor: int,
-) -> dict[int, Fraction]:
-    """Top-down long division of coefficient maps, producing all quotient
-    coefficients at degrees >= stop_floor.  Inputs may have negative degrees.
-    """
-    den_terms = {d: c for d, c in den.items() if c}
-    if not den_terms:
-        raise DivisionByZeroPoly("division by zero coefficient map")
-    e = max(den_terms)
-    lc = den_terms[e]
-    rem = {d: c for d, c in num.items() if c}
-    out: dict[int, Fraction] = {}
-    while rem:
-        top = max(rem)
-        k = top - e
-        if k < stop_floor:
-            break
-        factor = rem[top] / lc
-        out[k] = factor
-        for d, c in den_terms.items():
-            target = d + k
-            s = rem.get(target, Fraction(0)) - factor * c
-            if s:
-                rem[target] = s
-            else:
-                rem.pop(target, None)
-        # Degrees that can no longer influence quotient terms >= stop_floor
-        # are discarded to keep the remainder small.
-        cutoff = stop_floor + e
-        for d in [d for d in rem if d < cutoff]:
-            del rem[d]
-    return {d: c for d, c in out.items() if c}
-
-
-def _truncated_product(factors: list[dict[int, Fraction]], floor: int) -> dict[int, Fraction]:
-    """Multiply Laurent polynomials whose top degree is 0, pruning below floor.
-
-    Pruning is sound: every factor has top degree 0, so degrees < floor can
-    never contribute to result degrees >= floor.
-    """
-    acc: dict[int, Fraction] = {0: Fraction(1)}
-    for f in factors:
-        nxt: dict[int, Fraction] = {}
-        for d1, c1 in acc.items():
-            for d2, c2 in f.items():
-                deg = d1 + d2
-                if deg < floor:
-                    continue
-                s = nxt.get(deg, Fraction(0)) + c1 * c2
-                if s:
-                    nxt[deg] = s
-                else:
-                    nxt.pop(deg, None)
-        acc = nxt
-    return acc
-
-
-def generate_series(family: SeriesFamily) -> TruncatedLaurentSeries:
-    """Generate f_d / g_d / h_d / u_d exactly down to the family's floor."""
-    d, kind, floor = family.d, family.kind, family.floor
+def generate(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:
+    """Generate one of the four studied series exactly down to floor:
+    F = f_d, G = x^{-(d-1)} f_d, H = x^{-1} f_d, U = (1 - x^{-1}) f_d."""
+    if not isinstance(d, int) or d < 2:
+        raise InvalidParameter(f"family parameter d must be an integer >= 2, got {d!r}")
+    if kind not in FAMILY_KINDS:
+        raise InvalidParameter(f"family kind must be one of {FAMILY_KINDS}, got {kind!r}")
+    if not isinstance(floor, int) or floor > 0:
+        raise InvalidParameter(f"floor must be an integer <= 0, got {floor!r}")
     if kind == "F":
         return _generate_f(d, floor)
     if kind == "G":
         return _generate_f(d, floor + (d - 1)).shift(-(d - 1))
     if kind == "H":
         return _generate_f(d, floor + 1).shift(-1)
-    if kind == "U":
-        return _generate_f(d, floor).mul_laurent({0: 1, -1: -1})
-    raise InvalidParameter(f"unknown family kind {kind!r}")  # pragma: no cover
-
-
-def generate(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:
-    """Convenience wrapper building the SeriesFamily inline."""
-    return generate_series(SeriesFamily(d=d, kind=kind, floor=floor))
+    return _generate_f(d, floor).mul_laurent({0: 1, -1: -1})
 
 
 def _generate_f(d: int, floor: int) -> TruncatedLaurentSeries:
-    if d < 2:
-        raise InvalidParameter(f"d must be >= 2, got {d}")
+    """f_d down to floor.  Every factor 1 - x^{-d^t} has top degree 0, so
+    dropping degrees below floor after each product is sound."""
     if floor > 0:
         raise InvalidParameter(f"floor must be <= 0, got {floor}")
-    factors = []
+    coeffs = {0: Fraction(1)}
     power = 1
     while power <= -floor:
-        factors.append({0: Fraction(1), -power: Fraction(-1)})
+        coeffs = _mul(coeffs, {0: Fraction(1), -power: Fraction(-1)}, floor)
         power *= d
-    coeffs = _truncated_product(factors, floor)
     return TruncatedLaurentSeries(coeffs, floor)
 
 
@@ -456,11 +271,6 @@ def partial_product(d: int, k: int) -> tuple[RatPoly, RatPoly]:
         num = num * (RatPoly.monomial(d**t) - 1)
     # Each factor (1 - x^{-d^t}) was written as (x^{d^t} - 1)/x^{d^t}.
     return num, RatPoly.monomial(total)
-
-
-def series_degree(u: TruncatedLaurentSeries):
-    """Largest known nonzero degree, or the ZERO_SO_FAR marker."""
-    return u.degree()
 
 
 def rate_of_approximation(u: TruncatedLaurentSeries, p: RatPoly, q: RatPoly) -> int:

@@ -19,9 +19,7 @@ exhibits the lift and the revisit explicitly.
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from sympy import isprime, primerange
 from sympy.ntheory import n_order
@@ -81,15 +79,16 @@ def fermat_quotient_nonzero(a: int, p: int) -> bool:
     """True iff a^{p-1} is not 1 modulo p^2.
 
     When true, the order of a mod p^2 cannot divide p-1, forcing the
-    p-fold order growth; that implication is asserted as a cross-check.
+    p-fold order growth; that implication is cross-checked, and
+    HypothesisFailed is raised if it does not hold.
     """
     if not isprime(p) or p == 2:
         raise InvalidParameter(f"need an odd prime, got {p}")
     if a % p == 0:
         raise NotCoprime(f"{p} divides {a}")
     nonzero = pow(a, p - 1, p * p) != 1
-    if nonzero:
-        assert gamma_growth(a, p), f"order growth should follow for a={a}, p={p}"
+    if nonzero and not gamma_growth(a, p):
+        raise HypothesisFailed(f"order growth should follow for a={a}, p={p}")
     return nonzero
 
 
@@ -174,12 +173,33 @@ def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
     return cached[: t_max + 1]
 
 
-def _require_unit_scale(qt: IntPolyWithContent, p: int, t: int) -> None:
-    scale = qt.scale
-    if scale.numerator % p == 0 or scale.denominator % p == 0:
-        raise ScaleNotInvertible(
-            f"normalization scale {scale} of q_{t} is not a unit at p={p}"
-        )
+def _unit_scale(qt: IntPolyWithContent, p: int) -> bool:
+    return qt.scale.numerator % p != 0 and qt.scale.denominator % p != 0
+
+
+def _derivative_at_1(qt: IntPolyWithContent, p: int) -> int:
+    """q_t'(1) mod p, the quantity of condition c4."""
+    return poly_eval_mod(poly_derivative(qt.primitive), 1, p)
+
+
+def _usable_t(
+    denominators: list[IntPolyWithContent], p: int, d: int, t_bound: int
+) -> tuple[list[tuple[int, dict[int, int], int]], int]:
+    """The t <= t_bound that a witness may use at p (even t only when d != 2)
+    whose q_t has a normalization scale that is a unit at p, each as
+    (t, integer coefficients of q_t, q_t'(1) mod p); and the number of t
+    skipped for their scale."""
+    usable = []
+    scale_skips = 0
+    for t in range(1, t_bound + 1):
+        if d != 2 and t % 2:
+            continue
+        qt = denominators[t]
+        if not _unit_scale(qt, p):
+            scale_skips += 1
+            continue
+        usable.append((t, qt.int_coeffs(), _derivative_at_1(qt, p)))
+    return usable, scale_skips
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +225,9 @@ class ConditionCheck:
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
+
+
+_WITNESS_INTS = ("a", "d", "p", "n0", "t", "residue")
 
 
 @dataclass(frozen=True)
@@ -237,14 +260,24 @@ class BadApproxWitness:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BadApproxWitness":
+        """Parse the JSON form; InvalidParameter unless it is an object with
+        integers a, d, p, n0, t, residue, a conditions object and a nonzero
+        qt coefficient list."""
+        if not isinstance(data, dict):
+            raise InvalidParameter("witness must be a JSON object")
+        missing = [k for k in (*_WITNESS_INTS, "conditions", "qt") if k not in data]
+        if missing:
+            raise InvalidParameter(f"witness lacks the fields {missing}")
+        not_ints = [k for k in _WITNESS_INTS if type(data[k]) is not int]
+        if not_ints:
+            raise InvalidParameter(f"witness fields {not_ints} must be integers")
+        if not isinstance(data["conditions"], dict) or not isinstance(data["qt"], str):
+            raise InvalidParameter("witness conditions must be an object and qt a string")
         qt_poly = RatPoly.from_text(data["qt"])
+        if qt_poly.is_zero():
+            raise InvalidParameter("witness qt is the zero polynomial")
         return cls(
-            a=int(data["a"]),
-            d=int(data["d"]),
-            p=int(data["p"]),
-            n0=int(data["n0"]),
-            t=int(data["t"]),
-            residue=int(data["residue"]),
+            **{k: data[k] for k in _WITNESS_INTS},
             conditions={k: bool(v) for k, v in data["conditions"].items()},
             qt=poly_normalize_integer(qt_poly),
         )
@@ -262,7 +295,10 @@ def check_conditions(
         raise InvalidParameter(f"certificates exist for d in {{2, 3}}, got {d}")
     if n0 < 1 or t < 1:
         raise InvalidParameter("need n0 >= 1 and t >= 1")
-    _require_unit_scale(qt, p, t)
+    if not _unit_scale(qt, p):
+        raise ScaleNotInvertible(
+            f"normalization scale {qt.scale} of q_{t} is not a unit at p={p}"
+        )
     p2 = p * p
 
     prime_ok = bool(isprime(p)) and (p >= 5 if d == 3 else p % 2 == 1)
@@ -279,8 +315,7 @@ def check_conditions(
     parity_ok = (t % 2 == 0) if d == 3 else True
     c3 = parity_ok and qt_value == 0
 
-    deriv = poly_derivative(qt.primitive)
-    qt_derivative_at_1 = poly_eval_mod(deriv, 1, p) if not deriv.is_zero() else 0
+    qt_derivative_at_1 = _derivative_at_1(qt, p)
     c4 = qt_derivative_at_1 != 0
 
     return ConditionCheck(
@@ -360,20 +395,8 @@ def _search_one_prime(
 ) -> BadApproxWitness | None:
     """Scan (n0, t) lexicographically for one prime; None if nothing passes."""
     p2 = p * p
-    t_values = [t for t in range(1, t_bound + 1) if d == 2 or t % 2 == 0]
-
-    # Per-t data independent of n0: unit-scale flag and q_t'(1) mod p.
-    usable: list[tuple[int, dict[int, int]]] = []
-    for t in t_values:
-        qt = denominators[t]
-        try:
-            _require_unit_scale(qt, p, t)
-        except ScaleNotInvertible:
-            diag.scale_skips += 1
-            continue
-        deriv = poly_derivative(qt.primitive)
-        d_at_1 = poly_eval_mod(deriv, 1, p) if not deriv.is_zero() else 0
-        usable.append((t, qt.int_coeffs(), d_at_1))
+    usable, scale_skips = _usable_t(denominators, p, d, t_bound)
+    diag.scale_skips += scale_skips
 
     max_deg = 0
     for _, coeffs, _ in usable:
@@ -412,14 +435,9 @@ def witness_search(
     p_bound: int,
     n0_bound: int,
     t_bound: int,
-    threads: int = 1,
 ) -> BadApproxWitness:
     """Find the lexicographically-first witness (ordered by p, then n0, then
-    t) within the given bounds; NotFound carries the scan diagnostics.
-
-    The result is independent of ``threads``: primes are scanned as
-    independent units and reduced to the smallest p that yields a witness.
-    """
+    t) within the given bounds; NotFound carries the scan diagnostics."""
     if a < 2 or d not in (2, 3):
         raise InvalidParameter(f"need a >= 2 and d in {{2, 3}}, got a={a}, d={d}")
     if p_bound < 3 or n0_bound < 1 or t_bound < 1:
@@ -427,7 +445,6 @@ def witness_search(
     denominators = convergent_denominators(d, t_bound)
     diag = SearchDiagnostics()
 
-    candidates: list[int] = []
     for p in primerange(3 if d == 2 else 5, p_bound + 1):
         p = int(p)
         diag.primes_considered += 1
@@ -441,22 +458,9 @@ def witness_search(
         except NotCoprime:
             diag.primes_rejected_growth += 1
             continue
-        candidates.append(p)
-
-    def run(p: int) -> BadApproxWitness | None:
-        return _search_one_prime(a, d, p, n0_bound, t_bound, denominators, diag)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, candidates))
-        for result in results:  # candidates are ascending: first hit is smallest p
-            if result is not None:
-                return result
-    else:
-        for p in candidates:
-            result = run(p)
-            if result is not None:
-                return result
+        witness = _search_one_prime(a, d, p, n0_bound, t_bound, denominators, diag)
+        if witness is not None:
+            return witness
     raise NotFound(
         f"no witness for a={a}, d={d} within p<={p_bound}, n0<={n0_bound}, "
         f"t<={t_bound}; diagnostics: {diag.summary()}"
@@ -501,17 +505,21 @@ def hensel_divisibility_demo(
         modulus *= p
         value = poly_eval_mod(coeffs, root, modulus)
         dval = poly_eval_mod(deriv, root, p)
+        if dval == 0:
+            raise HypothesisFailed(f"q_{w.t}' vanishes at the root mod {p}: no Newton lift")
         inv = pow(dval, -1, modulus)
         root = (root - value * inv) % modulus
     pm = p**m
     root %= pm
-    assert poly_eval_mod(coeffs, root, pm) == 0, "Newton lift failed"
+    if poly_eval_mod(coeffs, root, pm) != 0:
+        raise HypothesisFailed(f"the Newton lift reached no root of q_{w.t} mod {p}^{m}")
 
     x = power_tower_residue(w.a, w.d, w.n0, pm)
     for n in range(w.n0, w.n0 + cap + 1):
         if x == root:
             evaluation = poly_eval_mod(coeffs, x, pm)
-            assert evaluation == 0
+            if evaluation != 0:
+                raise HypothesisFailed(f"q_{w.t}({x}) = {evaluation} mod {p}^{m}, not 0")
             return HenselDemo(
                 m=m, n=n, lifted_root=root, exponent_residue=x, evaluation=evaluation
             )
@@ -549,24 +557,13 @@ def orbit_table(
     orbits of the d-th-powering map and record the first q_t (t <= t_bound,
     with q_t'(1) a unit mod p) having a root in each orbit."""
     denominators = convergent_denominators(d, t_bound)
-    t_values = [t for t in range(1, t_bound + 1) if d == 2 or t % 2 == 0]
     rows: list[OrbitRow] = []
     for p in primes:
         p = int(p)
         if not isprime(p) or p == 2 or (d == 3 and p < 5):
             raise InvalidParameter(f"table rows need valid primes for d={d}, got {p}")
         p2 = p * p
-        usable = []
-        for t in t_values:
-            qt = denominators[t]
-            try:
-                _require_unit_scale(qt, p, t)
-            except ScaleNotInvertible:
-                continue
-            deriv = poly_derivative(qt.primitive)
-            if poly_eval_mod(deriv, 1, p) == 0:
-                continue
-            usable.append((t, qt.int_coeffs()))
+        usable = [(t, coeffs) for t, coeffs, c4 in _usable_t(denominators, p, d, t_bound)[0] if c4]
 
         seen: set[int] = set()
         units = [1 + c * p for c in range(1, p)]
@@ -613,19 +610,11 @@ def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, in
         raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
     p2 = p * p
     denominators = convergent_denominators(d, t_bound)
-    t_values = [t for t in range(1, t_bound + 1) if d == 2 or t % 2 == 0]
     units = [1 + c * p for c in range(1, p)]
     hits: list[tuple[int, int]] = []
-    for t in t_values:
-        qt = denominators[t]
-        try:
-            _require_unit_scale(qt, p, t)
-        except ScaleNotInvertible:
+    for t, coeffs, c4 in _usable_t(denominators, p, d, t_bound)[0]:
+        if not c4:
             continue
-        deriv = poly_derivative(qt.primitive)
-        if poly_eval_mod(deriv, 1, p) == 0:
-            continue
-        coeffs = qt.int_coeffs()
         for e in units:
             if poly_eval_mod(coeffs, e, p2) == 0:
                 hits.append((t, e))

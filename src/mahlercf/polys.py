@@ -19,9 +19,9 @@ from typing import Iterable, Mapping, Union
 
 from .errors import DivisionByZeroPoly, InvalidParameter, ZeroPolynomial
 
-Rational = Fraction
-
 NEG_INF = float("-inf")
+
+_ZERO = Fraction(0)
 
 _Scalar = Union[int, Fraction]
 
@@ -163,17 +163,7 @@ class RatPoly:
             if scalar == 0:
                 return RatPoly.zero()
             return RatPoly({deg: c * scalar for deg, c in self._coeffs.items()})
-        other = self._coerce(other)
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                deg = d1 + d2
-                s = out.get(deg, Fraction(0)) + c1 * c2
-                if s:
-                    out[deg] = s
-                else:
-                    out.pop(deg, None)
-        return RatPoly(out)
+        return RatPoly(_mul(self._coeffs, self._coerce(other)._coeffs))
 
     __rmul__ = __mul__
 
@@ -261,24 +251,79 @@ class RatPoly:
         return f"RatPoly({self!s})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for deg in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[deg]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if deg == 0:
-                body = str(mag)
+        return _render_terms(self._coeffs) if self._coeffs else "0"
+
+
+def _render_terms(coeffs: Mapping[int, Fraction]) -> str:
+    """Render a nonempty coefficient map as "x^2 - 1/2*x + 3", top degree first."""
+    out = ""
+    for deg in sorted(coeffs, reverse=True):
+        c = coeffs[deg]
+        mag = abs(c)
+        if deg == 0:
+            body = str(mag)
+        else:
+            var = "x" if deg == 1 else f"x^{deg}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not out:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += f" {'-' if c < 0 else '+'} {body}"
+    return out
+
+
+# -- the arithmetic kernel ------------------------------------------------
+#
+# Every product and long division in the package, of polynomials and of
+# truncated Laurent series alike, runs through these two loops over sparse
+# coefficient maps (degree -> nonzero Fraction; degrees may be negative).
+
+
+def _mul(
+    a: Mapping[int, Fraction], b: Mapping[int, Fraction], floor: int | None = None
+) -> dict[int, Fraction]:
+    """The product of two coefficient maps, without its terms below floor."""
+    out: dict[int, Fraction] = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            deg = d1 + d2
+            if floor is not None and deg < floor:
+                continue
+            prev = out.get(deg)
+            out[deg] = c1 * c2 if prev is None else prev + c1 * c2
+    return {deg: c for deg, c in out.items() if c}
+
+
+def _divide(
+    num: Mapping[int, Fraction], den: Mapping[int, Fraction], stop: int
+) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """Top-down long division of coefficient maps: (quotient, remainder) with
+    num == quotient*den + remainder, where the quotient holds every term of
+    degree >= stop and the remainder has no term above stop + deg(den) - 1.
+    With stop = 0 this is Euclidean division of polynomials; with a negative
+    stop it expands num/den as a Laurent series down to x^stop."""
+    if not den:
+        raise DivisionByZeroPoly("division by the zero coefficient map")
+    e = max(den)
+    lc = den[e]
+    lower = [(deg, c) for deg, c in den.items() if deg != e]
+    rem = dict(num)
+    quo: dict[int, Fraction] = {}
+    while rem:
+        top = max(rem)
+        k = top - e
+        if k < stop:
+            break
+        factor = rem.pop(top) / lc
+        quo[k] = factor
+        for deg, c in lower:
+            target = deg + k
+            s = rem.get(target, _ZERO) - factor * c
+            if s:
+                rem[target] = s
             else:
-                var = "x" if deg == 1 else f"x^{deg}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+                del rem[target]
+    return quo, rem
 
 
 @dataclass(frozen=True)
@@ -303,26 +348,7 @@ def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
     """Euclidean division: a = q*b + r with deg r < deg b."""
     if b.is_zero():
         raise DivisionByZeroPoly("polynomial division by zero")
-    if a.is_zero():
-        return RatPoly.zero(), RatPoly.zero()
-    deg_b = b.degree()
-    lc_b = b.leading_coefficient()
-    rem = dict(a._coeffs)
-    quo: dict[int, Fraction] = {}
-    while rem:
-        deg_r = max(rem)
-        if deg_r < deg_b:
-            break
-        factor = rem[deg_r] / lc_b
-        shift = deg_r - deg_b
-        quo[shift] = factor
-        for deg, c in b._coeffs.items():
-            target = deg + shift
-            s = rem.get(target, Fraction(0)) - factor * c
-            if s:
-                rem[target] = s
-            else:
-                rem.pop(target, None)
+    quo, rem = _divide(a._coeffs, b._coeffs, 0)
     return RatPoly(quo), RatPoly(rem)
 
 

@@ -25,7 +25,6 @@ from .contfrac import (
     CFExpansion,
     Convergent,
     MonicCF,
-    cf_expand,
     expand_family,
     monic_normalize,
 )

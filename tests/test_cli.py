@@ -152,6 +152,30 @@ class TestWitness:
         assert code == 4
         assert "stored residue" in err
 
+        malformed = [
+            [stored],
+            {"a": 2},
+            dict(stored, a="2"),
+            dict(stored, t=8.5),
+            dict(stored, conditions=[]),
+            dict(stored, qt=[1, 2]),
+            dict(stored, qt="0"),
+        ]
+        for payload in malformed:
+            path.write_text(json.dumps(payload))
+            code, _, err = run_cli(capsys, ["witness", "--replay", str(path)])
+            assert code == 4, payload
+            assert err.startswith("invalid input: witness"), err
+
+    def test_threads_flag_matches_serial(self, capsys, monkeypatch):
+        argv = ["witness", "--a", "2", "--d", "2", "--p-bound", "11", "--n0-bound", "8",
+                "--t-bound", "20"]
+        serial = run_cli(capsys, argv)
+        assert serial[0] == 0
+        assert run_cli(capsys, argv + ["--threads", "2"]) == serial
+        monkeypatch.setenv("MAHLERCF_THREADS", "2")
+        assert run_cli(capsys, argv) == serial
+
     def test_missing_replay_file_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["witness", "--replay", str(tmp_path / "absent.json")]

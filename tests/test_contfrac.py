@@ -1,17 +1,26 @@
 """Continued-fraction expansion: certification, convergent laws, monic view."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from mahlercf.contfrac import (
+    CFExpansion,
+    Convergent,
     cf_expand,
+    cf_expand_fraction,
     convergent_soundness,
     default_floor,
     expand_family,
     monic_normalize,
 )
-from mahlercf.errors import InsufficientPrecision, InvalidParameter
+from mahlercf.errors import (
+    IdentityFailure,
+    InsufficientPrecision,
+    InvalidParameter,
+    RateViolation,
+)
 from mahlercf.laurent import TruncatedLaurentSeries, generate, partial_product
 from mahlercf.polys import RatPoly
 
@@ -30,22 +39,16 @@ FROZEN_BETAS_D3 = [
 
 class TestExactExpansion:
     def test_rational_series_terminates(self):
-        series = TruncatedLaurentSeries.from_fraction(
-            RatPoly.one(), RatPoly.from_text("1, 1"), -16
-        )
-        cf = cf_expand(series, 10)
+        cf = cf_expand_fraction(RatPoly.one(), RatPoly.from_text("1, 1"), 10)
         assert cf.terminated
         assert list(cf.partial_quotients) == [RatPoly.zero(), RatPoly.from_text("1, 1")]
 
     def test_already_monic_expansion_has_unit_betas(self):
         # (x^2+1)/(x^3+2x) = 1/(x + 1/(x + 1/x)) has monic convergent
         # denominators x, x^2+1, x^3+2x: the monic view is the identity
-        series = TruncatedLaurentSeries.from_fraction(
-            RatPoly.from_text("1, 0, 1"),
-            RatPoly.from_text("0, 2, 0, 1"),
-            -24,
+        cf = cf_expand_fraction(
+            RatPoly.from_text("1, 0, 1"), RatPoly.from_text("0, 2, 0, 1"), 6
         )
-        cf = cf_expand(series, 6)
         monic = monic_normalize(cf)
         for n in range(1, 4):
             assert monic.monic_denominator(n) == cf.convergents[n].q
@@ -56,7 +59,7 @@ class TestExactExpansion:
     def test_exact_and_truncated_paths_agree(self):
         poly, denom = partial_product(2, 4)
         exact = TruncatedLaurentSeries.from_fraction(poly, denom, -40)
-        cf_exact = cf_expand(exact, 14)
+        cf_exact = cf_expand_fraction(poly, denom, 14)
         # the same rational function fed through plain coefficient truncation
         plain = TruncatedLaurentSeries(
             {deg: exact.coeff(deg) for deg in range(-40, 1) if exact.coeff(deg)},
@@ -70,9 +73,8 @@ class TestExactExpansion:
         # agree on every convergent with 2*deg(q) < 32 (the certification
         # criterion applied to the difference of the two inputs)
         poly, denom = partial_product(2, 4)
-        r4 = TruncatedLaurentSeries.from_fraction(poly, denom, -64)
         f2 = generate(2, "F", -64)
-        cf_r = cf_expand(r4, 15)
+        cf_r = cf_expand_fraction(poly, denom, 15)
         cf_f = cf_expand(f2, 15)
         certified = [
             conv.index
@@ -186,6 +188,34 @@ class TestMonicView:
 
     def test_quotient_degree_validation(self):
         with pytest.raises(InvalidParameter):
-            from mahlercf.contfrac import CFExpansion
-
             CFExpansion((RatPoly.zero(), RatPoly.one()), terminated=False)
+
+
+class TestTypedChecks:
+    """Each certification check raises a typed error, which ``python -O``
+    cannot strip, when its identity is broken on purpose."""
+
+    def test_degree_bookkeeping(self, monkeypatch):
+        # a multiply that drops the partial quotient leaves deg q_1 at 0
+        monkeypatch.setattr(RatPoly, "__mul__", lambda self, other: other)
+        with pytest.raises(IdentityFailure, match="deg q_1"):
+            CFExpansion([RatPoly.zero(), RatPoly.x()], terminated=True)
+
+    def test_monic_recurrence(self):
+        cf, _ = expand_family(2, "G", 6)
+        cf.raw_q[2] = cf.raw_q[2] + 1
+        with pytest.raises(IdentityFailure, match="qhat_2"):
+            monic_normalize(cf)
+
+    def test_rate_differs_from_next_degree(self):
+        cf, series = expand_family(2, "G", 6)
+        cf.convergents[3] = dataclasses.replace(cf.convergents[3], rate=2)
+        with pytest.raises(RateViolation, match="convergent 3: measured rate 1"):
+            convergent_soundness(series, cf)
+
+    def test_nonpositive_rate(self):
+        cf, series = expand_family(2, "G", 6)
+        # ||g_2 - 1/1|| = 0, so 1/1 approximates at the stated rate 0
+        cf.convergents[0] = Convergent(index=0, p=RatPoly.one(), q=RatPoly.one(), rate=0)
+        with pytest.raises(RateViolation, match="nonpositive"):
+            convergent_soundness(series, cf)

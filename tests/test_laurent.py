@@ -19,10 +19,8 @@ from mahlercf.errors import (
     ZeroSoFarDivision,
 )
 from mahlercf.laurent import (
-    SeriesFamily,
     TruncatedLaurentSeries,
     generate,
-    generate_series,
     partial_product,
     rate_of_approximation,
     verify_functional_equations,
@@ -72,9 +70,9 @@ class TestGenerationOracle:
 
     def test_family_validation(self):
         with pytest.raises(InvalidParameter):
-            SeriesFamily(d=1, kind="F", floor=-10)
+            generate(1, "F", -10)
         with pytest.raises(InvalidParameter):
-            SeriesFamily(d=2, kind="Q", floor=-10)
+            generate(2, "Q", -10)
         with pytest.raises(InvalidParameter):
             generate(2, "F", 5)
 
@@ -151,7 +149,19 @@ class TestExactFractions:
         # 1/(x+1) = x^{-1} - x^{-2} + x^{-3} - ...
         for n in range(1, 13):
             assert series.coeff(-n) == (-1) ** (n + 1)
-        assert series.fraction is not None
+
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=6),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5).filter(any),
+        st.integers(min_value=-20, max_value=0),
+    )
+    def test_from_fraction_times_denominator_is_numerator(self, p_coeffs, q_coeffs, floor):
+        p, q = RatPoly.from_ascending(p_coeffs), RatPoly.from_ascending(q_coeffs)
+        product = TruncatedLaurentSeries.from_fraction(p, q, floor).mul_laurent(q.coeffs)
+        assert product.floor == floor + q.degree()
+        top = max(len(p_coeffs), product.floor + 1)
+        for deg in range(product.floor, top):
+            assert product.coeff(deg) == p.coeff(deg)
 
     def test_partial_product_fraction(self):
         poly, denom = partial_product(2, 2)

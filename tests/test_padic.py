@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mahlercf import padic
 from mahlercf.errors import (
     HypothesisFailed,
     InvalidParameter,
@@ -31,6 +32,7 @@ from mahlercf.padic import (
     witness_from_check,
     witness_search,
 )
+from mahlercf.polys import RatPoly, poly_normalize_integer
 
 # first certified (t, residue) per squaring-orbit, verified by standalone
 # big-integer evaluation of q_t at the residue
@@ -60,6 +62,11 @@ class TestOrders:
         assert not gamma_growth(2, 1093)
         assert not gamma_growth(2, 3511)
         assert not gamma_growth(3, 11)
+
+    def test_fermat_quotient_cross_check_raises(self, monkeypatch):
+        monkeypatch.setattr(padic, "gamma_growth", lambda a, p: False)
+        with pytest.raises(HypothesisFailed, match="order growth"):
+            fermat_quotient_nonzero(2, 5)
 
     def test_fermat_quotient_matches_growth(self):
         for a, p in ((2, 5), (2, 7), (3, 7), (2, 1093), (3, 11)):
@@ -171,15 +178,6 @@ class TestWitnessSearch:
         with pytest.raises(InvalidParameter):
             witness_search(2, 5, 10, 5, 10)
 
-    def test_threads_agree_with_serial(self):
-        serial = witness_search(2, 2, 11, 8, 20, threads=1)
-        threaded = witness_search(2, 2, 11, 8, 20, threads=4)
-        assert (serial.p, serial.n0, serial.t, serial.residue) == (
-            threaded.p,
-            threaded.n0,
-            threaded.t,
-            threaded.residue,
-        )
 
 
 class TestWitnessObjects:
@@ -254,6 +252,38 @@ class TestHensel:
         demo = hensel_divisibility_demo(w, 3)
         assert demo.exponent_residue == demo.lifted_root
         assert demo.evaluation % 343 == 0
+
+    @staticmethod
+    def fake_witness(qt_text: str) -> BadApproxWitness:
+        return BadApproxWitness(
+            a=2, d=2, p=7, n0=1, t=1, residue=8, conditions={},
+            qt=poly_normalize_integer(RatPoly.from_text(qt_text)),
+        )
+
+    def test_lift_without_a_root_raises(self):
+        # x^2 + 1 has no root mod 7, so no Newton step can reach one
+        with pytest.raises(HypothesisFailed, match="Newton lift reached no root"):
+            hensel_divisibility_demo(self.fake_witness("1, 0, 1"), 3)
+
+    def test_lift_with_vanishing_derivative_raises(self):
+        # (x - 1)^2 has derivative 2*(8 - 1) = 0 mod 7 at the residue 8
+        with pytest.raises(HypothesisFailed, match="no Newton lift"):
+            hensel_divisibility_demo(self.fake_witness("1, -2, 1"), 3)
+
+    def test_evaluation_check_raises(self, monkeypatch):
+        w = witness_search(2, 3, 7, 6, 10)
+        real = padic.poly_eval_mod
+        calls = []
+
+        def second_call_misses(q, r, m):
+            # at m = 2 the lift check is the first evaluation, the demo's own
+            # evaluation at the found exponent the second
+            calls.append(r)
+            return real(q, r, m) + (len(calls) == 2)
+
+        monkeypatch.setattr(padic, "poly_eval_mod", second_call_misses)
+        with pytest.raises(HypothesisFailed, match="not 0"):
+            hensel_divisibility_demo(w, 2)
 
 
 class TestOrbitTable:

@@ -11,6 +11,8 @@ from mahlercf.polys import (
     NEG_INF,
     IntPolyWithContent,
     RatPoly,
+    _divide,
+    _mul,
     poly_divmod,
     poly_eval_mod,
     poly_gcd,
@@ -33,6 +35,24 @@ def rat_polys(draw, max_degree=6):
     }
     coeffs[degree] = draw(small_coeff.filter(lambda c: c != 0))
     return RatPoly(coeffs)
+
+
+laurent_maps = st.dictionaries(
+    st.integers(min_value=-8, max_value=4), small_coeff.filter(lambda c: c != 0), max_size=8
+)
+
+
+def dense_product(a: dict, b: dict) -> dict:
+    """Reference product: one convolution sum per output degree."""
+    if not a or not b:
+        return {}
+    lo_a, lo_b = min(a), min(b)
+    out = {}
+    for k in range(lo_a + lo_b, max(a) + max(b) + 1):
+        total = sum(a.get(i, 0) * b.get(k - i, 0) for i in range(lo_a, k - lo_b + 1))
+        if total:
+            out[k] = total
+    return out
 
 
 class TestConstruction:
@@ -105,10 +125,29 @@ class TestDivision:
         with pytest.raises(DivisionByZeroPoly):
             poly_divmod(RatPoly.one(), RatPoly.zero())
 
+    @given(rat_polys(), rat_polys().filter(lambda p: not p.is_zero()),
+           st.integers(min_value=-6, max_value=0))
+    def test_division_kernel_identity(self, num, den, stop):
+        quotient, remainder = _divide(num.coeffs, den.coeffs, stop)
+        rebuilt = dense_product(quotient, den.coeffs)
+        for deg, c in remainder.items():
+            rebuilt[deg] = rebuilt.get(deg, 0) + c
+        assert {k: v for k, v in rebuilt.items() if v} == num.coeffs
+        assert min(quotient, default=stop) >= stop
+        assert max(remainder, default=NEG_INF) < stop + den.degree()
+
     def test_gcd(self):
         a = RatPoly.from_text("-1, 0, 1")  # x^2 - 1
         b = RatPoly.from_text("1, 2, 1")  # (x+1)^2
         assert poly_gcd(a, b) == RatPoly.from_text("1, 1")
+
+
+class TestMultiplyKernel:
+    @given(laurent_maps, laurent_maps, st.integers(min_value=-16, max_value=8))
+    def test_floored_product_is_the_full_product_above_floor(self, a, b, floor):
+        full = dense_product(a, b)
+        assert _mul(a, b) == full
+        assert _mul(a, b, floor) == {k: v for k, v in full.items() if k >= floor}
 
 
 class TestTransforms:
