@@ -7,9 +7,7 @@ even when they are not the first hit in their orbit."""
 
 import argparse
 
-from sympy import primerange
-
-from mahlercf.padic import enumerate_orbit_hits, orbit_table, orbit_table_csv
+from mahlercf.padic import enumerate_orbit_hits, orbit_table, orbit_table_csv, prime_range
 
 
 def main() -> int:
@@ -25,7 +23,7 @@ def main() -> int:
     if args.primes:
         primes = [int(p) for p in args.primes.split(",")]
     else:
-        primes = [p for p in primerange(3, args.p_max + 1)]
+        primes = list(prime_range(3, args.p_max + 1))
 
     rows = orbit_table(primes, args.t_bound, include_missing=True)
     if args.csv:

@@ -47,6 +47,7 @@ from .padic import (
     hensel_divisibility_demo,
     orbit_table,
     orbit_table_csv,
+    prime_range,
     revalidate_witness,
     witness_from_check,
     witness_search,
@@ -126,6 +127,9 @@ def _cmd_cf(args: argparse.Namespace) -> int:
         raise InvalidParameter(f"depth {args.n} exceeds hard cap {DEPTH_HARD_CAP}")
 
     if args.kind == "G":
+        if args.floor is not None:
+            print("note: --floor is ignored for --kind G, which expands from "
+                  "the default floor", file=sys.stderr)
         # beta extraction enforces the quotient shape; d >= 4 violates it at a
         # small index and exits with the shape code.
         seq = beta_sequence(args.d, args.n)
@@ -242,9 +246,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.primes is not None:
         primes = args.primes
     else:
-        from sympy import primerange
-
-        primes = [int(p) for p in primerange(3, args.p_max + 1)]
+        primes = list(prime_range(3, args.p_max + 1))
     if not primes:
         raise InvalidParameter("no primes requested")
     if args.t_bound < 1:

@@ -19,10 +19,11 @@ exhibits the lift and the revisit explicitly.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-
-from sympy import isprime, primerange
-from sympy.ntheory import n_order
+from itertools import compress
+from typing import Iterator
 
 from .errors import (
     HypothesisFailed,
@@ -41,7 +42,194 @@ from .polys import (
     poly_normalize_integer,
 )
 
-import math
+
+# ---------------------------------------------------------------------------
+# primes, primality and factorization
+# ---------------------------------------------------------------------------
+
+_SIEVE_SEGMENT = 1 << 18
+
+
+def prime_range(lo: int, hi: int) -> Iterator[int]:
+    """The primes p with lo <= p < hi, in increasing order.
+
+    A segmented sieve of Eratosthenes: each segment of _SIEVE_SEGMENT
+    integers is sieved by the primes up to its square root and yielded
+    before the next one is built, so memory stays O(sqrt(hi)) and a caller
+    that stops early never sieves up to hi."""
+    lo = max(lo, 2)
+    base: list[int] = []
+    base_top = 1  # base holds every prime <= base_top
+    while lo < hi:
+        top = min(hi, lo + _SIEVE_SEGMENT)
+        root = math.isqrt(top - 1)
+        if root > base_top:
+            base_top = max(root, 2 * base_top)
+            base = list(prime_range(2, base_top + 1))
+        sieve = bytearray([1]) * (top - lo)
+        for p in base:
+            if p * p >= top:
+                break
+            first = max(p * p, -(-lo // p) * p) - lo
+            sieve[first::p] = bytes(len(range(first, top - lo, p)))
+        yield from compress(range(lo, top), sieve)
+        lo = top
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# No n below this bound is a strong pseudoprime to all of _MR_BASES
+# (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Primality of n: False for n < 2; Miller-Rabin to the prime bases
+    2..41, which is exact below 3.3e24; above that the Baillie-PSW test
+    (Miller-Rabin to base 2 and a strong Lucas test), which has no known
+    counterexample."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, b) for b in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas(n)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """The Miller-Rabin test of odd n > base to one base."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(base, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _half(x: int, n: int) -> int:
+    """x / 2 modulo odd n."""
+    x %= n
+    return (x + n) // 2 if x % 2 else x // 2
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test of odd n > 1 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4 (Baillie & Wagstaff, Math. Comp. 35 (1980))."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # (D/n) = -1 never holds for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D shares a proper factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k and Q^k mod n for k = (n + 1) / 2^s, from the top bit down.
+    U, V, Qk = 0, 2, 1
+    for bit in bin((n + 1) >> s)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = _half(U + V, n), _half(D * U + V, n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+_TRIAL_PRIMES = tuple(prime_range(2, 1000))
+
+
+def _factor(n: int) -> Counter[int]:
+    """The prime factorization of n >= 1 as {prime: exponent}: trial
+    division by the primes below 1000, then perfect powers are split by
+    their roots and other composites by Pollard-Brent, so that no large
+    prime factor is sought by trial division."""
+    factors: Counter[int] = Counter()
+    for p in _TRIAL_PRIMES:
+        while n % p == 0:
+            factors[p] += 1
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            factors[m] += 1
+            continue
+        # Pollard-Brent would need about sqrt(r) steps to split r^k.
+        # m has no prime factor below 1000, so m = r^k needs k < bits / 9.
+        for k in range(2, m.bit_length() // 9 + 1):
+            r = _integer_root(m, k)
+            if r**k == m:
+                pending += [r] * k
+                break
+        else:
+            f = _pollard_brent(m)
+            pending += [f, m // f]
+    return factors
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The floor of the k-th root of n >= 1, by Newton's iteration from
+    above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n, which has no prime factor below
+    1000: Brent's cycle search on x -> x^2 + c, one gcd per 128 steps."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +253,25 @@ def mult_order(a: int, m: int) -> int:
         raise InvalidParameter(f"modulus must be >= 2, got {m}")
     if math.gcd(a, m) != 1:
         raise NotCoprime(f"gcd({a}, {m}) != 1")
-    return int(n_order(a, m))
+    # The order divides phi(m): start from phi(m), factored through the
+    # factorization of m, and divide out each prime q while a^(order/q) = 1.
+    order = 1
+    phi_factors: Counter[int] = Counter()
+    for p, e in _factor(m).items():
+        order *= (p - 1) * p ** (e - 1)
+        phi_factors[p] += e - 1
+        phi_factors.update(_factor(p - 1))
+    for q, e in phi_factors.items():
+        for _ in range(e):
+            if pow(a, order // q, m) != 1:
+                break
+            order //= q
+    return order
 
 
 def gamma_growth(a: int, p: int) -> bool:
     """True iff the order of a modulo p^2 is p times its order modulo p."""
-    if not isprime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise InvalidParameter(f"need an odd prime, got {p}")
     return mult_order(a, p * p) == p * mult_order(a, p)
 
@@ -82,7 +283,7 @@ def fermat_quotient_nonzero(a: int, p: int) -> bool:
     p-fold order growth; that implication is cross-checked, and
     HypothesisFailed is raised if it does not hold.
     """
-    if not isprime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise InvalidParameter(f"need an odd prime, got {p}")
     if a % p == 0:
         raise NotCoprime(f"{p} divides {a}")
@@ -98,8 +299,7 @@ def wieferich_scan(a: int, bound: int) -> list[int]:
     if bound < 3:
         raise InvalidParameter(f"bound must be >= 3, got {bound}")
     hits = []
-    for p in primerange(3, bound + 1):
-        p = int(p)
+    for p in prime_range(3, bound + 1):
         if a % p == 0:
             continue
         if pow(a, p - 1, p * p) == 1:
@@ -301,7 +501,7 @@ def check_conditions(
         )
     p2 = p * p
 
-    prime_ok = bool(isprime(p)) and (p >= 5 if d == 3 else p % 2 == 1)
+    prime_ok = is_prime(p) and (p >= 5 if d == 3 else p % 2 == 1)
     coprime_ok = a % p != 0 if prime_ok else False
     residue = power_tower_residue(a, d, n0, p2)
     c1 = prime_ok and coprime_ok and residue % p == 1 and residue != 1
@@ -445,8 +645,7 @@ def witness_search(
     denominators = convergent_denominators(d, t_bound)
     diag = SearchDiagnostics()
 
-    for p in primerange(3 if d == 2 else 5, p_bound + 1):
-        p = int(p)
+    for p in prime_range(3 if d == 2 else 5, p_bound + 1):
         diag.primes_considered += 1
         if a % p == 0:
             diag.primes_rejected_divides_a += 1
@@ -483,12 +682,19 @@ class HenselDemo:
     evaluation: int  # q_t(a^{d^n}) mod p^m (must be 0)
 
 
+# The exponent walk takes at most this many steps whatever the cap, so that
+# the default cap 4 * p^(m-1), which grows without bound in p and m, cannot
+# keep a call running indefinitely.
+HENSEL_STEP_LIMIT = 10**6
+
+
 def hensel_divisibility_demo(
     w: BadApproxWitness, m: int, cap: int | None = None
 ) -> HenselDemo:
     """Lift the witness root from mod p^2 to mod p^m (Newton steps; condition
     c4 makes q_t' a unit at the root), then search n in [n0, n0 + cap] with
     a^{d^n} = lifted root (mod p^m) and confirm q_t vanishes there mod p^m.
+    A cap above HENSEL_STEP_LIMIT is cut to it.
     """
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
@@ -514,8 +720,9 @@ def hensel_divisibility_demo(
     if poly_eval_mod(coeffs, root, pm) != 0:
         raise HypothesisFailed(f"the Newton lift reached no root of q_{w.t} mod {p}^{m}")
 
+    steps = min(cap, HENSEL_STEP_LIMIT)
     x = power_tower_residue(w.a, w.d, w.n0, pm)
-    for n in range(w.n0, w.n0 + cap + 1):
+    for n in range(w.n0, w.n0 + steps + 1):
         if x == root:
             evaluation = poly_eval_mod(coeffs, x, pm)
             if evaluation != 0:
@@ -524,6 +731,11 @@ def hensel_divisibility_demo(
                 m=m, n=n, lifted_root=root, exponent_residue=x, evaluation=evaluation
             )
         x = pow(x, w.d, pm)
+    if steps < cap:
+        raise SearchExhausted(
+            f"no exponent within the step limit {HENSEL_STEP_LIMIT} (cap {cap}) "
+            f"reaches the lifted root mod {p}^{m}"
+        )
     raise SearchExhausted(
         f"no exponent within cap {cap} reaches the lifted root mod {p}^{m}"
     )
@@ -560,7 +772,7 @@ def orbit_table(
     rows: list[OrbitRow] = []
     for p in primes:
         p = int(p)
-        if not isprime(p) or p == 2 or (d == 3 and p < 5):
+        if not is_prime(p) or p == 2 or (d == 3 and p < 5):
             raise InvalidParameter(f"table rows need valid primes for d={d}, got {p}")
         p2 = p * p
         usable = [(t, coeffs) for t, coeffs, c4 in _usable_t(denominators, p, d, t_bound)[0] if c4]
@@ -606,7 +818,7 @@ def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, in
     lists all hits, so any externally quoted pair can be checked for
     membership even when an earlier t serves the same orbit."""
     p = int(p)
-    if not isprime(p) or p == 2 or (d == 3 and p < 5):
+    if not is_prime(p) or p == 2 or (d == 3 and p < 5):
         raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
     p2 = p * p
     denominators = convergent_denominators(d, t_bound)

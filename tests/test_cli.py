@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import mahlercf
 from mahlercf.cli import main
 
 
@@ -46,6 +51,16 @@ class TestCF:
     def test_rejects_d_below_2(self, capsys):
         code, _, err = run_cli(capsys, ["cf", "--d", "1", "--kind", "G", "--n", "3"])
         assert code == 4
+
+    def test_floor_with_kind_g_is_ignored_with_a_note(self, capsys):
+        argv = ["cf", "--d", "2", "--kind", "G", "--n", "5"]
+        code, out, err = run_cli(capsys, argv)
+        floored_code, floored_out, floored_err = run_cli(capsys, argv + ["--floor", "-8"])
+        assert (floored_code, floored_out) == (code, out) and code == 0
+        assert err == ""
+        assert floored_err == (
+            "note: --floor is ignored for --kind G, which expands from the default floor\n"
+        )
 
 
 class TestVerify:
@@ -258,6 +273,19 @@ class TestDemoHensel:
         assert "n = 2: 2^3^2 = 22 mod 7^2" in out
         assert "evaluates to 0" in out
 
+    def test_unbounded_default_cap_stops_at_the_step_limit(self, capsys):
+        # the default cap 4 * 3^39 would allow about 1.6e19 steps
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "2", "--p", "3", "--n0", "1",
+             "--t", "18", "--m", "40"],
+        )
+        assert time.perf_counter() - start < 30
+        assert code == 1
+        assert "no exponent found: no exponent within the step limit 1000000" in out
+        assert err == ""
+
     def test_failing_conditions_exit_1(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -294,6 +322,21 @@ class TestTopLevelUsage:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["frobnicate"])
         assert code == 4
+
+
+class TestImportPath:
+    @pytest.mark.parametrize("module", ["mahlercf.cli", "mahlercf"])
+    def test_import_leaves_sympy_unloaded(self, module):
+        src = str(Path(mahlercf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(shutil.which("mahlercf") is None, reason="script not installed")

@@ -1,8 +1,14 @@
 """Multiplicative orders, witness conditions, searches, orbit table, lifting."""
 
 import json
+from bisect import bisect_left
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.ntheory import n_order
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from mahlercf import padic
 from mahlercf.errors import (
@@ -11,6 +17,7 @@ from mahlercf.errors import (
     NotCoprime,
     NotFound,
     ScaleNotInvertible,
+    SearchExhausted,
 )
 from mahlercf.padic import (
     BadApproxWitness,
@@ -22,11 +29,13 @@ from mahlercf.padic import (
     fermat_quotient_nonzero,
     gamma_growth,
     hensel_divisibility_demo,
+    is_prime,
     mult_order,
     orbit_table,
     orbit_table_csv,
     order_growth_check,
     power_tower_residue,
+    prime_range,
     revalidate_witness,
     wieferich_scan,
     witness_from_check,
@@ -43,7 +52,110 @@ FROZEN_TABLE_SMALL = {
 }
 
 
+class TestPrimes:
+    """The sieve, the primality test and the factorization, each against
+    sympy as the reference."""
+
+    LIMIT = 200_000
+
+    def test_sieve_matches_sympy_on_windows(self, monkeypatch):
+        reference = list(sympy.primerange(0, self.LIMIT + 1))
+        assert list(prime_range(0, self.LIMIT + 1)) == reference
+        # segments shorter than the windows exercise the segment boundaries
+        for segment in (97, 1000, 1 << 18):
+            monkeypatch.setattr(padic, "_SIEVE_SEGMENT", segment)
+            for lo in range(0, self.LIMIT, 4999):
+                for width in (0, 1, 2, 98, 1001, 30011):
+                    hi = min(lo + width, self.LIMIT)
+                    expected = reference[bisect_left(reference, lo):bisect_left(reference, hi)]
+                    assert list(prime_range(lo, hi)) == expected
+
+    def test_sieve_stops_lazily(self):
+        primes = prime_range(10**12, 10**13)
+        assert next(primes) == sympy.nextprime(10**12)
+
+    def test_is_prime_matches_sympy_below_1e5(self):
+        assert [n for n in range(-5, 100_000) if is_prime(n)] == list(
+            sympy.primerange(0, 100_000)
+        )
+
+    @settings(max_examples=400)
+    @given(st.integers(0, 2**128))
+    def test_is_prime_matches_sympy_to_2_128(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+        p = sympy.nextprime(n)
+        assert is_prime(p)
+        assert not is_prime(p * sympy.nextprime(p))
+
+    def test_pseudoprimes_are_composite(self):
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                      321197185, 5394826801, 232250619601, 9746347772161]
+        # Chernick's (6k+1)(12k+1)(18k+1), all three prime, is a Carmichael
+        # number; this one lies above the Miller-Rabin bound, where the
+        # Baillie-PSW test decides.
+        k = next(k for k in range(10**9, 10**9 + 10**6)
+                 if all(sympy.isprime(c * k + 1) for c in (6, 12, 18)))
+        chernick = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        assert chernick > padic._MR_EXACT_BELOW
+        strong_to_2_23 = 3825123056546413051
+        strong_to_2_37 = 318665857834031151167461
+        for n in (*carmichael, chernick, strong_to_2_23, strong_to_2_37):
+            assert not sympy.isprime(n)
+            assert not is_prime(n), n
+
+    def test_large_primes_above_the_miller_rabin_bound(self):
+        for k in (89, 107, 127, 521, 607):  # Mersenne primes
+            assert is_prime(2**k - 1)
+        assert not is_prime((2**89 - 1) * (2**107 - 1))
+        assert not is_prime((2**89 - 1) ** 2)
+
+    def test_strong_lucas_matches_sympy(self):
+        mismatches = [n for n in range(3, 100_000, 2)
+                      if padic._strong_lucas(n) != is_strong_lucas_prp(n)]
+        assert mismatches == []
+
+    @given(st.integers(1, 10**18))
+    def test_factor_matches_sympy(self, n):
+        assert dict(padic._factor(n)) == sympy.factorint(n)
+
+    def test_factor_splits_large_cofactors(self):
+        for n in ((10**6 + 3) ** 2 * 999983 * 10007,
+                  (10**10 + 19) * (10**12 + 39),
+                  (10**10 + 19) ** 3,
+                  (2**89 - 1) ** 2,
+                  (2**61 - 1) ** 3 * (2**31 - 1) ** 6 * 1009):
+            assert dict(padic._factor(n)) == sympy.factorint(n)
+
+    def test_integer_root(self):
+        for n in (1, 2, 7, 8, 9, 10**40, 10**40 - 1, 3**300 + 1):
+            for k in (2, 3, 5, 11):
+                r = padic._integer_root(n, k)
+                assert r**k <= n < (r + 1) ** k
+
+
 class TestOrders:
+    def test_mult_order_matches_sympy(self):
+        for p in sympy.primerange(3, 400):
+            for a in range(2, 40):
+                if a % p:
+                    assert mult_order(a, p) == n_order(a, p)
+                    assert mult_order(a, p * p) == n_order(a, p * p)
+        for p in sympy.primerange(2, 50):
+            for k in (3, 4, 5):
+                for a in (-1, 2, 3, 5, 10, p + 1, p**k - 2):
+                    if a % p:
+                        assert mult_order(a, p**k) == n_order(a, p**k)
+        for m in range(2, 1500):
+            for a in (2, 3, 7, 10, m - 1):
+                if sympy.gcd(a, m) == 1:
+                    assert mult_order(a, m) == n_order(a, m), (a, m)
+        for big in ((10**6 + 3) * (10**9 + 7) ** 2, (2**89 - 1) ** 2):
+            assert mult_order(2, big) == n_order(2, big)
+
+    def test_mult_order_rejects_small_modulus(self):
+        with pytest.raises(InvalidParameter):
+            mult_order(2, 1)
+
     def test_mult_order_basics(self):
         assert mult_order(2, 3) == 2
         assert mult_order(2, 9) == 6
@@ -269,6 +381,17 @@ class TestHensel:
         # (x - 1)^2 has derivative 2*(8 - 1) = 0 mod 7 at the residue 8
         with pytest.raises(HypothesisFailed, match="no Newton lift"):
             hensel_divisibility_demo(self.fake_witness("1, -2, 1"), 3)
+
+    def test_walk_is_cut_at_the_step_limit(self, monkeypatch):
+        # at m = 3 this witness reaches its lifted root after 24 steps
+        w = witness_search(2, 3, 7, 6, 10)
+        monkeypatch.setattr(padic, "HENSEL_STEP_LIMIT", 24)
+        assert hensel_divisibility_demo(w, 3).n == w.n0 + 24
+        monkeypatch.setattr(padic, "HENSEL_STEP_LIMIT", 23)
+        with pytest.raises(SearchExhausted, match=r"^no exponent within cap 23 "):
+            hensel_divisibility_demo(w, 3, cap=23)
+        with pytest.raises(SearchExhausted, match=r"step limit 23 \(cap 196\)"):
+            hensel_divisibility_demo(w, 3)
 
     def test_evaluation_check_raises(self, monkeypatch):
         w = witness_search(2, 3, 7, 6, 10)
