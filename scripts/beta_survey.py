@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print the monic-recurrence parameters beta_n (and for d=3 the derived
-a_k/b_k coefficients) over a range, comparing the structural recurrence with
-the values extracted from the raw Euclidean expansion."""
+a_k/b_k coefficients) over a range.  The betas are those of the monic view
+that monic_normalize builds and verifies; beta_sequence adds the check that
+every monic quotient has the rigid shape.  For an independent check of the
+d=2 betas, run ``mahlercf verify --identity bzz``, which compares them with
+the closed recurrence."""
 
 import argparse
 
-from mahlercf.contfrac import expand_family, monic_normalize
 from mahlercf.structure import beta_sequence
 
 
@@ -16,16 +18,11 @@ def main() -> int:
     args = parser.parse_args()
 
     seq = beta_sequence(args.d, args.n)
-    cf, _ = expand_family(args.d, "G", args.n)
-    from_euclid = monic_normalize(cf)
 
     print(f"beta parameters for d={args.d}, n=2..{args.n}")
-    print(f"{'n':>4}  {'beta_n (recurrence)':>24}  {'matches expansion':>18}")
+    print(f"{'n':>4}  {'beta_n':>24}")
     for n in range(2, args.n + 1):
-        agree = seq.beta(n) == from_euclid.beta(n)
-        print(f"{n:>4}  {str(seq.beta(n)):>24}  {'yes' if agree else 'NO':>18}")
-        if not agree:
-            return 1
+        print(f"{n:>4}  {str(seq.beta(n)):>24}")
 
     if args.d == 3:
         print(f"\nderived coefficients for d=3, k=1..{args.n // 6}")

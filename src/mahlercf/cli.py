@@ -134,11 +134,9 @@ def _cmd_cf(args: argparse.Namespace) -> int:
         # small index and exits with the shape code.
         seq = beta_sequence(args.d, args.n)
         cf, monic = seq.expansion, seq.monic
-        betas = [seq.beta(i) for i in range(2, args.n + 1)]
     else:
         cf, series = expand_family(args.d, args.kind, args.n, args.floor)
         monic = None
-        betas = []
         convergent_soundness(series, cf)
 
     if args.output == "json":
@@ -188,10 +186,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.status == "pass" else EXIT_FAIL
 
 
-def _witness_payload(witness: BadApproxWitness) -> dict:
-    return witness.to_json_dict()
-
-
 def _cmd_witness(args: argparse.Namespace) -> int:
     if args.replay is not None:
         with open(args.replay, "r", encoding="utf-8") as handle:
@@ -220,7 +214,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     except NotFound as exc:
         print(f"no witness found: {exc}")
         return EXIT_FAIL
-    payload = _witness_payload(witness)
+    payload = witness.to_json_dict()
     if args.save is not None:
         with open(args.save, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

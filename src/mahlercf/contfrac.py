@@ -235,9 +235,6 @@ class MonicCF:
             raise InvalidParameter(f"leading coefficient {n} not available")
         return self._leading_coeffs[n]
 
-    def betas_from_2(self) -> list[Fraction]:
-        return [self._betas[n] for n in range(2, self.max_index + 1)]
-
 
 def monic_normalize(cf: CFExpansion) -> MonicCF:
     """Build the monic view and verify its recurrence reconstructs every
@@ -330,6 +327,11 @@ def expand_family(
         except InsufficientPrecision as exc:
             last_error = exc
             depth *= 2
+    if last_error is None:
+        raise InsufficientPrecision(
+            f"starting depth {depth} for {kind}_{d} with n={n} already exceeds "
+            f"the depth cap {depth_cap}"
+        )
     raise InsufficientPrecision(
         f"depth cap {depth_cap} reached for {kind}_{d} with n={n}: {last_error}"
     )

@@ -89,9 +89,6 @@ class TruncatedLaurentSeries:
             )
         return self._coeffs.get(degree, Fraction(0))
 
-    def is_zero_so_far(self) -> bool:
-        return not self._coeffs
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":

@@ -495,6 +495,8 @@ def check_conditions(
         raise InvalidParameter(f"certificates exist for d in {{2, 3}}, got {d}")
     if n0 < 1 or t < 1:
         raise InvalidParameter("need n0 >= 1 and t >= 1")
+    if p < 1:
+        raise InvalidParameter(f"need p >= 1, got {p}")
     if not _unit_scale(qt, p):
         raise ScaleNotInvertible(
             f"normalization scale {qt.scale} of q_{t} is not a unit at p={p}"
@@ -688,12 +690,34 @@ class HenselDemo:
 HENSEL_STEP_LIMIT = 10**6
 
 
+def _newton_lift(w: BadApproxWitness, m: int) -> int:
+    """The root of q_t mod p^m above the witness residue mod p^2, by Newton
+    steps root mod p^k -> root mod p^{min(2k, m)}; condition c4 makes q_t'
+    a unit at the root, so the lift is unique."""
+    p = w.p
+    coeffs = w.qt.int_coeffs()
+    deriv = poly_derivative(w.qt.primitive)
+    k = 2
+    root = w.residue % (p * p)
+    while k < m:
+        k = min(2 * k, m)
+        modulus = p**k
+        value = poly_eval_mod(coeffs, root, modulus)
+        dval = poly_eval_mod(deriv, root, modulus)
+        if dval % p == 0:
+            raise HypothesisFailed(f"q_{w.t}' vanishes at the root mod {p}: no Newton lift")
+        root = (root - value * pow(dval, -1, modulus)) % modulus
+    if poly_eval_mod(coeffs, root, p**m) != 0:
+        raise HypothesisFailed(f"the Newton lift reached no root of q_{w.t} mod {p}^{m}")
+    return root
+
+
 def hensel_divisibility_demo(
     w: BadApproxWitness, m: int, cap: int | None = None
 ) -> HenselDemo:
-    """Lift the witness root from mod p^2 to mod p^m (Newton steps; condition
-    c4 makes q_t' a unit at the root), then search n in [n0, n0 + cap] with
-    a^{d^n} = lifted root (mod p^m) and confirm q_t vanishes there mod p^m.
+    """Lift the witness root from mod p^2 to mod p^m (``_newton_lift``), then
+    search n in [n0, n0 + cap] with a^{d^n} = lifted root (mod p^m) and
+    confirm q_t vanishes there mod p^m.
     A cap above HENSEL_STEP_LIMIT is cut to it.
     """
     if m < 2:
@@ -701,24 +725,9 @@ def hensel_divisibility_demo(
     p = w.p
     if cap is None:
         cap = 4 * p ** (m - 1)
-    coeffs = w.qt.int_coeffs()
-    deriv = poly_derivative(w.qt.primitive)
-
-    # Newton lift: root mod p^k -> root mod p^{k+1}.
-    root = w.residue % (p * p)
-    modulus = p * p
-    while modulus < p**m:
-        modulus *= p
-        value = poly_eval_mod(coeffs, root, modulus)
-        dval = poly_eval_mod(deriv, root, p)
-        if dval == 0:
-            raise HypothesisFailed(f"q_{w.t}' vanishes at the root mod {p}: no Newton lift")
-        inv = pow(dval, -1, modulus)
-        root = (root - value * inv) % modulus
     pm = p**m
-    root %= pm
-    if poly_eval_mod(coeffs, root, pm) != 0:
-        raise HypothesisFailed(f"the Newton lift reached no root of q_{w.t} mod {p}^{m}")
+    root = _newton_lift(w, m)
+    coeffs = w.qt.int_coeffs()
 
     steps = min(cap, HENSEL_STEP_LIMIT)
     x = power_tower_residue(w.a, w.d, w.n0, pm)

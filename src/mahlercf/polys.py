@@ -124,9 +124,6 @@ class RatPoly:
             return Fraction(0)
         return self._coeffs[max(self._coeffs)]
 
-    def is_constant(self) -> bool:
-        return self.degree() <= 0
-
     def monic(self) -> "RatPoly":
         lc = self.leading_coefficient()
         if lc == 0:
@@ -234,18 +231,8 @@ class RatPoly:
 
     # -- rendering ----------------------------------------------------
 
-    def to_text(self) -> str:
-        """Ascending comma-separated coefficient list ("1, 0, 1" for x^2+1)."""
-        if not self._coeffs:
-            return "0"
-        top = max(self._coeffs)
-        return ", ".join(str(self.coeff(k)) for k in range(top + 1))
-
     def to_json_dict(self) -> dict:
         return {"coeffs": {str(deg): str(c) for deg, c in sorted(self._coeffs.items())}}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"

@@ -278,34 +278,33 @@ class BetaSequence:
         qhat_{2k+1} = (1+x+...+x^{d-1}) qhat_{2k}   + beta_{2k+1} qhat_{2k-1}
         qhat_{2k+2} = (x-1)             qhat_{2k+1} + beta_{2k+2} qhat_{2k}
 
+    read from the verified monic view ``monic`` of ``expansion``.
+
     For d = 3, ``sub_leading_a[m]`` and ``sub_sub_leading_b[m]`` are the
     second- and third-highest coefficients of the cube-collapsed form of
     qhat_m (coefficient of y^{k-1} and y^{k-2} where k = m // 2, after
     writing qhat_{2k} = s(x^3) and qhat_{2k+1} = (x^2+x+1) s(x^3)); indices
     outside s's support are 0.
 
-    ``betas[1] = 0`` by the seed convention rho_{-1} = 0 / qhat_{-1} = 0.
+    ``beta(1) = 0`` by the seed convention rho_{-1} = 0 / qhat_{-1} = 0.
     """
 
     d: int
-    betas: dict[int, Fraction]
+    expansion: CFExpansion
+    monic: MonicCF
     sub_leading_a: dict[int, Fraction] = field(default_factory=dict)
     sub_sub_leading_b: dict[int, Fraction] = field(default_factory=dict)
-    expansion: CFExpansion | None = None
-    monic: MonicCF | None = None
 
     @property
     def max_index(self) -> int:
-        return max(self.betas)
+        return self.monic.max_index
 
     def beta(self, n: int) -> Fraction:
         if n == 0:
             # Only ever used multiplied by beta_1 = 0; any finite value works,
             # 0 keeps the seed row of every identity exact.
             return Fraction(0)
-        if n not in self.betas:
-            raise InvalidParameter(f"beta_{n} not computed (have up to {self.max_index})")
-        return self.betas[n]
+        return self.monic.beta(n)
 
     def a_coeff(self, m: int) -> Fraction:
         if self.d != 3:
@@ -334,14 +333,12 @@ def _collapse_cubes(qhat: RatPoly, m: int) -> RatPoly:
 
 
 def beta_sequence(d: int, n: int) -> BetaSequence:
-    """Extract beta_1..beta_n for g_d by exact remainder elimination.
+    """The betas beta_1..beta_n of g_d, read from the monic view that
+    monic_normalize builds and verifies for the expansion of g_d.
 
-    Independently of the leading-coefficient formula in monic_normalize,
-    each beta is obtained by subtracting the asserted quotient shape
-    (1+x+...+x^{d-1} at odd steps, x-1 at even steps) times the previous
-    monic denominator and requiring the difference to be an *exact* scalar
-    multiple of the denominator two steps back.  Both derivations must agree.
-
+    Each monic quotient must have the rigid shape (1+x+...+x^{d-1} at odd
+    steps, x-1 at even steps); with the monic recurrence verified, the
+    denominators then obey the two-term recurrence of BetaSequence.
     ShapeViolation(i) reports the first index whose quotient departs from
     the rigid pattern — expected for every d >= 4.
     """
@@ -352,50 +349,26 @@ def beta_sequence(d: int, n: int) -> BetaSequence:
     cf, _ = expand_family(d, "G", n)
     monic = monic_normalize(cf)
     odd_shape = ones_polynomial(d)
-
-    qhat = {-1: RatPoly.zero(), 0: RatPoly.one()}
-    for i in range(1, n + 1):
-        qhat[i] = monic.monic_denominator(i)
-
-    betas: dict[int, Fraction] = {}
     for i in range(1, n + 1):
         shape = odd_shape if i % 2 == 1 else X_MINUS_1
         if monic.monic_quotient(i) != shape:
             raise ShapeViolation(i, f"monic quotient {i} is {monic.monic_quotient(i)}, not {shape}")
-        diff = qhat[i] - shape * qhat[i - 1]
-        prev = qhat[i - 2]
-        if diff.is_zero():
-            beta = Fraction(0)
-        elif prev.is_zero():
-            raise ShapeViolation(i, f"nonzero remainder against qhat_{i-2} = 0")
-        else:
-            if diff.degree() != prev.degree():
-                raise ShapeViolation(i, f"remainder at step {i} has degree {diff.degree()}")
-            beta = diff.leading_coefficient() / prev.leading_coefficient()
-            if diff != prev * beta:
-                raise ShapeViolation(i, f"remainder at step {i} is not a scalar multiple")
-        if beta != monic.beta(i):
-            raise ShapeViolation(
-                i, f"beta_{i} mismatch: elimination {beta}, leading-coefficient {monic.beta(i)}"
-            )
-        betas[i] = beta
 
     a_coeffs: dict[int, Fraction] = {}
     b_coeffs: dict[int, Fraction] = {}
     if d == 3:
         for m in range(1, n + 1):
-            s = _collapse_cubes(qhat[m], m)
+            s = _collapse_cubes(monic.monic_denominator(m), m)
             k = m // 2
             a_coeffs[m] = s.coeff(k - 1) if k >= 1 else Fraction(0)
             b_coeffs[m] = s.coeff(k - 2) if k >= 2 else Fraction(0)
 
     return BetaSequence(
         d=d,
-        betas=betas,
-        sub_leading_a=a_coeffs,
-        sub_sub_leading_b=b_coeffs,
         expansion=cf,
         monic=monic,
+        sub_leading_a=a_coeffs,
+        sub_sub_leading_b=b_coeffs,
     )
 
 
@@ -514,11 +487,11 @@ def _verify_d3_identity(name: str, lo: int, hi: int) -> list:
     if name == "lemma5":
         depth = 6 * hi + 2
         seq = beta_sequence(3, depth)
-        cf = seq.expansion
+        cf, monic = seq.expansion, seq.monic
         for k in range(max(lo, 1), hi + 1):
             rho6, rho2 = cf.leading_coeff(6 * k), cf.leading_coeff(2 * k)
-            q6 = cf.raw_q[6 * k] * (1 / rho6)
-            q2 = cf.raw_q[2 * k] * (1 / rho2)
+            q6 = monic.monic_denominator(6 * k)
+            q2 = monic.monic_denominator(2 * k)
             p6 = cf.raw_p[6 * k] * (1 / rho6)
             p2 = cf.raw_p[2 * k] * (1 / rho2)
             if q6 != poly_substitute_power(q2, 3):

@@ -48,6 +48,15 @@ class TestCF:
         assert code == 2
         assert "shape violated at index 6" in err
 
+    def test_start_beyond_the_depth_cap_names_depth_and_cap(self, capsys):
+        # the default floor for n = 600 is -2416, past the 2000 cap
+        code, out, err = run_cli(capsys, ["cf", "--d", "2", "--n", "600"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "precision exhausted: starting depth 2416 for G_2 with n=600 already "
+            "exceeds the depth cap 2000\n"
+        )
+
     def test_rejects_d_below_2(self, capsys):
         code, _, err = run_cli(capsys, ["cf", "--d", "1", "--kind", "G", "--n", "3"])
         assert code == 4
@@ -182,6 +191,11 @@ class TestWitness:
             assert code == 4, payload
             assert err.startswith("invalid input: witness"), err
 
+        path.write_text(json.dumps(dict(stored, p=0)))
+        code, _, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert code == 4
+        assert err == "invalid input: need p >= 1, got 0\n"
+
     def test_threads_flag_matches_serial(self, capsys, monkeypatch):
         argv = ["witness", "--a", "2", "--d", "2", "--p-bound", "11", "--n0-bound", "8",
                 "--t-bound", "20"]
@@ -294,6 +308,14 @@ class TestDemoHensel:
         )
         assert code == 1
         assert "conditions fail" in out
+
+    def test_p_zero_exits_4(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "2", "--p", "0", "--n0", "1", "--t", "2"],
+        )
+        assert (code, out) == (4, "")
+        assert err == "invalid input: need p >= 1, got 0\n"
 
 
 class TestOutputDeterminism:

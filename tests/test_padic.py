@@ -41,7 +41,7 @@ from mahlercf.padic import (
     witness_from_check,
     witness_search,
 )
-from mahlercf.polys import RatPoly, poly_normalize_integer
+from mahlercf.polys import RatPoly, poly_eval_mod, poly_normalize_integer
 
 # first certified (t, residue) per squaring-orbit, verified by standalone
 # big-integer evaluation of q_t at the residue
@@ -381,6 +381,26 @@ class TestHensel:
         # (x - 1)^2 has derivative 2*(8 - 1) = 0 mod 7 at the residue 8
         with pytest.raises(HypothesisFailed, match="no Newton lift"):
             hensel_divisibility_demo(self.fake_witness("1, -2, 1"), 3)
+
+    @staticmethod
+    def digit_by_digit_lift(w: BadApproxWitness, m: int) -> int:
+        # one p-adic digit per step: the unique c with q_t(root + c p^k) = 0
+        # mod p^(k+1)
+        coeffs, p = w.qt.int_coeffs(), w.p
+        root = w.residue % p**2
+        for k in range(2, m):
+            digits = [c for c in range(p)
+                      if poly_eval_mod(coeffs, root + c * p**k, p ** (k + 1)) == 0]
+            assert len(digits) == 1, (k, digits)
+            root += digits[0] * p**k
+        return root
+
+    @pytest.mark.parametrize("search", [(2, 3, 7, 6, 10), (2, 2, 11, 8, 20)])
+    def test_newton_lift_matches_digit_by_digit_lift(self, search):
+        w = witness_search(*search)
+        for m in range(2, 13):
+            assert padic._newton_lift(w, m) == self.digit_by_digit_lift(w, m), m
+        assert hensel_divisibility_demo(w, 3).lifted_root == self.digit_by_digit_lift(w, 3)
 
     def test_walk_is_cut_at_the_step_limit(self, monkeypatch):
         # at m = 3 this witness reaches its lifted root after 24 steps

@@ -7,6 +7,7 @@ import pytest
 from mahlercf.contfrac import expand_family, monic_normalize
 from mahlercf.errors import (
     ClassificationFailure,
+    IdentityFailure,
     InvalidParameter,
     ShapeViolation,
 )
@@ -42,6 +43,18 @@ class TestShape:
                 else:
                     assert quotient == RatPoly.from_text("-1, 1"), (d, i)
 
+    def test_tampered_chain_fails_the_monic_check(self, monkeypatch):
+        import mahlercf.structure as structure
+
+        def tampered(d, kind, n):
+            cf, series = expand_family(d, kind, n)
+            cf.raw_q[2] = cf.raw_q[2] + 1
+            return cf, series
+
+        monkeypatch.setattr(structure, "expand_family", tampered)
+        with pytest.raises(IdentityFailure, match="qhat_2"):
+            beta_sequence(2, 6)
+
     def test_shape_violation_d4(self):
         with pytest.raises(ShapeViolation) as err:
             beta_sequence(4, 10)
@@ -61,6 +74,9 @@ class TestBetas:
     def test_beta_conventions(self, betas_d2):
         assert betas_d2.beta(0) == 0
         assert betas_d2.beta(1) == 0
+        assert betas_d2.max_index == 40
+        with pytest.raises(InvalidParameter):
+            betas_d2.beta(41)
 
     def test_closed_form_matches_oracle_d2(self, betas_d2):
         closed = beta_closed_form(40)
