@@ -49,7 +49,6 @@ from .errors import (
     SearchExhausted,
     ShapeViolation,
     ZeroDenominator,
-    ZeroSoFarDivision,
 )
 from .laurent import (
     FunctionalEquationReport,
@@ -66,7 +65,6 @@ from .padic import (
     OrbitRow,
     check_conditions,
     convergent_denominators,
-    exact_divisibility,
     fermat_quotient_nonzero,
     enumerate_orbit_hits,
     gamma_growth,
@@ -91,7 +89,6 @@ from .structure import (
     classify_all,
     classify_convergent,
     companion_map,
-    first_shape_violation,
     transport,
     verify_identity,
     well_approx_rate,

@@ -33,7 +33,7 @@ from .errors import (
     PrecisionCascade,
     ScaleNotInvertible,
 )
-from .polys import RatPoly
+from .polys import RatPoly, poly_substitute_power
 
 __all__ = [
     "CertifiedValue",
@@ -339,7 +339,10 @@ def iterated_pair_polynomials(d: int, t: int, n: int) -> tuple[RatPoly, RatPoly]
         raise InvalidParameter("for d = 3 the convergent index t must be even")
     p_poly, q_poly = _convergent_pair(d, t)
     step = d**n
-    return _prefactor_polynomial(d, n) * p_poly.substitute_power(step), q_poly.substitute_power(step)
+    return (
+        _prefactor_polynomial(d, n) * poly_substitute_power(p_poly, step),
+        poly_substitute_power(q_poly, step),
+    )
 
 
 def locate_as_convergent(
@@ -470,9 +473,6 @@ class IrrationalityReport:
     d: int
     k_max: int
     samples: tuple[ExponentSample, ...]
-
-    def final_exponent(self) -> Fraction:
-        return self.samples[-1].exponent_lower_bound()
 
     def exponent_at_least(self, tau: Fraction) -> bool:
         """Exact check that the deepest sample certifies exponent >= tau."""

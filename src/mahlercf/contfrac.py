@@ -106,9 +106,6 @@ class CFExpansion:
                 rate = int(self.partial_quotients[i + 1].degree())
             self.convergents.append(Convergent(index=i, p=p * sign, q=q * sign, rate=rate))
 
-    def __len__(self) -> int:
-        return len(self.partial_quotients)
-
     @property
     def last_index(self) -> int:
         return len(self.partial_quotients) - 1
@@ -118,13 +115,6 @@ class CFExpansion:
         if n == -1:
             return Fraction(0)
         return self.raw_q[n].leading_coefficient()
-
-    def determinant(self, n: int) -> RatPoly:
-        """p_n q_{n-1} - p_{n-1} q_n on the raw chain (should be (-1)^n)."""
-        if n == 0:
-            # p_0 q_{-1} - p_{-1} q_0 with q_{-1} = 0, p_{-1} = 1, q_0 = 1.
-            return -self.raw_q[0]
-        return self.raw_p[n] * self.raw_q[n - 1] - self.raw_p[n - 1] * self.raw_q[n]
 
     def to_json_dict(self, monic: "MonicCF | None" = None) -> dict:
         data = {

@@ -63,11 +63,6 @@ class _ZeroSoFar:
 ZERO_SO_FAR = _ZeroSoFar()
 
 
-class ZeroSoFarDivision(MahlerCFError):
-    """Raised when a series division's denominator is indistinguishable from
-    zero at the current precision floor."""
-
-
 class InsufficientPrecision(MahlerCFError):
     """Raised when the precision floor of a truncated series is too shallow
     to certify the requested result (e.g. the next partial quotient of a

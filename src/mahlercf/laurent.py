@@ -6,10 +6,7 @@ operation computes the deepest floor at which its result is still exact:
 
 * add/sub: ``max`` of the floors;
 * multiply by an exactly-known Laurent polynomial b: floor + top-degree(b);
-* divide by an exactly-known polynomial with leading degree e: floor - e
-  (division by a positive-degree polynomial *deepens* knowledge);
-* divide by a truncated series v with leading degree e:
-  ``max(F_u - e, F_v + ||u|| - 2e)``;
+* shift by x^k: floor + k;
 * substitute x -> x^d: floor becomes d * floor (intermediate degrees that are
   not multiples of d are exactly zero, hence known).
 
@@ -38,7 +35,6 @@ from .errors import (
     InvalidParameter,
     MismatchAt,
     ZERO_SO_FAR,
-    ZeroSoFarDivision,
 )
 from .polys import RatPoly, _divide, _mul, _render_terms
 
@@ -128,23 +124,10 @@ class TruncatedLaurentSeries:
         floor = self._floor + max(terms)
         return TruncatedLaurentSeries(_mul(self._coeffs, terms, floor), floor)
 
-    def mul_poly(self, poly: RatPoly) -> "TruncatedLaurentSeries":
-        return self.mul_laurent(poly.coeffs)
-
     def shift(self, offset: int) -> "TruncatedLaurentSeries":
         """Multiply by x^offset (exact monomial: floor moves by offset)."""
         return TruncatedLaurentSeries(
             {deg + offset: c for deg, c in self._coeffs.items()}, self._floor + offset
-        )
-
-    def truncate(self, new_floor: int) -> "TruncatedLaurentSeries":
-        """Forget coefficients below new_floor (which must be >= floor)."""
-        if new_floor < self._floor:
-            raise InvalidParameter(
-                f"cannot deepen a truncation: floor {self._floor}, requested {new_floor}"
-            )
-        return TruncatedLaurentSeries(
-            {deg: c for deg, c in self._coeffs.items() if deg >= new_floor}, new_floor
         )
 
     def substitute_power(self, d: int) -> "TruncatedLaurentSeries":
@@ -154,37 +137,6 @@ class TruncatedLaurentSeries:
         return TruncatedLaurentSeries(
             {deg * d: c for deg, c in self._coeffs.items()}, self._floor * d
         )
-
-    def div_exact_poly(self, divisor: RatPoly) -> "TruncatedLaurentSeries":
-        """Divide by an exactly-known nonzero polynomial.
-
-        With divisor leading degree e, the result is exact down to floor - e:
-        the unknown tail delta contributes delta/divisor, of degree
-        <= (floor - 1) - e.
-        """
-        if divisor.is_zero():
-            raise DivisionByZeroPoly("series division by the zero polynomial")
-        floor = self._floor - int(divisor.degree())
-        return TruncatedLaurentSeries(_divide(self._coeffs, divisor.coeffs, floor)[0], floor)
-
-    def div_series(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        """Divide by another truncated series (leading degree e = ||v||).
-
-        Result floor: max(F_u - e, F_v + ||u|| - 2e); raises
-        ZeroSoFarDivision when the divisor has no known nonzero coefficient.
-        """
-        deg_v = other.degree()
-        if deg_v is ZERO_SO_FAR:
-            raise ZeroSoFarDivision(
-                "divisor is indistinguishable from zero at its current floor"
-            )
-        e = deg_v
-        deg_u = self.degree()
-        if deg_u is ZERO_SO_FAR:
-            floor = max(self._floor - e, other._floor + self._floor - 2 * e)
-            return TruncatedLaurentSeries({}, floor)
-        floor = max(self._floor - e, other._floor + deg_u - 2 * e)
-        return TruncatedLaurentSeries(_divide(self._coeffs, other._coeffs, floor)[0], floor)
 
     # -- identity -----------------------------------------------------
 
@@ -205,17 +157,7 @@ class TruncatedLaurentSeries:
             raise DivisionByZeroPoly("fraction with zero denominator")
         return cls(_divide(p.coeffs, q.coeffs, floor)[0], floor)
 
-    @classmethod
-    def from_polynomial(cls, p: RatPoly, floor: int) -> "TruncatedLaurentSeries":
-        return cls.from_fraction(p, RatPoly.one(), floor)
-
     # -- rendering ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "floor": self._floor,
-            "coeffs": {str(deg): str(c) for deg, c in sorted(self._coeffs.items(), reverse=True)},
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TruncatedLaurentSeries(floor={self._floor}, terms={len(self._coeffs)})"

@@ -33,7 +33,7 @@ from .errors import (
     ScaleNotInvertible,
     SearchExhausted,
 )
-from .contfrac import expand_family, monic_normalize
+from .contfrac import _check_count, expand_family, monic_normalize
 from .polys import (
     IntPolyWithContent,
     RatPoly,
@@ -307,13 +307,6 @@ def wieferich_scan(a: int, bound: int) -> list[int]:
     return hits
 
 
-def exact_divisibility(p: int, n_value: int) -> bool:
-    """True iff p divides n_value but p^2 does not."""
-    if n_value == 0:
-        raise InvalidParameter("exact divisibility is undefined for 0")
-    return n_value % p == 0 and n_value % (p * p) != 0
-
-
 def power_tower_residue(a: int, d: int, n0: int, modulus: int) -> int:
     """a^{d^{n0}} mod modulus by n0 successive d-th powerings (never forms
     the giant integer)."""
@@ -323,12 +316,6 @@ def power_tower_residue(a: int, d: int, n0: int, modulus: int) -> int:
     for _ in range(n0):
         x = pow(x, d, modulus)
     return x
-
-
-def exact_divisibility_tower(a: int, d: int, n0: int, p: int) -> bool:
-    """Exact divisibility p || a^{d^{n0}} - 1 checked at modulus p^2 only."""
-    r = power_tower_residue(a, d, n0, p * p)
-    return r % p == 1 and r != 1
 
 
 def order_growth_check(a: int, p: int, m_max: int) -> list[GammaOrder]:
@@ -362,6 +349,7 @@ _denominator_cache: dict[int, list[IntPolyWithContent]] = {}
 
 def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
     """Integer-primitive monic-normalized denominators q_0..q_{t_max} of g_d."""
+    _check_count(t_max)  # before the cache, whose slice a negative t_max would cut
     cached = _denominator_cache.get(d)
     if cached is None or len(cached) <= t_max:
         cf, _ = expand_family(d, "G", t_max)
@@ -722,6 +710,8 @@ def hensel_divisibility_demo(
     """
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
+    if cap is not None and cap < 0:
+        raise InvalidParameter(f"need cap >= 0, got {cap}")
     p = w.p
     if cap is None:
         cap = 4 * p ** (m - 1)

@@ -11,7 +11,6 @@ polynomial.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,18 +90,6 @@ class RatPoly:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"bad polynomial text {text!r}: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, data: str | Mapping) -> "RatPoly":
-        """Parse the JSON form ``{"coeffs": {"0": "1", "2": "1"}}``."""
-        if isinstance(data, str):
-            data = json.loads(data)
-        if not isinstance(data, Mapping) or "coeffs" not in data:
-            raise InvalidParameter("polynomial JSON must contain a 'coeffs' map")
-        try:
-            return cls({int(k): Fraction(str(v)) for k, v in data["coeffs"].items()})
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParameter(f"bad polynomial JSON: {exc}") from exc
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -164,28 +151,6 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        return poly_divmod(self, other)
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return poly_divmod(self, other)[0]
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return poly_divmod(self, other)[1]
-
-    def __pow__(self, exponent: int) -> "RatPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise InvalidParameter("polynomial powers must be non-negative integers")
-        result = RatPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     @staticmethod
     def _coerce(value: "RatPoly | int | Fraction") -> "RatPoly":
         if isinstance(value, RatPoly):
@@ -206,28 +171,6 @@ class RatPoly:
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    # -- transforms ---------------------------------------------------
-
-    def substitute_power(self, d: int) -> "RatPoly":
-        return poly_substitute_power(self, d)
-
-    def derivative(self) -> "RatPoly":
-        return poly_derivative(self)
-
-    def eval_at(self, value: _Scalar) -> Fraction:
-        """Exact evaluation at a rational point (sparse powering)."""
-        point = _as_fraction(value)
-        total = Fraction(0)
-        for deg, c in self._coeffs.items():
-            total += c * point**deg
-        return total
-
-    def shift_degrees(self, offset: int) -> "RatPoly":
-        """Multiply by x^offset (offset >= 0 keeps degrees valid)."""
-        if offset < 0 and self._coeffs and min(self._coeffs) + offset < 0:
-            raise InvalidParameter("degree shift would create negative degrees")
-        return RatPoly({deg + offset: c for deg, c in self._coeffs.items()})
 
     # -- rendering ----------------------------------------------------
 
@@ -324,9 +267,6 @@ class IntPolyWithContent:
     primitive: RatPoly
     scale: Fraction
 
-    def reconstruct(self) -> RatPoly:
-        return self.primitive * self.scale
-
     def int_coeffs(self) -> dict[int, int]:
         return {deg: int(c) for deg, c in self.primitive.coeffs.items()}
 
@@ -397,11 +337,3 @@ def poly_eval_mod(q: RatPoly | IntPolyWithContent | Mapping[int, int], r: int, m
         total = (total + c * pow(r, deg, m)) % m
     return total % m
 
-
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic greatest common divisor (Euclid with monic normalization)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()

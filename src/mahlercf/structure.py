@@ -10,7 +10,7 @@ d >= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -280,11 +280,10 @@ class BetaSequence:
 
     read from the verified monic view ``monic`` of ``expansion``.
 
-    For d = 3, ``sub_leading_a[m]`` and ``sub_sub_leading_b[m]`` are the
-    second- and third-highest coefficients of the cube-collapsed form of
-    qhat_m (coefficient of y^{k-1} and y^{k-2} where k = m // 2, after
-    writing qhat_{2k} = s(x^3) and qhat_{2k+1} = (x^2+x+1) s(x^3)); indices
-    outside s's support are 0.
+    For d = 3, ``a_coeff(m)`` and ``b_coeff(m)`` are the second- and
+    third-highest coefficients s_{k-1} and s_{k-2}, k = m // 2, of the cube
+    form qhat_{2k} = s(x^3), qhat_{2k+1} = (x^2+x+1) s(x^3); indices outside
+    s's support, or m outside 1..max_index, give 0.
 
     ``beta(1) = 0`` by the seed convention rho_{-1} = 0 / qhat_{-1} = 0.
     """
@@ -292,8 +291,6 @@ class BetaSequence:
     d: int
     expansion: CFExpansion
     monic: MonicCF
-    sub_leading_a: dict[int, Fraction] = field(default_factory=dict)
-    sub_sub_leading_b: dict[int, Fraction] = field(default_factory=dict)
 
     @property
     def max_index(self) -> int:
@@ -309,27 +306,20 @@ class BetaSequence:
     def a_coeff(self, m: int) -> Fraction:
         if self.d != 3:
             raise InvalidParameter("sub-leading coefficients are a d=3 construction")
-        return self.sub_leading_a.get(m, Fraction(0))
+        return self._cube_coeff(m, 1)
 
     def b_coeff(self, m: int) -> Fraction:
         if self.d != 3:
             raise InvalidParameter("sub-sub-leading coefficients are a d=3 construction")
-        return self.sub_sub_leading_b.get(m, Fraction(0))
+        return self._cube_coeff(m, 2)
 
-
-def _collapse_cubes(qhat: RatPoly, m: int) -> RatPoly:
-    """Write qhat_m (d=3) as s(x^3) for even m or (x^2+x+1) s(x^3) for odd m
-    and return s; ShapeViolation if the form does not hold."""
-    if m % 2 == 0:
-        body = qhat
-    else:
-        body, rem = poly_divmod(qhat, ones_polynomial(3))
-        if not rem.is_zero():
-            raise ShapeViolation(m, f"qhat_{m} is not divisible by x^2+x+1")
-    s = _undo_power(body, 3)
-    if s is None:
-        raise ShapeViolation(m, f"qhat_{m} does not collapse to a polynomial in x^3")
-    return s
+    def _cube_coeff(self, m: int, drop: int) -> Fraction:
+        # The rigid shape makes s monic of degree k, and degree 3j of either
+        # cube form carries s_j alone, so no division by x^2+x+1 is needed.
+        j = m // 2 - drop
+        if j < 0 or not 1 <= m <= self.max_index:
+            return Fraction(0)
+        return self.monic.monic_denominator(m).coeff(3 * j)
 
 
 def beta_sequence(d: int, n: int) -> BetaSequence:
@@ -353,23 +343,7 @@ def beta_sequence(d: int, n: int) -> BetaSequence:
         shape = odd_shape if i % 2 == 1 else X_MINUS_1
         if monic.monic_quotient(i) != shape:
             raise ShapeViolation(i, f"monic quotient {i} is {monic.monic_quotient(i)}, not {shape}")
-
-    a_coeffs: dict[int, Fraction] = {}
-    b_coeffs: dict[int, Fraction] = {}
-    if d == 3:
-        for m in range(1, n + 1):
-            s = _collapse_cubes(monic.monic_denominator(m), m)
-            k = m // 2
-            a_coeffs[m] = s.coeff(k - 1) if k >= 1 else Fraction(0)
-            b_coeffs[m] = s.coeff(k - 2) if k >= 2 else Fraction(0)
-
-    return BetaSequence(
-        d=d,
-        expansion=cf,
-        monic=monic,
-        sub_leading_a=a_coeffs,
-        sub_sub_leading_b=b_coeffs,
-    )
+    return BetaSequence(d=d, expansion=cf, monic=monic)
 
 
 def beta_closed_form(n: int) -> dict[int, Fraction]:
@@ -590,13 +564,3 @@ def well_approx_report(d: int, k_max: int, scan_depth: int = 40) -> WellApproxRe
         first_large_quotient_degree=first_deg,
     )
 
-
-def first_shape_violation(d: int, scan_depth: int = 40) -> int:
-    """Index of the first quotient of g_d departing from the rigid shape
-    (diagnostic for d >= 4; raises InvalidParameter when no violation occurs
-    within scan_depth)."""
-    try:
-        beta_sequence(d, scan_depth)
-    except ShapeViolation as exc:
-        return exc.index
-    raise InvalidParameter(f"no shape violation for d={d} within depth {scan_depth}")

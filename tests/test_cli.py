@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mahlercf
 from mahlercf.cli import main
@@ -309,6 +313,15 @@ class TestDemoHensel:
         assert code == 1
         assert "conditions fail" in out
 
+    def test_negative_cap_exits_4(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "3", "--p", "7", "--n0", "2",
+             "--t", "8", "--cap", "-5"],
+        )
+        assert (code, out) == (4, "")
+        assert err == "invalid input: need cap >= 0, got -5\n"
+
     def test_p_zero_exits_4(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -344,6 +357,86 @@ class TestTopLevelUsage:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["frobnicate"])
         assert code == 4
+
+
+def _num(lo, hi):
+    return st.integers(min_value=lo, max_value=hi).map(str)
+
+
+def _span(lo, hi):
+    """A range A..B with lo <= A <= B <= hi."""
+    return st.integers(min_value=lo, max_value=hi).flatmap(
+        lambda a: st.integers(min_value=a, max_value=hi).map(f"{a}..{{}}".format))
+
+
+@st.composite
+def _argv(draw, command, required, optional):
+    """``command`` with every required flag and a drawn subset of the optional
+    ones; an optional flag with strategy None takes no value."""
+    argv = [command]
+    for flag, values in required:
+        argv += [flag, draw(values)]
+    for flag, values in optional:
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+_OUTPUT = ("--output", st.sampled_from(["text", "json"]))
+_NO_TIMESTAMP = ("--no-timestamp", None)
+
+# Small bounded values for every flag of the six subcommands.  Each range
+# reaches a little past the valid one (d = 1, n = 0, a composite prime, ...)
+# so that malformed input is drawn too, but mostly the commands run.
+FUZZ_ARGV = {
+    "cf": _argv("cf", [("--d", _num(1, 6)), ("--n", _num(0, 16))],
+                [("--kind", st.sampled_from("FGHU")), ("--floor", _num(-120, 0)),
+                 _OUTPUT, _NO_TIMESTAMP]),
+    # The default ranges and bounds are sized for a full run (the tests
+    # above run them), so the fuzz always passes small ones.
+    "verify": _argv("verify", [("--identity", st.sampled_from(
+                        ["funceq", "lemma5", "prop2", "prop_sum3", "prop_bk", "theorem1",
+                         "bzz", "nonsense"])), ("--k", _span(0, 3)), ("--m", _span(0, 10)),
+                        ("--n", _num(1, 24)), ("--floor", _num(-60, 0))],
+                    [("--d", _num(1, 5)), _OUTPUT, _NO_TIMESTAMP]),
+    "witness": _argv("witness", [("--a", _num(0, 12)), ("--d", _num(1, 4)),
+                                 ("--t-bound", _num(0, 24))],
+                     [("--p-bound", _num(2, 15)), ("--n0-bound", _num(0, 5)),
+                      ("--threads", _num(0, 3)), ("--replay", st.just("no-such-witness.json")),
+                      _OUTPUT, _NO_TIMESTAMP]),
+    "table": _argv("table", [("--t-bound", _num(0, 24))],
+                   [("--d", _num(1, 3)),
+                    ("--primes", st.lists(st.sampled_from("1 3 5 7 9 11 13".split()),
+                                          max_size=3).map(",".join)),
+                    ("--p-max", _num(2, 17)),
+                    ("--include-missing", None),
+                    ("--output", st.sampled_from(["text", "json", "csv"])), _NO_TIMESTAMP]),
+    "eval": _argv("eval", [("--a", _num(1, 12)), ("--d", _num(1, 5))],
+                  [("--which", st.sampled_from("FG")),
+                   ("--eps", st.one_of(_num(0, 80).map("1e-{}".format),
+                                       st.sampled_from(["1/3", "2", "0", "-1", "x"]))),
+                   ("--cf-terms", _num(-1, 10)), _OUTPUT, _NO_TIMESTAMP]),
+    "demo-hensel": _argv("demo-hensel",
+                         [("--a", _num(1, 12)), ("--d", _num(1, 4)), ("--p", _num(0, 13)),
+                          ("--n0", _num(0, 4)), ("--t", _num(0, 12))],
+                         [("--m", _num(1, 5)), ("--cap", _num(-1, 30)), _OUTPUT, _NO_TIMESTAMP]),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+    def test_every_argv_exits_with_a_documented_code(self, command):
+        @given(FUZZ_ARGV[command])
+        def check(argv):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            assert code in (0, 1, 2, 3, 4), (argv, code)
+
+        check()
 
 
 class TestImportPath:

@@ -16,7 +16,6 @@ from mahlercf.errors import (
     InsufficientPrecision,
     InvalidParameter,
     MismatchAt,
-    ZeroSoFarDivision,
 )
 from mahlercf.laurent import (
     TruncatedLaurentSeries,
@@ -92,33 +91,13 @@ class TestFloorAlgebra:
     def test_mul_poly_raises_floor_by_top_degree(self):
         series = generate(2, "F", -20)
         poly = RatPoly.from_text("0, 0, 1")  # x^2
-        assert series.mul_poly(poly).floor == -18
+        assert series.mul_laurent(poly.coeffs).floor == -18
 
     def test_mul_laurent_with_negative_degrees(self):
         series = generate(2, "F", -20)
         shifted = series.mul_laurent({-3: Fraction(1)})
         assert shifted.floor == -23
         assert shifted.coeff(-3) == series.coeff(0)
-
-    def test_div_exact_poly_deepens_floor(self):
-        series = generate(2, "F", -20)
-        divided = series.div_exact_poly(RatPoly.from_text("0, 1"))  # divide by x
-        assert divided.floor == -21
-        assert divided.coeff(-1 - 1) == series.coeff(-1)
-
-    def test_series_division_round_trip(self):
-        f = generate(2, "F", -30)
-        v = TruncatedLaurentSeries.from_polynomial(RatPoly.from_text("1, 1"), -30)
-        quotient = f.div_series(v)
-        back = quotient.mul_poly(RatPoly.from_text("1, 1"))
-        for deg in range(quotient.floor + 2, 1):
-            assert back.coeff(deg) == f.coeff(deg)
-
-    def test_zero_so_far_division_raises(self):
-        zeroish = TruncatedLaurentSeries({}, -5)
-        f = generate(2, "F", -5)
-        with pytest.raises(ZeroSoFarDivision):
-            f.div_series(zeroish)
 
     def test_substitute_power_scales_floor(self):
         f = generate(2, "F", -10)
@@ -127,18 +106,6 @@ class TestFloorAlgebra:
         assert sub.coeff(-2) == f.coeff(-1)
         assert sub.coeff(-1) == 0
 
-    def test_truncate_cannot_deepen(self):
-        f = generate(2, "F", -10)
-        assert f.truncate(-5).floor == -5
-        with pytest.raises(InvalidParameter):
-            f.truncate(-20)
-
-    def test_json_shape(self):
-        f = generate(2, "F", -4)
-        data = f.to_json_dict()
-        assert data["floor"] == -4
-        assert data["coeffs"]["0"] == "1"
-        assert data["coeffs"]["-1"] == "-1"
 
 
 class TestExactFractions:

@@ -24,8 +24,6 @@ from mahlercf.padic import (
     check_conditions,
     convergent_denominators,
     enumerate_orbit_hits,
-    exact_divisibility,
-    exact_divisibility_tower,
     fermat_quotient_nonzero,
     gamma_growth,
     hensel_divisibility_demo,
@@ -201,20 +199,22 @@ class TestOrders:
 
 
 class TestDivisibility:
-    def test_exact_divisibility(self):
-        assert exact_divisibility(7, 7)
-        assert not exact_divisibility(7, 49)
-        assert not exact_divisibility(7, 8)
-
     def test_power_tower_residue(self):
         assert power_tower_residue(2, 3, 2, 49) == 512 % 49 == 22
         assert power_tower_residue(2, 2, 1, 9) == 4
 
     def test_exact_divisibility_tower(self):
+        # Condition c1 is p || a^{d^{n0}} - 1, decided at modulus p^2.
+        def c1(a, d, n0, p):
+            qt = convergent_denominators(d, 2)[2]
+            return check_conditions(a, d, p, n0, 2, qt).verdicts["c1"]
+
         # 2^{3^1} - 1 = 7 is exactly divisible by 7
-        assert exact_divisibility_tower(2, 3, 1, 7)
+        assert c1(2, 3, 1, 7)
         # 2^{2^2} - 1 = 15 is not divisible by 7
-        assert not exact_divisibility_tower(2, 2, 2, 7)
+        assert not c1(2, 2, 2, 7)
+        # 50^2 - 1 = 2499 = 3 * 7^2 * 17 is divisible by 7 twice
+        assert not c1(50, 2, 1, 7)
 
 
 class TestConditions:

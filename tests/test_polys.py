@@ -13,10 +13,11 @@ from mahlercf.polys import (
     RatPoly,
     _divide,
     _mul,
+    poly_derivative,
     poly_divmod,
     poly_eval_mod,
-    poly_gcd,
     poly_normalize_integer,
+    poly_substitute_power,
 )
 
 small_coeff = st.fractions(
@@ -63,8 +64,10 @@ class TestConstruction:
 
     def test_from_json_round_trip(self):
         poly = RatPoly.from_text("1, -1/2, 0, 3")
-        again = RatPoly.from_json(poly.to_json_dict())
-        assert poly == again
+        data = poly.to_json_dict()
+        assert data == {"coeffs": {"0": "1", "1": "-1/2", "3": "3"}}
+        assert RatPoly({int(k): Fraction(v) for k, v in data["coeffs"].items()}) == poly
+        assert RatPoly.zero().to_json_dict() == {"coeffs": {}}
 
     def test_zero_degree_is_neg_inf(self):
         assert RatPoly.zero().degree() == NEG_INF
@@ -93,13 +96,6 @@ class TestRingLaws:
             assert (a * b).degree() == NEG_INF
         else:
             assert (a * b).degree() == a.degree() + b.degree()
-
-    @given(rat_polys(max_degree=4), st.integers(min_value=0, max_value=4))
-    def test_pow_matches_repeated_product(self, a, exponent):
-        expected = RatPoly.one()
-        for _ in range(exponent):
-            expected = expected * a
-        assert a**exponent == expected
 
 
 class TestDivision:
@@ -136,11 +132,6 @@ class TestDivision:
         assert min(quotient, default=stop) >= stop
         assert max(remainder, default=NEG_INF) < stop + den.degree()
 
-    def test_gcd(self):
-        a = RatPoly.from_text("-1, 0, 1")  # x^2 - 1
-        b = RatPoly.from_text("1, 2, 1")  # (x+1)^2
-        assert poly_gcd(a, b) == RatPoly.from_text("1, 1")
-
 
 class TestMultiplyKernel:
     @given(laurent_maps, laurent_maps, st.integers(min_value=-16, max_value=8))
@@ -151,33 +142,33 @@ class TestMultiplyKernel:
 
 
 class TestTransforms:
-    @given(rat_polys(max_degree=4), st.integers(min_value=1, max_value=3))
-    def test_substitute_power_evaluates_consistently(self, a, d):
-        point = Fraction(2)
-        assert a.substitute_power(d).eval_at(point) == a.eval_at(point**d)
+    @given(rat_polys(max_degree=4), rat_polys(max_degree=4), st.integers(min_value=1, max_value=3))
+    def test_substitute_power_evaluates_consistently(self, a, b, d):
+        # x -> x^d is a ring map: substituting into a product or a sum
+        # gives the same coefficient map as combining the substituted parts.
+        sub_a, sub_b = poly_substitute_power(a, d), poly_substitute_power(b, d)
+        assert poly_substitute_power(a * b, d).coeffs == (sub_a * sub_b).coeffs
+        assert poly_substitute_power(a + b, d).coeffs == (sub_a + sub_b).coeffs
+        assert sub_a.coeffs == {deg * d: c for deg, c in a.coeffs.items()}
 
     @given(rat_polys(max_degree=5), rat_polys(max_degree=5))
     def test_derivative_product_rule(self, a, b):
-        lhs = (a * b).derivative()
-        rhs = a.derivative() * b + a * b.derivative()
+        lhs = poly_derivative(a * b)
+        rhs = poly_derivative(a) * b + a * poly_derivative(b)
         assert lhs == rhs
 
-    def test_shift_degrees(self):
-        poly = RatPoly.from_text("1, 1")
-        assert poly.shift_degrees(2) == RatPoly({2: Fraction(1), 3: Fraction(1)})
-
     def test_substitute_power_worked_examples(self):
-        assert RatPoly.from_text("1, 1").substitute_power(2) == RatPoly.from_text("1, 0, 1")
+        assert poly_substitute_power(RatPoly.from_text("1, 1"), 2) == RatPoly.from_text("1, 0, 1")
         three_terms = RatPoly.from_text("1, 1, 1")
-        assert three_terms.substitute_power(1) == three_terms
-        assert three_terms.substitute_power(3) == RatPoly.from_text("1, 0, 0, 1, 0, 0, 1")
+        assert poly_substitute_power(three_terms, 1) == three_terms
+        assert poly_substitute_power(three_terms, 3) == RatPoly.from_text("1, 0, 0, 1, 0, 0, 1")
 
     def test_derivative_worked_examples(self):
-        assert RatPoly.from_text("1, 0, 1").derivative() == RatPoly.from_text("0, 2")
-        assert RatPoly.from_text("5").derivative() == RatPoly.zero()
+        assert poly_derivative(RatPoly.from_text("1, 0, 1")) == RatPoly.from_text("0, 2")
+        assert poly_derivative(RatPoly.from_text("5")) == RatPoly.zero()
         # (x+1)(x^8 - x^6 + x^2 + 2): derivative at 1 is s(1) + 2 s'(1) = 3 + 8
         product = RatPoly.from_text("1, 1") * RatPoly.from_text("2, 0, 1, 0, 0, 0, -1, 0, 1")
-        assert product.derivative().eval_at(Fraction(1)) == 11
+        assert sum(poly_derivative(product).coeffs.values()) == 11
 
 
 class TestIntegerNormalization:
@@ -186,7 +177,7 @@ class TestIntegerNormalization:
         normalized = poly_normalize_integer(poly)
         assert normalized.primitive == RatPoly.from_text("1, 0, 3")
         assert normalized.scale == Fraction(1, 2)
-        assert normalized.reconstruct() == poly
+        assert normalized.primitive * normalized.scale == poly
 
     def test_sign_convention_positive_leading(self):
         poly = RatPoly.from_text("2, 0, -2")

@@ -11,7 +11,7 @@ from mahlercf.errors import (
     InvalidParameter,
     ShapeViolation,
 )
-from mahlercf.polys import RatPoly, poly_normalize_integer
+from mahlercf.polys import RatPoly, poly_divmod, poly_normalize_integer, poly_substitute_power
 from mahlercf.structure import (
     IDENTITY_NAMES,
     beta_closed_form,
@@ -19,7 +19,6 @@ from mahlercf.structure import (
     classify_all,
     classify_convergent,
     companion_map,
-    first_shape_violation,
     ones_polynomial,
     transport,
     verify_identity,
@@ -61,8 +60,10 @@ class TestShape:
         assert err.value.index == 6
 
     def test_first_shape_violation_fixtures(self):
-        assert first_shape_violation(4) == 6
-        assert first_shape_violation(5) == 5
+        # d = 4 breaks at index 6 (above); d = 5 breaks one step earlier.
+        with pytest.raises(ShapeViolation) as err:
+            beta_sequence(5, 40)
+        assert err.value.index == 5
 
 
 class TestBetas:
@@ -98,6 +99,22 @@ class TestBetas:
             Fraction(0),
         ]
 
+    def test_a_b_coefficients_match_an_explicit_collapse(self):
+        # Reference: divide an odd-index qhat by x^2+x+1, then undo x -> x^3.
+        seq = beta_sequence(3, 60)
+        for m in range(1, 61):
+            body = seq.monic.monic_denominator(m)
+            if m % 2:
+                body, rem = poly_divmod(body, ones_polynomial(3))
+                assert rem.is_zero(), m
+            assert all(deg % 3 == 0 for deg in body.coeffs), m
+            s = {deg // 3: c for deg, c in body.coeffs.items()}
+            k = m // 2
+            assert seq.a_coeff(m) == (s.get(k - 1, 0) if k >= 1 else 0), m
+            assert seq.b_coeff(m) == (s.get(k - 2, 0) if k >= 2 else 0), m
+        for m in (-1, 0, 61):
+            assert seq.a_coeff(m) == seq.b_coeff(m) == 0
+
     def test_a_b_coefficients_require_d3(self, betas_d2):
         with pytest.raises(InvalidParameter):
             betas_d2.a_coeff(3)
@@ -128,7 +145,7 @@ class TestTransport:
         moved = transport(2, "H", conv, None)
         assert moved.claimed_rate_lower_bound == 2 * int(conv.q.degree()) - 1
         assert moved.measured_rate >= moved.claimed_rate_lower_bound
-        assert moved.result_q == conv.q.substitute_power(2)
+        assert moved.result_q == poly_substitute_power(conv.q, 2)
 
     def test_companion_map_on_real_convergent(self):
         u_cf, _ = expand_family(2, "U", 6)
