@@ -203,7 +203,6 @@ class MonicCF:
     _betas: dict[int, Fraction]
     _monic_quotients: dict[int, RatPoly]
     _monic_denominators: dict[int, RatPoly]
-    _leading_coeffs: dict[int, Fraction]
 
     def beta(self, n: int) -> Fraction:
         if n not in self._betas:
@@ -219,11 +218,6 @@ class MonicCF:
         if n not in self._monic_denominators:
             raise InvalidParameter(f"monic denominator {n} not available")
         return self._monic_denominators[n]
-
-    def leading_coeff(self, n: int) -> Fraction:
-        if n not in self._leading_coeffs:
-            raise InvalidParameter(f"leading coefficient {n} not available")
-        return self._leading_coeffs[n]
 
 
 def monic_normalize(cf: CFExpansion) -> MonicCF:
@@ -250,7 +244,6 @@ def monic_normalize(cf: CFExpansion) -> MonicCF:
         _betas=betas,
         _monic_quotients=ahat,
         _monic_denominators=qhat,
-        _leading_coeffs=rho,
     )
 
 

@@ -15,6 +15,16 @@ Under these, the root lifts to every power p^m (Newton iteration, c4 makes
 the derivative a unit) and the powers a^{d^n} revisit the lifted root, so
 q_t(a^{d^n}) picks up arbitrarily large p-power factors; the demo routine
 exhibits the lift and the revisit explicitly.
+
+c2 is decided as d^{p-1} != 1 mod p^2: for an odd prime p not dividing d the
+order of d mod p^2 is either its order mod p or p times it, and it is the
+former exactly when d^{p-1} = 1 mod p^2.  No factorization of p - 1 is
+needed, so a prime of any size is checked at the cost of one ``pow``.
+
+The search and the orbit survey find roots with one evaluator
+(``_vanishing``): a table of the residue's powers mod p^2, then one dot
+product per integer-primitive q_t.  ``orbit_table`` is ``enumerate_orbit_hits``
+grouped into the orbits of x -> x^d.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .errors import (
     ScaleNotInvertible,
     SearchExhausted,
 )
-from .contfrac import _check_count, expand_family, monic_normalize
+from .contfrac import _check_count, expand_family
 from .polys import (
     IntPolyWithContent,
     RatPoly,
@@ -348,15 +358,14 @@ _denominator_cache: dict[int, list[IntPolyWithContent]] = {}
 
 
 def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
-    """Integer-primitive monic-normalized denominators q_0..q_{t_max} of g_d."""
+    """The denominators q_0..q_{t_max} of the convergents of g_d, each made
+    monic and then split into an integer-primitive part and a scale.  Every
+    q_t is normalized once per process and cached per d."""
     _check_count(t_max)  # before the cache, whose slice a negative t_max would cut
     cached = _denominator_cache.get(d)
     if cached is None or len(cached) <= t_max:
         cf, _ = expand_family(d, "G", t_max)
-        monic = monic_normalize(cf)
-        cached = [poly_normalize_integer(monic.monic_denominator(t)) if t > 0
-                  else poly_normalize_integer(RatPoly.one())
-                  for t in range(t_max + 1)]
+        cached = [poly_normalize_integer(q.monic()) for q in cf.raw_q[: t_max + 1]]
         _denominator_cache[d] = cached
     return cached[: t_max + 1]
 
@@ -366,8 +375,9 @@ def _unit_scale(qt: IntPolyWithContent, p: int) -> bool:
 
 
 def _derivative_at_1(qt: IntPolyWithContent, p: int) -> int:
-    """q_t'(1) mod p, the quantity of condition c4."""
-    return poly_eval_mod(poly_derivative(qt.primitive), 1, p)
+    """q_t'(1) mod p, the quantity of condition c4: the sum of deg * c over
+    the integer coefficients."""
+    return sum(deg * c for deg, c in qt.int_coeffs().items()) % p
 
 
 def _usable_t(
@@ -388,6 +398,21 @@ def _usable_t(
             continue
         usable.append((t, qt.int_coeffs(), _derivative_at_1(qt, p)))
     return usable, scale_skips
+
+
+def _vanishing(
+    usable: list[tuple[int, dict[int, int], int]], residue: int, p2: int
+) -> Iterator[tuple[int, dict[int, int], int]]:
+    """The entries of ``usable`` (as built by ``_usable_t``) whose q_t
+    vanishes at residue modulo p2, in order: one table of the residue's
+    powers, then one dot product per q_t."""
+    top = max((max(coeffs) for _, coeffs, _ in usable), default=0)
+    powers = [1] * (top + 1)
+    for k in range(1, top + 1):
+        powers[k] = powers[k - 1] * residue % p2
+    for entry in usable:
+        if sum(c * powers[deg] for deg, c in entry[1].items()) % p2 == 0:
+            yield entry
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +521,7 @@ def check_conditions(
     residue = power_tower_residue(a, d, n0, p2)
     c1 = prime_ok and coprime_ok and residue % p == 1 and residue != 1
 
-    try:
-        c2 = gamma_growth(d, p) if prime_ok else False
-    except (NotCoprime, InvalidParameter):
-        c2 = False
+    c2 = prime_ok and pow(d, p - 1, p2) != 1
 
     qt_value = poly_eval_mod(qt, residue, p2)
     parity_ok = (t % 2 == 0) if d == 3 else True
@@ -588,27 +610,14 @@ def _search_one_prime(
     usable, scale_skips = _usable_t(denominators, p, d, t_bound)
     diag.scale_skips += scale_skips
 
-    max_deg = 0
-    for _, coeffs, _ in usable:
-        if coeffs:
-            max_deg = max(max_deg, max(coeffs))
-
     residue = a % p2
     for n0 in range(1, n0_bound + 1):
         residue = pow(residue, d, p2)
         if residue % p != 1 or residue == 1:
             continue  # p does not divide a^{d^{n0}} - 1 exactly once
         diag.admissible_pairs += 1
-        powers = [1] * (max_deg + 1)
-        for k in range(1, max_deg + 1):
-            powers[k] = powers[k - 1] * residue % p2
-        for t, coeffs, d_at_1 in usable:
-            diag.evaluations += 1
-            value = 0
-            for deg, c in coeffs.items():
-                value += c * powers[deg]
-            if value % p2 != 0:
-                continue
+        diag.evaluations += len(usable)
+        for t, _, d_at_1 in _vanishing(usable, residue, p2):
             if d_at_1 == 0:
                 diag.roots_without_c4 += 1
                 continue
@@ -640,11 +649,7 @@ def witness_search(
         if a % p == 0:
             diag.primes_rejected_divides_a += 1
             continue
-        try:
-            if not gamma_growth(d, p):
-                diag.primes_rejected_growth += 1
-                continue
-        except NotCoprime:
+        if pow(d, p - 1, p * p) == 1:  # condition c2 fails
             diag.primes_rejected_growth += 1
             continue
         witness = _search_one_prime(a, d, p, n0_bound, t_bound, denominators, diag)
@@ -765,20 +770,16 @@ def orbit_table(
     primes: list[int], t_bound: int, d: int = 2, include_missing: bool = False
 ) -> list[OrbitRow]:
     """For each prime, decompose the 1-units 1+cp (c != 0) mod p^2 into
-    orbits of the d-th-powering map and record the first q_t (t <= t_bound,
-    with q_t'(1) a unit mod p) having a root in each orbit."""
-    denominators = convergent_denominators(d, t_bound)
+    orbits of the d-th-powering map and give each orbit the first hit of
+    ``enumerate_orbit_hits`` whose residue lies in it: the least t with a
+    root in the orbit, and the least such root."""
     rows: list[OrbitRow] = []
     for p in primes:
         p = int(p)
-        if not is_prime(p) or p == 2 or (d == 3 and p < 5):
-            raise InvalidParameter(f"table rows need valid primes for d={d}, got {p}")
+        hits = enumerate_orbit_hits(p, t_bound, d)
         p2 = p * p
-        usable = [(t, coeffs) for t, coeffs, c4 in _usable_t(denominators, p, d, t_bound)[0] if c4]
-
         seen: set[int] = set()
-        units = [1 + c * p for c in range(1, p)]
-        for start in units:
+        for start in range(1 + p, p2, p):
             if start in seen:
                 continue
             orbit = []
@@ -787,22 +788,16 @@ def orbit_table(
                 seen.add(x)
                 orbit.append(x)
                 x = pow(x, d, p2)
-            orbit_sorted = tuple(sorted(orbit))
-            hit_t = hit_residue = None
-            for t, coeffs in usable:
-                roots = [e for e in orbit_sorted if poly_eval_mod(coeffs, e, p2) == 0]
-                if roots:
-                    hit_t, hit_residue = t, min(roots)
-                    break
-            classes = tuple(sorted(min(e, p2 - e) for e in orbit_sorted))
+            members = set(orbit)
+            hit_t, hit_residue = next(((t, e) for t, e in hits if e in members), (None, None))
             if hit_t is not None or include_missing:
                 rows.append(
                     OrbitRow(
                         p=p,
                         t=hit_t,
                         residue=hit_residue,
-                        orbit=orbit_sorted,
-                        a_classes=classes,
+                        orbit=tuple(sorted(orbit)),
+                        a_classes=tuple(sorted(min(e, p2 - e) for e in orbit)),
                     )
                 )
     rows.sort(key=lambda r: (r.p, r.t if r.t is not None else 10**9))
@@ -810,26 +805,20 @@ def orbit_table(
 
 
 def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, int]]:
-    """Every certified (t, residue) pair for a prime: t <= t_bound with
-    q_t'(1) a unit mod p and residue a nontrivial 1-unit root of q_t mod p^2.
+    """Every certified (t, residue) pair for a prime, ordered by t and then
+    by residue: t <= t_bound with q_t'(1) a unit mod p and residue a
+    nontrivial 1-unit root of q_t mod p^2.
 
-    Unlike ``orbit_table`` (which keeps only the first hit per orbit), this
-    lists all hits, so any externally quoted pair can be checked for
-    membership even when an earlier t serves the same orbit."""
+    ``orbit_table`` keeps the first of these per orbit; this lists them all,
+    so any externally quoted pair can be checked for membership even when an
+    earlier t serves the same orbit."""
     p = int(p)
     if not is_prime(p) or p == 2 or (d == 3 and p < 5):
         raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
     p2 = p * p
     denominators = convergent_denominators(d, t_bound)
-    units = [1 + c * p for c in range(1, p)]
-    hits: list[tuple[int, int]] = []
-    for t, coeffs, c4 in _usable_t(denominators, p, d, t_bound)[0]:
-        if not c4:
-            continue
-        for e in units:
-            if poly_eval_mod(coeffs, e, p2) == 0:
-                hits.append((t, e))
-    return hits
+    usable = [entry for entry in _usable_t(denominators, p, d, t_bound)[0] if entry[2]]
+    return sorted((t, e) for e in range(1 + p, p2, p) for t, _, _ in _vanishing(usable, e, p2))
 
 
 def orbit_table_csv(rows: list[OrbitRow]) -> str:

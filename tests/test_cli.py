@@ -304,6 +304,19 @@ class TestDemoHensel:
         assert "no exponent found: no exponent within the step limit 1000000" in out
         assert err == ""
 
+    def test_large_prime_is_decided_without_factoring(self, capsys):
+        # p - 1 is 2 times a composite with no prime factor below 10^6, so
+        # deciding c2 by multiplicative orders would have to factor it
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "2", "--p",
+             "38721892173134201761656765194026019", "--n0", "1", "--t", "18"],
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert "conditions fail" in out
+
     def test_failing_conditions_exit_1(self, capsys):
         code, out, _ = run_cli(
             capsys,

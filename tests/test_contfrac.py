@@ -108,6 +108,7 @@ class TestConvergentLaws:
             signs.append(1 if det == RatPoly.one() else -1)
         assert signs == [(-1) ** (n + 1) for n in range(0, 12)]
 
+    @pytest.mark.slow
     def test_rates_equal_next_quotient_degree(self, g2_expansion, g3_expansion):
         for cf, series in (g2_expansion, g3_expansion):
             rates = convergent_soundness(series, cf)

@@ -11,6 +11,7 @@ from sympy.ntheory import n_order
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from mahlercf import padic
+from mahlercf.contfrac import expand_family, monic_normalize
 from mahlercf.errors import (
     HypothesisFailed,
     InvalidParameter,
@@ -39,7 +40,7 @@ from mahlercf.padic import (
     witness_from_check,
     witness_search,
 )
-from mahlercf.polys import RatPoly, poly_eval_mod, poly_normalize_integer
+from mahlercf.polys import RatPoly, poly_derivative, poly_eval_mod, poly_normalize_integer
 
 # first certified (t, residue) per squaring-orbit, verified by standalone
 # big-integer evaluation of q_t at the residue
@@ -248,6 +249,29 @@ class TestConditions:
         check = check_conditions(2, 3, 3, 1, 8, q8)
         assert not check.passed
 
+    def test_c2_agrees_with_gamma_growth(self):
+        # c2 is decided as d^(p-1) != 1 mod p^2, without computing an order
+        for d in (2, 3):
+            q2 = convergent_denominators(d, 2)[2]
+            for p in prime_range(5, 20_000):
+                c2 = check_conditions(2, d, p, 1, 2, q2).verdicts["c2"]
+                assert c2 == gamma_growth(d, p), (d, p)
+
+    def test_derivative_at_1_matches_the_derivative_polynomial(self):
+        for d in (2, 3):
+            for t, qt in enumerate(convergent_denominators(d, 60)):
+                for p in (3, 5, 7, 11, 13, 43):
+                    expected = poly_eval_mod(poly_derivative(qt.primitive), 1, p)
+                    assert padic._derivative_at_1(qt, p) == expected, (d, t, p)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_denominators_match_the_monic_view(self, d):
+        cf, _ = expand_family(d, "G", 60)
+        monic = monic_normalize(cf)
+        for t, qt in enumerate(convergent_denominators(d, 60)):
+            expected = poly_normalize_integer(monic.monic_denominator(t))
+            assert (qt.primitive, qt.scale) == (expected.primitive, expected.scale), t
+
     def test_scale_sharing_p_is_skipped(self):
         from fractions import Fraction
 
@@ -285,6 +309,11 @@ class TestWitnessSearch:
         with pytest.raises(NotFound) as err:
             witness_search(3, 2, 5, 2, 3)
         assert "primes_considered" in str(err.value)
+
+    def test_growth_filter_rejects_the_wieferich_prime(self):
+        # 1093 is the only prime below 1100 with 2^(p-1) = 1 mod p^2
+        with pytest.raises(NotFound, match="'primes_rejected_growth': 1,"):
+            witness_search(2, 2, 1100, 1, 1)
 
     def test_invalid_d_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -464,3 +493,56 @@ class TestOrbitTable:
     def test_include_missing_marks_row(self):
         rows = orbit_table([3], 5, include_missing=True)
         assert any(row.t is None for row in rows)
+
+    def test_invalid_prime_rejected(self):
+        with pytest.raises(InvalidParameter):
+            orbit_table([3, 9], 10)
+
+
+class TestOrbitTableOracle:
+    """orbit_table against the direct route: each orbit of x -> x^d on the
+    nontrivial 1-units, scanned t by t with poly_eval_mod."""
+
+    @staticmethod
+    def scan_orbits(primes, t_bound, d, include_missing):
+        denominators = convergent_denominators(d, t_bound)
+        rows = []
+        for p in primes:
+            p2 = p * p
+            usable = [
+                (t, qt) for t, qt in enumerate(denominators)
+                if t >= 1 and (d == 2 or t % 2 == 0)
+                and qt.scale.numerator % p and qt.scale.denominator % p
+                and poly_eval_mod(poly_derivative(qt.primitive), 1, p)
+            ]
+            seen = set()
+            for start in range(1 + p, p2, p):
+                orbit = []
+                x = start
+                while x not in seen:
+                    seen.add(x)
+                    orbit.append(x)
+                    x = pow(x, d, p2)
+                if not orbit:
+                    continue
+                hit = (None, None)
+                for t, qt in usable:
+                    roots = [e for e in orbit if poly_eval_mod(qt, e, p2) == 0]
+                    if roots:
+                        hit = (t, min(roots))
+                        break
+                if hit[0] is not None or include_missing:
+                    classes = tuple(sorted(min(e, p2 - e) for e in orbit))
+                    rows.append((p, *hit, tuple(sorted(orbit)), classes))
+        rows.sort(key=lambda r: (r[0], r[1] if r[1] is not None else 10**9))
+        return rows
+
+    @pytest.mark.parametrize("include_missing", [False, True])
+    @pytest.mark.parametrize("d, primes, t_bound", [
+        (2, list(prime_range(3, 44)), 120),
+        (3, list(prime_range(5, 32)), 80),
+    ])
+    def test_rows_match_a_per_orbit_scan(self, d, primes, t_bound, include_missing):
+        rows = orbit_table(primes, t_bound, d=d, include_missing=include_missing)
+        got = [(r.p, r.t, r.residue, r.orbit, r.a_classes) for r in rows]
+        assert got == self.scan_orbits(primes, t_bound, d, include_missing)
