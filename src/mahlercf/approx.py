@@ -33,7 +33,7 @@ from .errors import (
     PrecisionCascade,
     ScaleNotInvertible,
 )
-from .polys import RatPoly, poly_substitute_power
+from .polys import IntPolyWithContent, RatPoly, poly_normalize_integer, poly_substitute_power
 
 __all__ = [
     "CertifiedValue",
@@ -164,39 +164,8 @@ def eval_mahler(a: int, d: int, eps: Fraction, which: str = "F") -> CertifiedVal
 # ---------------------------------------------------------------------------
 
 
-def _canonical_integer_pair(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly, int]:
-    """Normalize the fraction p/q to its canonical integer pair: divide both by
-    the leading coefficient of q (making q monic), then scale by the least
-    common multiple of the remaining coefficient denominators, then remove the
-    joint integer content.  The represented fraction is unchanged; the returned
-    clearing factor is the denominator of the monic form."""
-    lead = q.leading_coefficient()
-    inv = RatPoly.constant(1 / lead)
-    p_monic, q_monic = inv * p, inv * q
-    scale = 1
-    for poly in (p_monic, q_monic):
-        for coeff in poly.coeffs.values():
-            scale = math.lcm(scale, coeff.denominator)
-    factor = RatPoly.constant(Fraction(scale))
-    p_int, q_int = factor * p_monic, factor * q_monic
-    content = 0
-    for poly in (p_int, q_int):
-        for coeff in poly.coeffs.values():
-            content = math.gcd(content, coeff.numerator)
-    if content > 1:
-        shrink = RatPoly.constant(Fraction(1, content))
-        p_int, q_int = shrink * p_int, shrink * q_int
-        scale //= math.gcd(scale, content)
-    return p_int, q_int, scale
-
-
-def _eval_integer_poly(poly: RatPoly, point: int) -> int:
-    total = 0
-    for deg, coeff in poly.coeffs.items():
-        if coeff.denominator != 1:
-            raise InvalidParameter("polynomial must have integer coefficients")
-        total += coeff.numerator * point**deg
-    return total
+def _eval_integer_poly(coeffs: dict[int, int], point: int) -> int:
+    return sum(c * point**deg for deg, c in coeffs.items())
 
 
 def _prefactor_value(a: int, d: int, n: int) -> int:
@@ -243,6 +212,20 @@ def _convergent_pair(d: int, t: int) -> tuple[RatPoly, RatPoly]:
     cf, _ = expand_family(d, "G", t)
     conv = cf.convergents[t]
     return conv.p, conv.q
+
+
+def _integer_pair(p: RatPoly, q: RatPoly) -> tuple[dict[int, int], IntPolyWithContent]:
+    """The convergent p/q of g_d over integers: q made monic and split by
+    ``poly_normalize_integer``, and the integer coefficients of p scaled by
+    the same factor.  p is the polynomial part of q * g_d and g_d has integer
+    coefficients, so the scaled p is integral; IdentityFailure if it is not."""
+    q_int = poly_normalize_integer(q.monic())
+    p_int = {}
+    for deg, c in (p * (1 / (q.leading_coefficient() * q_int.scale))).coeffs.items():
+        if c.denominator != 1:
+            raise IdentityFailure("convergent numerator not integral over the primitive q")
+        p_int[deg] = c.numerator
+    return p_int, q_int
 
 
 def _quality_interval(
@@ -292,14 +275,13 @@ def iterated_approximants(
         raise InvalidParameter("for d = 3 the convergent index t must be even")
     if n_max < 0:
         raise InvalidParameter("need n_max >= 0")
-    p_poly, q_poly = _convergent_pair(d, t)
-    p_int, q_int, _scale = _canonical_integer_pair(p_poly, q_poly)
+    p_int, q_int = _integer_pair(*_convergent_pair(d, t))
     out = []
     for n in range(n_max + 1):
         point = a ** (d**n)
         prefactor = _prefactor_value(a, d, n)
         numerator = prefactor * _eval_integer_poly(p_int, point)
-        denominator = _eval_integer_poly(q_int, point)
+        denominator = _eval_integer_poly(q_int.int_coeffs(), point)
         if denominator == 0:
             raise InvalidParameter(f"denominator vanished at n={n}")
         if denominator < 0:
@@ -381,8 +363,8 @@ def divisibility_ladder(witness, n_offset_max: int = 5) -> tuple[tuple[int, int,
     denominator-clearing factor shares a factor with p.
     """
     a, d, p, n0, t = witness.a, witness.d, witness.p, witness.n0, witness.t
-    p_poly, q_poly = _convergent_pair(d, t)
-    p_int, _q_int, scale = _canonical_integer_pair(p_poly, q_poly)
+    p_int, q_int = _integer_pair(*_convergent_pair(d, t))
+    scale = q_int.scale.denominator
     if scale % p == 0:
         raise ScaleNotInvertible(
             f"clearing factor {scale} is divisible by p={p}; ladder undefined"

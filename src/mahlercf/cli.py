@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -85,8 +86,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+# Fraction("1e-N") builds 10**N, so the decimal exponent is bounded first.
+EPS_EXPONENT_BOUND = 100_000
+
+
 def _parse_fraction(text: str) -> Fraction:
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
+        if exponent and abs(int(exponent[1])) > EPS_EXPONENT_BOUND:
+            raise argparse.ArgumentTypeError(
+                f"eps exponent must lie within +-{EPS_EXPONENT_BOUND}: {text!r}"
+            )
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc

@@ -100,11 +100,12 @@ class CFExpansion:
                 )
         self.convergents: list[Convergent] = []
         for i, (p, q) in enumerate(zip(self.raw_p, self.raw_q)):
-            sign = 1 if q.leading_coefficient() > 0 else -1
+            if q.leading_coefficient() < 0:
+                p, q = -p, -q
             rate = None
             if i + 1 < len(self.partial_quotients):
                 rate = int(self.partial_quotients[i + 1].degree())
-            self.convergents.append(Convergent(index=i, p=p * sign, q=q * sign, rate=rate))
+            self.convergents.append(Convergent(index=i, p=p, q=q, rate=rate))
 
     @property
     def last_index(self) -> int:

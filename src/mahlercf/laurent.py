@@ -36,7 +36,7 @@ from .errors import (
     MismatchAt,
     ZERO_SO_FAR,
 )
-from .polys import RatPoly, _divide, _mul, _render_terms
+from .polys import RatPoly, _add, _divide, _mul, _render_terms
 
 _Scalar = Union[int, Fraction]
 
@@ -91,19 +91,8 @@ class TruncatedLaurentSeries:
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
         floor = max(self._floor, other._floor)
-        out: dict[int, Fraction] = {}
-        for deg, c in self._coeffs.items():
-            if deg >= floor:
-                out[deg] = c
-        for deg, c in other._coeffs.items():
-            if deg < floor:
-                continue
-            s = out.get(deg, Fraction(0)) + c
-            if s:
-                out[deg] = s
-            else:
-                out.pop(deg, None)
-        return TruncatedLaurentSeries(out, floor)
+        total = _add(self._coeffs, other._coeffs)
+        return TruncatedLaurentSeries({k: c for k, c in total.items() if k >= floor}, floor)
 
     def __sub__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
         return self + other.negate()
@@ -281,7 +270,7 @@ def _compare_series(a: TruncatedLaurentSeries, b: TruncatedLaurentSeries, floor:
         top_b if top_b is not ZERO_SO_FAR else floor,
         0,
     )
-    mismatches = [k for k in range(floor, top + 1) if a.coeff(k) != b.coeff(k)]
+    mismatches = [k for k in (a - b).coeffs if k >= floor]
     if mismatches:
         raise MismatchAt(max(mismatches))
     return top - floor + 1

@@ -44,13 +44,7 @@ from .errors import (
     SearchExhausted,
 )
 from .contfrac import _check_count, expand_family
-from .polys import (
-    IntPolyWithContent,
-    RatPoly,
-    poly_derivative,
-    poly_eval_mod,
-    poly_normalize_integer,
-)
+from .polys import IntPolyWithContent, RatPoly, poly_eval_mod, poly_normalize_integer
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +557,7 @@ def revalidate_witness(w: BadApproxWitness) -> ConditionCheck:
     """Re-run every condition from scratch, including recomputing q_t from
     the continued-fraction oracle and comparing it with the stored one."""
     qt_fresh = convergent_denominators(w.d, w.t)[w.t]
-    if qt_fresh.primitive != w.qt.primitive:
+    if qt_fresh.int_coeffs() != w.qt.int_coeffs():
         raise InvalidParameter(
             f"stored q_{w.t} does not match the freshly computed denominator"
         )
@@ -689,7 +683,7 @@ def _newton_lift(w: BadApproxWitness, m: int) -> int:
     a unit at the root, so the lift is unique."""
     p = w.p
     coeffs = w.qt.int_coeffs()
-    deriv = poly_derivative(w.qt.primitive)
+    deriv = {deg - 1: deg * c for deg, c in coeffs.items() if deg}
     k = 2
     root = w.residue % (p * p)
     while k < m:

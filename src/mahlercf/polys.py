@@ -120,15 +120,7 @@ class RatPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
-        other = self._coerce(other)
-        out = dict(self._coeffs)
-        for deg, c in other._coeffs.items():
-            s = out.get(deg, Fraction(0)) + c
-            if s:
-                out[deg] = s
-            else:
-                out.pop(deg, None)
-        return RatPoly(out)
+        return RatPoly(_add(self._coeffs, self._coerce(other)._coeffs))
 
     __radd__ = __add__
 
@@ -204,9 +196,22 @@ def _render_terms(coeffs: Mapping[int, Fraction]) -> str:
 
 # -- the arithmetic kernel ------------------------------------------------
 #
-# Every product and long division in the package, of polynomials and of
-# truncated Laurent series alike, runs through these two loops over sparse
-# coefficient maps (degree -> nonzero Fraction; degrees may be negative).
+# Every sum, product and long division in the package, of polynomials and
+# of truncated Laurent series alike, runs through these three loops over
+# sparse coefficient maps (degree -> nonzero Fraction; degrees may be
+# negative): _add, _mul and _divide.
+
+
+def _add(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """The sum of two coefficient maps, without the terms that cancel."""
+    out = dict(a)
+    for deg, c in b.items():
+        s = out.get(deg, _ZERO) + c
+        if s:
+            out[deg] = s
+        else:
+            out.pop(deg, None)
+    return out
 
 
 def _mul(
@@ -260,15 +265,21 @@ def _divide(
 class IntPolyWithContent:
     """An exactly factored polynomial: original = scale * primitive.
 
-    ``primitive`` has integer coefficients with content 1 and a positive
-    leading coefficient; ``scale`` carries the extracted rational factor.
+    ``coeffs`` maps each degree to an integer coefficient of the primitive
+    part, which has content 1 and a positive leading coefficient; ``scale``
+    carries the extracted rational factor.
     """
 
-    primitive: RatPoly
+    coeffs: dict[int, int]
     scale: Fraction
 
+    @property
+    def primitive(self) -> RatPoly:
+        return RatPoly(self.coeffs)
+
     def int_coeffs(self) -> dict[int, int]:
-        return {deg: int(c) for deg, c in self.primitive.coeffs.items()}
+        """The stored integer map itself, not a copy: callers must not mutate it."""
+        return self.coeffs
 
 
 def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
@@ -304,36 +315,22 @@ def poly_normalize_integer(q: RatPoly) -> IntPolyWithContent:
         content = math.gcd(content, abs(v))
     sign = 1 if ints[max(ints)] > 0 else -1
     divisor = sign * content
-    primitive = RatPoly({deg: v // divisor for deg, v in ints.items()})
-    scale = Fraction(divisor, denom_lcm)
-    return IntPolyWithContent(primitive=primitive, scale=scale)
+    primitive = {deg: v // divisor for deg, v in ints.items()}
+    return IntPolyWithContent(coeffs=primitive, scale=Fraction(divisor, denom_lcm))
 
 
-def poly_eval_mod(q: RatPoly | IntPolyWithContent | Mapping[int, int], r: int, m: int) -> int:
+def poly_eval_mod(q: IntPolyWithContent | Mapping[int, int], r: int, m: int) -> int:
     """Evaluate an integer-coefficient polynomial at r modulo m.
 
     Uses sparse evaluation with modular powering so that substituted
     high-degree polynomials (degree in the thousands, few terms) stay cheap.
-    Accepts an IntPolyWithContent (its primitive part is used), a RatPoly
-    that must already have integer coefficients, or a plain degree->int map.
+    Accepts an IntPolyWithContent (its primitive part is used) or a plain
+    degree->int map.
     """
     if m < 1:
         raise InvalidParameter(f"modulus must be >= 1, got {m}")
-    if isinstance(q, IntPolyWithContent):
-        items = q.int_coeffs().items()
-    elif isinstance(q, RatPoly):
-        items = []
-        for deg, c in q.coeffs.items():
-            if c.denominator != 1:
-                raise InvalidParameter(
-                    "poly_eval_mod needs integer coefficients; "
-                    "normalize with poly_normalize_integer first"
-                )
-            items.append((deg, int(c)))
-    else:
-        items = list(q.items())
+    coeffs = q.coeffs if isinstance(q, IntPolyWithContent) else q
     total = 0
-    for deg, c in items:
+    for deg, c in coeffs.items():
         total = (total + c * pow(r, deg, m)) % m
     return total % m
-

@@ -1,5 +1,6 @@
 """Certified evaluation, iterated approximants, real continued fractions."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 
 from mahlercf.approx import (
     CertifiedValue,
+    _integer_pair,
     divisibility_ladder,
     eval_mahler,
     irrationality_witness,
@@ -23,7 +25,9 @@ from mahlercf.errors import (
     NotFound,
     ScaleNotInvertible,
 )
+from mahlercf.contfrac import expand_family
 from mahlercf.padic import witness_search
+from mahlercf.polys import RatPoly
 
 
 class TestCertifiedValue:
@@ -210,3 +214,42 @@ class TestIrrationalityWitness:
             irrationality_witness(2, 3, 3)
         with pytest.raises(InvalidParameter):
             irrationality_witness(1, 4, 3)
+
+
+def canonical_integer_pair(p, q):
+    """Reference for ``_integer_pair``: the joint integer-primitive form of
+    p/q, built independently: make q monic, clear the denominators of both
+    polynomials, then remove their joint integer content.  Returns
+    (p_int, q_int, clearing factor)."""
+    lead = q.leading_coefficient()
+    p_monic, q_monic = p * (1 / lead), q * (1 / lead)
+    scale = 1
+    for poly in (p_monic, q_monic):
+        for coeff in poly.coeffs.values():
+            scale = math.lcm(scale, coeff.denominator)
+    p_int, q_int = p_monic * scale, q_monic * scale
+    content = 0
+    for poly in (p_int, q_int):
+        for coeff in poly.coeffs.values():
+            content = math.gcd(content, coeff.numerator)
+    if content > 1:
+        p_int, q_int = p_int * Fraction(1, content), q_int * Fraction(1, content)
+        scale //= math.gcd(scale, content)
+    return p_int, q_int, scale
+
+
+class TestIntegerPair:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_joint_content_reference(self, d):
+        cf, _ = expand_family(d, "G", 120)
+        for conv in cf.convergents:
+            p_ref, q_ref, scale_ref = canonical_integer_pair(conv.p, conv.q)
+            p_int, q_int = _integer_pair(conv.p, conv.q)
+            assert RatPoly(p_int) == p_ref, conv.index
+            assert q_int.primitive == q_ref, conv.index
+            assert q_int.scale.denominator == scale_ref, conv.index
+
+    def test_non_integral_numerator_raises(self):
+        # over the primitive x, the pair 1/(2x) has numerator 1/2
+        with pytest.raises(IdentityFailure):
+            _integer_pair(RatPoly.one(), RatPoly.from_text("0, 2"))

@@ -279,6 +279,22 @@ class TestEval:
         code, _, _ = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", "0"])
         assert code == 4
 
+    @pytest.mark.parametrize("eps", ["1e-1000000", "1e1000000"])
+    def test_eps_exponent_past_the_bound_exits_4_quickly(self, capsys, eps):
+        # Fraction would build 10**1000000 before any later check ran
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", eps])
+        assert code == 4
+        assert out == ""
+        assert "100000" in err
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("eps", ["1e-30", "1/3"])
+    def test_eps_within_the_bound_still_evaluates(self, capsys, eps):
+        code, out, _ = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", eps])
+        assert code == 0
+        assert out.startswith("f_2(2) = 0.3")
+
 
 class TestDemoHensel:
     def test_successful_demo(self, capsys):

@@ -87,6 +87,11 @@ class TestFloorAlgebra:
         a = generate(2, "F", -20)
         b = generate(2, "F", -10)
         assert (a + b).floor == -10
+        # a's terms at x^-20..x^-11 have no partner in b, so the sum drops them
+        assert any(k < -10 for k in a.coeffs)
+        expected = {k: a.coeff(k) + b.coeff(k) for k in range(-10, 1)}
+        assert (a + b).coeffs == {k: c for k, c in expected.items() if c}
+        assert b + a == a + b
 
     def test_mul_poly_raises_floor_by_top_degree(self):
         series = generate(2, "F", -20)
@@ -183,3 +188,10 @@ class TestFunctionalEquations:
         with pytest.raises(MismatchAt) as err:
             _compare_series(f, corrupted, -10)
         assert err.value.degree == -3
+        # the largest bad degree is reported, and a deeper operand's terms
+        # below the comparison floor are not compared
+        twice = corrupted + TruncatedLaurentSeries({-7: Fraction(2)}, -10)
+        with pytest.raises(MismatchAt) as err:
+            _compare_series(twice, f, -10)
+        assert err.value.degree == -3
+        assert _compare_series(generate(2, "F", -20), f, -10) == 11

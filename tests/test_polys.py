@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mahlercf.errors import DivisionByZeroPoly, InvalidParameter
+from mahlercf.errors import DivisionByZeroPoly
 from mahlercf.polys import (
     NEG_INF,
     IntPolyWithContent,
     RatPoly,
+    _add,
     _divide,
     _mul,
     poly_derivative,
@@ -133,6 +134,15 @@ class TestDivision:
         assert max(remainder, default=NEG_INF) < stop + den.degree()
 
 
+class TestAddKernel:
+    @given(laurent_maps, laurent_maps, st.sets(st.integers(min_value=-8, max_value=4)))
+    def test_sum_is_the_dense_sum(self, a, b, cancel):
+        # b also carries -a at the degrees in cancel, so those terms vanish
+        b = {**b, **{k: -a[k] for k in cancel if k in a}}
+        dense = {k: a.get(k, 0) + b.get(k, 0) for k in range(-8, 5)}
+        assert _add(a, b) == {k: v for k, v in dense.items() if v}
+
+
 class TestMultiplyKernel:
     @given(laurent_maps, laurent_maps, st.integers(min_value=-16, max_value=8))
     def test_floored_product_is_the_full_product_above_floor(self, a, b, floor):
@@ -188,6 +198,8 @@ class TestIntegerNormalization:
         normalized = poly_normalize_integer(RatPoly.from_text("2, 4"))
         assert normalized.primitive == RatPoly.from_text("1, 2")
         assert normalized.int_coeffs() == {0: 1, 1: 2}
+        assert normalized == IntPolyWithContent(coeffs={0: 1, 1: 2}, scale=Fraction(2))
+        assert all(type(c) is int for c in normalized.int_coeffs().values())
 
 
 class TestModularEvaluation:
@@ -207,7 +219,3 @@ class TestModularEvaluation:
     def test_accepts_normalized_poly(self):
         normalized = poly_normalize_integer(RatPoly.from_text("1, 0, 1"))
         assert poly_eval_mod(normalized, 3, 7) == (1 + 9) % 7
-
-    def test_rejects_non_integer_coefficients(self):
-        with pytest.raises(InvalidParameter):
-            poly_eval_mod(RatPoly.from_text("1/2"), 2, 7)
