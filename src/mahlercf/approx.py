@@ -204,9 +204,6 @@ class IteratedApproximant:
     quality_low: Fraction
     quality_high: Fraction
 
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
 
 def _convergent_pair(d: int, t: int) -> tuple[RatPoly, RatPoly]:
     cf, _ = expand_family(d, "G", t)
@@ -215,11 +212,12 @@ def _convergent_pair(d: int, t: int) -> tuple[RatPoly, RatPoly]:
 
 
 def _integer_pair(p: RatPoly, q: RatPoly) -> tuple[dict[int, int], IntPolyWithContent]:
-    """The convergent p/q of g_d over integers: q made monic and split by
-    ``poly_normalize_integer``, and the integer coefficients of p scaled by
-    the same factor.  p is the polynomial part of q * g_d and g_d has integer
-    coefficients, so the scaled p is integral; IdentityFailure if it is not."""
-    q_int = poly_normalize_integer(q.monic())
+    """The convergent p/q of g_d over integers: q split by
+    ``poly_normalize_integer`` with the scale of monic q, and the integer
+    coefficients of p scaled by the same factor.  p is the polynomial part of
+    q * g_d and g_d has integer coefficients, so the scaled p is integral;
+    IdentityFailure if it is not."""
+    q_int = poly_normalize_integer(q).monic()
     p_int = {}
     for deg, c in (p * (1 / (q.leading_coefficient() * q_int.scale))).coeffs.items():
         if c.denominator != 1:
@@ -233,14 +231,13 @@ def _quality_interval(
     d: int,
     frac: Fraction,
     denominator: int,
-    max_rounds: int = 12,
 ) -> tuple[Fraction, Fraction]:
     """Certified interval for |g_d(a) - frac| * denominator^2, refining the
     series evaluation until the error bound is small against the gap."""
     eps = Fraction(1, max(4, denominator * denominator))
     square = denominator * denominator
     floor_eps = Fraction(1, square * 2**40)
-    for _ in range(max_rounds):
+    for _ in range(12):
         cert = eval_mahler(a, d, eps, which="G")
         gap = abs(cert.value - frac)
         if cert.error_bound <= gap / 4 or cert.error_bound <= floor_eps:
@@ -251,7 +248,7 @@ def _quality_interval(
             return low * square, high * square
         eps = eps * eps
     raise PrecisionCascade(
-        f"could not separate approximant from g_{d}({a}) within {max_rounds} refinements"
+        f"could not separate approximant from g_{d}({a}) within 12 refinements"
     )
 
 
@@ -327,9 +324,7 @@ def iterated_pair_polynomials(d: int, t: int, n: int) -> tuple[RatPoly, RatPoly]
     )
 
 
-def locate_as_convergent(
-    d: int, numerator: RatPoly, denominator: RatPoly, max_index: int | None = None
-) -> int:
+def locate_as_convergent(d: int, numerator: RatPoly, denominator: RatPoly) -> int:
     """Return the convergent index of g_d whose fraction equals
     numerator/denominator, or raise NotFound.
 
@@ -339,9 +334,8 @@ def locate_as_convergent(
     deg = denominator.degree()
     if not isinstance(deg, int):
         raise InvalidParameter("denominator must be nonzero")
-    if max_index is None:
-        # denominator degrees grow at least by 1 per index, so deg+1 suffices
-        max_index = deg + 1
+    # denominator degrees grow at least by 1 per index, so deg+1 suffices
+    max_index = deg + 1
     cf, _ = expand_family(d, "G", max_index)
     target_monic = denominator.monic()
     for conv in cf.convergents:
@@ -441,9 +435,6 @@ class ExponentSample:
     proof_inequality: bool
     exponent_64ths: int
 
-    def exponent_lower_bound(self) -> Fraction:
-        return Fraction(self.exponent_64ths, 64)
-
     def exponent_decimal(self) -> str:
         thousandths = self.exponent_64ths * 1000 // 64
         return f"{thousandths // 1000}.{thousandths % 1000:03d}"
@@ -465,23 +456,6 @@ class IrrationalityReport:
         lhs = err.numerator**tau.denominator * sample.denominator**tau.numerator
         rhs = err.denominator**tau.denominator
         return lhs <= rhs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "d": self.d,
-            "k_max": self.k_max,
-            "samples": [
-                {
-                    "k": s.k,
-                    "denominator_bits": s.denominator.bit_length(),
-                    "error_upper": _fraction_text(s.error_upper),
-                    "proof_inequality": s.proof_inequality,
-                    "exponent_lower_bound": _fraction_text(s.exponent_lower_bound()),
-                }
-                for s in self.samples
-            ],
-        }
 
 
 def _exponent_64ths(error: Fraction, denominator: int, cap_64ths: int) -> int:

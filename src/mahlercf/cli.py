@@ -155,12 +155,9 @@ def _cmd_cf(args: argparse.Namespace) -> int:
 
     print(f"continued fraction of {args.kind.lower()}_{args.d}, {args.n} quotients")
     print(f"a_0 = {cf.partial_quotients[0]}")
-    for i in range(1, len(cf.partial_quotients)):
-        line = f"a_{i} = {cf.partial_quotients[i]}"
-        conv = cf.convergents[i - 1]
-        if conv.rate is not None:
-            line += f"   [rate of convergent {i - 1}: {conv.rate}]"
-        print(line)
+    for i, a in enumerate(cf.partial_quotients[1:], 1):
+        # the rate of convergent i - 1 is deg a_i (Convergent.rate)
+        print(f"a_{i} = {a}   [rate of convergent {i - 1}: {int(a.degree())}]")
     if monic is not None:
         print("monic denominators and betas:")
         for i in range(1, args.n + 1):

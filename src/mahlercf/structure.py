@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import (
     ClassificationFailure,
-    IdentityFailure,
     InvalidParameter,
     RateViolation,
     ShapeViolation,
@@ -28,7 +27,7 @@ from .contfrac import (
     expand_family,
     monic_normalize,
 )
-from .laurent import TruncatedLaurentSeries, generate, partial_product, rate_of_approximation
+from .laurent import generate, partial_product, rate_of_approximation
 from .polys import RatPoly, poly_divmod, poly_substitute_power
 
 
@@ -81,7 +80,6 @@ def transport(
     d: int,
     origin: str,
     conv: Convergent,
-    g_series: TruncatedLaurentSeries | None = None,
 ) -> TransportedConvergent:
     """Push a convergent p/q of h_d (origin "H") or u_d (origin "U") forward
     to an approximant of g_d and measure its actual rate.
@@ -110,8 +108,7 @@ def transport(
     else:
         raise InvalidParameter(f"origin must be 'H' or 'U', got {origin!r}")
 
-    if g_series is None:
-        g_series = generate(d, "G", -(2 * abs(int(result_q.degree())) + bound + 8))
+    g_series = generate(d, "G", -(2 * abs(int(result_q.degree())) + bound + 8))
     measured = rate_of_approximation(g_series, result_p, result_q)
     if measured < bound:
         raise RateViolation(
@@ -143,7 +140,6 @@ def companion_map(
     p: RatPoly,
     q: RatPoly,
     c: int,
-    target_series: TruncatedLaurentSeries | None = None,
 ) -> tuple[RatPoly, RatPoly, int]:
     """Move an approximant between the companion pair u_d = (x-1) h_d.
 
@@ -161,8 +157,7 @@ def companion_map(
         new_p, new_q, kind = X_MINUS_1 * p, q, "U"
     else:
         raise InvalidParameter(f"direction must be 'U->H' or 'H->U', got {direction!r}")
-    if target_series is None:
-        target_series = generate(d, kind, -(2 * int(new_q.degree()) + abs(c) + 8))
+    target_series = generate(d, kind, -(2 * int(new_q.degree()) + abs(c) + 8))
     measured = rate_of_approximation(target_series, new_p, new_q)
     if measured < c - 1:
         raise RateViolation(
@@ -315,11 +310,12 @@ class BetaSequence:
 
     def _cube_coeff(self, m: int, drop: int) -> Fraction:
         # The rigid shape makes s monic of degree k, and degree 3j of either
-        # cube form carries s_j alone, so no division by x^2+x+1 is needed.
+        # cube form carries s_j alone, so no division by x^2+x+1 is needed;
+        # one coefficient of qhat_m = q_m / rho_m is read off the raw q_m.
         j = m // 2 - drop
         if j < 0 or not 1 <= m <= self.max_index:
             return Fraction(0)
-        return self.monic.monic_denominator(m).coeff(3 * j)
+        return self.expansion.raw_q[m].coeff(3 * j) / self.expansion.leading_coeff(m)
 
 
 def beta_sequence(d: int, n: int) -> BetaSequence:
@@ -398,7 +394,6 @@ def verify_identity(
     name: str,
     d: int,
     k_range: tuple[int, int],
-    strict: bool = False,
 ) -> IdentityReport:
     """Check one named identity exactly over k_range (inclusive).
 
@@ -412,8 +407,7 @@ def verify_identity(
       theorem1  — every g_d convergent classifies (even -> H, odd -> U);
       bzz       — d=2: the closed beta recurrence matches the oracle betas.
 
-    Returns a report with status "pass"/"fail" and the failing k values;
-    raises IdentityFailure instead when strict=True.
+    Returns a report with status "pass"/"fail" and the failing k values.
     """
     lo, hi = k_range
     if lo > hi:
@@ -451,8 +445,6 @@ def verify_identity(
         raise InvalidParameter(f"unknown identity {name!r} (choose from {IDENTITY_NAMES})")
 
     status = "pass" if not failures else "fail"
-    if strict and failures:
-        raise IdentityFailure(f"{name} failed at {failures[:3]}")
     return IdentityReport(identity=name, d=d, k_range=(lo, hi), status=status, failures=failures)
 
 
@@ -516,15 +508,15 @@ def well_approx_rate(d: int, k: int) -> int:
     return d ** (k + 1) - 2 * (d ** (k + 1) - 1) // (d - 1)
 
 
-def well_approx_report(d: int, k_max: int, scan_depth: int = 40) -> WellApproxReport:
+def well_approx_report(d: int, k_max: int) -> WellApproxReport:
     """Witness that f_d (d >= 4) admits approximations far better than any
     badly-approximable series allows.
 
     For each k <= k_max the finite product r_k = prod_{t<=k} (1 - x^{-d^t}),
     written over the denominator x^{(d^{k+1}-1)/(d-1)}, is measured against
     f_d; the rate must equal d^{k+1} - 2(d^{k+1}-1)/(d-1) and grow strictly.
-    Also scans the g_d expansion for its first partial quotient of degree
-    >= d (the trigger that rules out the rigid d in {2,3} shape).
+    Also scans the first 40 quotients of g_d for one of degree >= d (the
+    trigger that rules out the rigid d in {2,3} shape).
     """
     if d < 4:
         raise InvalidParameter(f"well-approximability witnesses need d >= 4, got {d}")
@@ -546,7 +538,7 @@ def well_approx_report(d: int, k_max: int, scan_depth: int = 40) -> WellApproxRe
         rates.append(measured)
         prev = measured
 
-    cf, _ = expand_family(d, "G", scan_depth)
+    cf, _ = expand_family(d, "G", 40)
     first_idx = first_deg = -1
     for i, a in enumerate(cf.partial_quotients):
         if i >= 1 and int(a.degree()) >= d:
@@ -554,7 +546,7 @@ def well_approx_report(d: int, k_max: int, scan_depth: int = 40) -> WellApproxRe
             break
     if first_idx < 0:
         raise RateViolation(
-            f"no partial quotient of degree >= {d} within depth {scan_depth}"
+            f"no partial quotient of degree >= {d} within depth 40"
         )
     return WellApproxReport(
         d=d,

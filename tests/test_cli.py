@@ -320,6 +320,18 @@ class TestDemoHensel:
         assert "no exponent found: no exponent within the step limit 1000000" in out
         assert err == ""
 
+    def test_modulus_past_the_bit_bound_exits_4(self, capsys):
+        # 7^1000 has 2808 bits; a walk modulo it would take minutes
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "3", "--p", "7", "--n0", "2",
+             "--t", "8", "--m", "1000"],
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == "invalid input: modulus 7^1000 exceeds 192 bits\n"
+
     def test_large_prime_is_decided_without_factoring(self, capsys):
         # p - 1 is 2 times a composite with no prime factor below 10^6, so
         # deciding c2 by multiplicative orders would have to factor it

@@ -147,8 +147,6 @@ class TestCertification:
         assert series.floor <= -60
 
     def test_depth_cap_stops_retries(self):
-        # use a family nothing else touches: the shared cache legitimately
-        # serves deeper series for warm (d, kind) pairs
         with pytest.raises(InsufficientPrecision):
             expand_family(6, "U", 50, floor=-8, depth_cap=16)
 
@@ -179,11 +177,36 @@ class TestMonicView:
         assert monic.monic_denominator(6) == RatPoly.from_text(
             "1, 0, 0, 0, 0, 0, 0, 0, 0, 1"
         )
+        for n in (-2, monic.max_index + 1):
+            with pytest.raises(InvalidParameter):
+                monic.monic_denominator(n)
 
     def test_beta_convention_beta1_zero(self, g2_expansion):
         cf, _ = g2_expansion
         monic = monic_normalize(cf)
         assert monic.beta(1) == 0
+
+    def test_numerators_are_built_only_when_read(self, monkeypatch):
+        import mahlercf.padic as padic
+        import mahlercf.structure as structure
+
+        built = []
+
+        def recording(*args):
+            cf, series = expand_family(*args)
+            built.append(cf)
+            return cf, series
+
+        for module in (structure, padic):
+            monkeypatch.setattr(module, "expand_family", recording)
+        monkeypatch.setattr(padic, "_denominator_cache", {})
+        seq = structure.beta_sequence(3, 40)
+        padic.convergent_denominators(2, 40)
+        assert len(built) == 2
+        for cf in built:
+            assert not {"raw_p", "convergents"} & set(vars(cf))
+        seq.expansion.to_json_dict(monic=seq.monic)
+        assert {"raw_p", "convergents"} <= set(vars(seq.expansion))
 
     def test_json_schema(self, g2_expansion):
         cf, _ = g2_expansion
@@ -209,10 +232,12 @@ class TestTypedChecks:
         with pytest.raises(IdentityFailure, match="deg q_1"):
             CFExpansion([RatPoly.zero(), RatPoly.x()], terminated=True)
 
-    def test_monic_recurrence(self):
+    @pytest.mark.parametrize("index", [1, 2, 6])
+    def test_monic_recurrence(self, index):
+        # the seed row, an inner row and the last row of the raw-form check
         cf, _ = expand_family(2, "G", 6)
-        cf.raw_q[2] = cf.raw_q[2] + 1
-        with pytest.raises(IdentityFailure, match="qhat_2"):
+        cf.raw_q[index] = cf.raw_q[index] + 1
+        with pytest.raises(IdentityFailure, match=f"qhat_{index}$"):
             monic_normalize(cf)
 
     def test_rate_differs_from_next_degree(self):

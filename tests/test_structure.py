@@ -142,7 +142,7 @@ class TestTransport:
     def test_h_transport_d2(self):
         h_cf, _ = expand_family(2, "H", 6)
         conv = h_cf.convergents[1]
-        moved = transport(2, "H", conv, None)
+        moved = transport(2, "H", conv)
         assert moved.claimed_rate_lower_bound == 2 * int(conv.q.degree()) - 1
         assert moved.measured_rate >= moved.claimed_rate_lower_bound
         assert moved.result_q == poly_substitute_power(conv.q, 2)
