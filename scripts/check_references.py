@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Check every benchmark menu request against its recorded reference output.
 
-    python3 scripts/check_references.py
+    python3 scripts/check_references.py [--workload NAME]
 
-Runs each request of the three workload menus (perfbench/workloads.py) as
-``mahlercf <argv> --no-timestamp`` from the source tree, replays after the
-saves that write their files, and compares the exit code and the SHA-256 of
-stdout with perfbench/references.json through the benchmark's own
-``checks.failure``.  Requests marked ``seed_fails`` are reported apart: each
+Runs each request of the three workload menus (perfbench/workloads.py), or of
+the one menu that ``--workload`` names, as ``mahlercf <argv> --no-timestamp``
+from the source tree, replays after the saves that write their files, and
+compares the exit code and the SHA-256 of stdout with perfbench/references.json
+through the benchmark's own ``checks.failure``.  Requests marked ``seed_fails`` are reported apart: each
 either matches its reference or fails the way the seed commit fails it
 (``checks.seed_defect``).  Exits 0 when every request is one of those, else 1
 after listing the others.  Nothing under perfbench/ is written.
@@ -15,6 +15,7 @@ after listing the others.  Nothing under perfbench/ is written.
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import json
 import shutil
@@ -43,9 +44,12 @@ def verdict(request, reference: dict, cwd: str) -> str:
     return problem
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=WORKLOADS, help="check this menu only")
+    args = parser.parse_args(argv)
     references = json.loads(REFERENCES.read_text())
-    requests = {r.key: r for w in WORKLOADS for r in menu(w)}
+    requests = {r.key: r for w in WORKLOADS if args.workload in (None, w) for r in menu(w)}
     # Replays read files that the --save requests write, so they run last.
     batches = ([r for r in requests.values() if "--replay" not in r.argv],
                [r for r in requests.values() if "--replay" in r.argv])

@@ -19,6 +19,11 @@ InsufficientPrecision and the caller regenerates the series with a deeper
 floor.  A rational function p/q needs no truncation at all:
 ``cf_expand_fraction`` runs Euclid on p and q themselves and terminates
 exactly.
+
+Certification at local cost.  Convergent p_i/q_i, claiming rate c_i, puts the
+top term of u - p_i/q_i at F_i = -(2 deg q_i + c_i) = -(deg q_i + deg q_{i+1}).
+u and its truncation at F_i agree at degrees >= F_i, so ``convergent_soundness``
+divides only down to F_i: the rate is exact unless u - p_i/q_i vanishes there.
 """
 
 from __future__ import annotations
@@ -258,12 +263,19 @@ def monic_normalize(cf: CFExpansion) -> MonicCF:
 def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int]:
     """Measure the rate of approximation of every convergent against u and
     check that it equals the degree of the next partial quotient and is >= 1
-    (RateViolation otherwise).  Returns the list of measured rates."""
+    (RateViolation otherwise).  Returns the list of measured rates.  Each is
+    measured at its local floor (module docstring), and at u.floor only if
+    u - p/q vanishes there."""
     rates: list[int] = []
     for conv in cf.convergents:
         if conv.rate is None:
             break
-        measured = rate_of_approximation(u, conv.p, conv.q)
+        floor = max(u.floor, -(2 * int(conv.q.degree()) + conv.rate))
+        local = TruncatedLaurentSeries({k: c for k, c in u.coeffs.items() if k >= floor}, floor)
+        try:
+            measured = rate_of_approximation(local, conv.p, conv.q)
+        except InsufficientPrecision:
+            measured = rate_of_approximation(u, conv.p, conv.q)
         if measured != conv.rate:
             raise RateViolation(
                 f"convergent {conv.index}: measured rate {measured} != "

@@ -41,6 +41,7 @@ from .polys import RatPoly, _add, _divide, _mul, _render_terms
 _Scalar = Union[int, Fraction]
 
 FAMILY_KINDS = ("F", "G", "H", "U")
+FUNCEQ_FLOOR_BOUND = 100_000  # deepest verify_functional_equations floor: ~6 s, ~135 MB
 
 
 class TruncatedLaurentSeries:
@@ -240,6 +241,8 @@ def verify_functional_equations(d: int, floor: int) -> FunctionalEquationReport:
         raise InvalidParameter(f"d must be >= 2, got {d}")
     if floor > -d:
         raise InvalidParameter(f"floor must be <= -d, got {floor}")
+    if floor < -FUNCEQ_FLOOR_BOUND:
+        raise InvalidParameter(f"floor {floor} is past the bound -{FUNCEQ_FLOOR_BOUND}")
 
     checked = 0
 

@@ -75,6 +75,15 @@ class TestCF:
             "note: --floor is ignored for --kind G, which expands from the default floor\n"
         )
 
+    def test_deep_floor_certifies_at_local_cost(self, capsys):
+        # each convergent is divided down to its own floor, not to -2000
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["cf", "--d", "2", "--n", "30", "--kind", "F",
+                                        "--floor", "-2000"])
+        assert code == 0
+        assert out.startswith("continued fraction of f_2, 30 quotients")
+        assert time.perf_counter() - start < 5
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -92,6 +101,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert ": pass" in out
+
+    def test_funceq_floor_past_the_bound_exits_4_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["verify", "--identity", "funceq", "--floor", "1000000"])
+        assert (code, out) == (4, "")
+        assert "-100000" in err
+        assert time.perf_counter() - start < 2
+
+    def test_funceq_floor_within_the_bound_still_verifies(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--identity", "funceq", "--floor", "8000"])
+        assert code == 0
+        assert out == "identity funceq (d=2, range (0, 8000)): pass\n"
 
     def test_bzz_json_report(self, capsys):
         code, out, _ = run_cli(

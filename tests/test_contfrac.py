@@ -21,7 +21,12 @@ from mahlercf.errors import (
     InvalidParameter,
     RateViolation,
 )
-from mahlercf.laurent import TruncatedLaurentSeries, generate, partial_product
+from mahlercf.laurent import (
+    TruncatedLaurentSeries,
+    generate,
+    partial_product,
+    rate_of_approximation,
+)
 from mahlercf.polys import RatPoly
 
 FROZEN_BETAS_D2 = [
@@ -86,6 +91,12 @@ class TestExactExpansion:
         assert cf_r.partial_quotients[: top + 1] == cf_f.partial_quotients[: top + 1]
 
 
+@pytest.fixture(scope="module")
+def expansions():
+    """Every family for d = 2, 3 at n = 30, keyed by (d, kind)."""
+    return {(d, kind): expand_family(d, kind, 30) for d in (2, 3) for kind in "FGHU"}
+
+
 class TestConvergentLaws:
     @staticmethod
     def determinant(cf, n):
@@ -108,11 +119,30 @@ class TestConvergentLaws:
             signs.append(1 if det == RatPoly.one() else -1)
         assert signs == [(-1) ** (n + 1) for n in range(0, 12)]
 
-    @pytest.mark.slow
-    def test_rates_equal_next_quotient_degree(self, g2_expansion, g3_expansion):
-        for cf, series in (g2_expansion, g3_expansion):
+    def test_rates_equal_next_quotient_degree(self, g2_expansion, g3_expansion, expansions):
+        for cf, series in (g2_expansion, g3_expansion, *expansions.values()):
             rates = convergent_soundness(series, cf)
+            assert rates == [conv.rate for conv in cf.convergents[:-1]]
             assert all(r >= 1 for r in rates)
+
+    def test_local_rates_equal_full_floor_rates(self, expansions):
+        for (d, kind), (cf, series) in expansions.items():
+            full = [rate_of_approximation(series, conv.p, conv.q) for conv in cf.convergents[:-1]]
+            assert convergent_soundness(series, cf) == full, (d, kind)
+
+    def test_each_convergent_is_divided_to_its_local_floor(self, monkeypatch):
+        cf, series = expand_family(2, "H", 40)
+        floors = []
+        divide = TruncatedLaurentSeries.from_fraction
+
+        def recording(cls, p, q, floor):
+            floors.append(floor)
+            return divide(p, q, floor)
+
+        monkeypatch.setattr(TruncatedLaurentSeries, "from_fraction", classmethod(recording))
+        convergent_soundness(series, cf)
+        degrees = [int(q.degree()) for q in cf.raw_q]
+        assert floors == [-(degrees[i] + degrees[i + 1]) for i in range(40)]
 
     def test_d2_rates_all_one(self, g2_expansion):
         cf, _ = g2_expansion
@@ -244,6 +274,15 @@ class TestTypedChecks:
         cf, series = expand_family(2, "G", 6)
         cf.convergents[3] = dataclasses.replace(cf.convergents[3], rate=2)
         with pytest.raises(RateViolation, match="convergent 3: measured rate 1"):
+            convergent_soundness(series, cf)
+
+    def test_rate_above_the_claim_is_measured_at_the_full_floor(self):
+        # convergent 2 of g_3 has rate 2; a claim of 0 puts the local floor
+        # above the top term of g_3 - p_2/q_2, so the truncated difference vanishes
+        cf, series = expand_family(3, "G", 6)
+        assert cf.convergents[2].rate == 2
+        cf.convergents[2] = dataclasses.replace(cf.convergents[2], rate=0)
+        with pytest.raises(RateViolation, match="convergent 2: measured rate 2 "):
             convergent_soundness(series, cf)
 
     def test_nonpositive_rate(self):

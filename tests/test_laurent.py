@@ -180,6 +180,13 @@ class TestFunctionalEquations:
         with pytest.raises(InvalidParameter):
             verify_functional_equations(3, -2)
 
+    def test_floor_past_the_bound_is_rejected_before_generation(self, monkeypatch):
+        import mahlercf.laurent as laurent
+
+        monkeypatch.setattr(laurent, "generate", None)  # a generation would raise TypeError
+        with pytest.raises(InvalidParameter, match="past the bound -100000"):
+            verify_functional_equations(2, -(laurent.FUNCEQ_FLOOR_BOUND + 1))
+
     def test_mismatch_is_detected(self):
         from mahlercf.laurent import _compare_series
 
