@@ -71,8 +71,10 @@ class CFExpansion:
         p_{n+1} = a_{n+1} p_n + p_{n-1},   q_{n+1} = a_{n+1} q_n + q_{n-1}
 
     with seeds p_{-1}=1, q_{-1}=0, p_0=a_0, q_0=1 (no rescaling; the monic
-    view needs the raw leading coefficients).  ``convergents`` is the
-    sign-normalized public view, also built when first read.
+    view needs the raw leading coefficients).  The quotients and both chains
+    are tuples, so a chain cannot be edited after it is built.
+    ``convergents`` is the sign-normalized public view, also built when
+    first read.
     """
 
     def __init__(self, partial_quotients: list[RatPoly], terminated: bool):
@@ -83,7 +85,7 @@ class CFExpansion:
                 raise InvalidParameter(
                     f"partial quotient a_{i} must have degree >= 1, got {a}"
                 )
-        self.partial_quotients = list(partial_quotients)
+        self.partial_quotients = tuple(partial_quotients)
         self.terminated = terminated
         self.raw_q = self._chain(RatPoly.zero(), RatPoly.one())
         # Degree bookkeeping: deg q_{n+1} = sum of deg a_1..a_{n+1}.  Euclid
@@ -96,17 +98,17 @@ class CFExpansion:
                     f"deg q_{i} = {self.raw_q[i].degree()}, but deg a_1..a_{i} sum to {total}"
                 )
 
-    def _chain(self, prev: RatPoly, cur: RatPoly) -> list[RatPoly]:
+    def _chain(self, prev: RatPoly, cur: RatPoly) -> tuple[RatPoly, ...]:
         """The chain x_0..x_M of x_{n+1} = a_{n+1} x_n + x_{n-1} from the
         seeds x_{-1} = prev, x_0 = cur."""
         chain = [cur]
         for a in self.partial_quotients[1:]:
             cur, prev = a * cur + prev, cur
             chain.append(cur)
-        return chain
+        return tuple(chain)
 
     @cached_property
-    def raw_p(self) -> list[RatPoly]:
+    def raw_p(self) -> tuple[RatPoly, ...]:
         return self._chain(RatPoly.one(), self.partial_quotients[0])
 
     @cached_property
@@ -201,9 +203,10 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
 
 @dataclass(frozen=True)
 class MonicCF:
-    """Monic re-normalization of an expansion.
+    """Monic re-normalization of an expansion, read from its raw chain.
 
-    With rho_n the leading coefficient of the raw q_n (rho_{-1} = 0):
+    With rho_n the leading coefficient of the raw q_n (rho_{-1} = 0,
+    ``CFExpansion.leading_coeff``):
 
         qhat_n    = q_n / rho_n                    (monic denominators)
         ahat_{n+1} = a_{n+1} rho_n / rho_{n+1}      (monic quotients)
@@ -211,53 +214,44 @@ class MonicCF:
 
     and the monic recurrence qhat_{n+1} = ahat_{n+1} qhat_n + beta_{n+1}
     qhat_{n-1} holds exactly, with the seed conventions qhat_{-1} = 0,
-    qhat_0 = 1 and hence beta_1 = 0.  It is the raw recurrence divided by
-    rho_{n+1}, and is verified in that raw form at construction; qhat_n is
-    built from the raw chain only when asked for.
+    qhat_0 = 1 and hence beta_1 = 0: it is the raw recurrence that built
+    the chain, divided by rho_{n+1}.  Each value is computed from the chain
+    when read; the view stores nothing else and re-verifies nothing.
     """
 
-    max_index: int
-    _betas: dict[int, Fraction]
-    _monic_quotients: dict[int, RatPoly]
-    _rho: dict[int, Fraction]
-    _raw_q: list[RatPoly]
+    expansion: CFExpansion
+
+    @property
+    def max_index(self) -> int:
+        return self.expansion.last_index
 
     def beta(self, n: int) -> Fraction:
-        if n not in self._betas:
+        if not 1 <= n <= self.max_index:
             raise InvalidParameter(f"beta_{n} not available (have 1..{self.max_index})")
-        return self._betas[n]
+        rho = self.expansion.leading_coeff
+        return rho(n - 2) / rho(n)
 
     def monic_quotient(self, n: int) -> RatPoly:
-        if n not in self._monic_quotients:
+        if not 1 <= n <= self.max_index:
             raise InvalidParameter(f"monic quotient {n} not available")
-        return self._monic_quotients[n]
+        rho = self.expansion.leading_coeff
+        return self.expansion.partial_quotients[n] * (rho(n - 1) / rho(n))
 
     def monic_denominator(self, n: int) -> RatPoly:
         if not -1 <= n <= self.max_index:
             raise InvalidParameter(f"monic denominator {n} not available")
         if n == -1:
             return RatPoly.zero()
-        return self._raw_q[n] * (1 / self._rho[n])
+        return self.expansion.raw_q[n] * (1 / self.expansion.leading_coeff(n))
 
 
 def monic_normalize(cf: CFExpansion) -> MonicCF:
-    """Build the monic view and verify its recurrence, in the raw form
-    q_i = a_i q_{i-1} + q_{i-2} (the monic one times rho_i != 0), at every
-    index 1..M."""
-    m = cf.last_index
-    if m < 1:
+    """The monic view of cf.  It needs a_1, and it does no polynomial
+    arithmetic: the chain it reads was built, and its degrees checked, once
+    in CFExpansion."""
+    if cf.last_index < 1:
         raise InvalidParameter("monic normalization needs at least two convergents")
-    rho = {n: cf.leading_coeff(n) for n in range(-1, m + 1)}
-    q = [RatPoly.zero(), *cf.raw_q]  # q[i + 1] is q_i
-    ahat = {}
-    betas = {}
-    for i in range(1, m + 1):
-        a = cf.partial_quotients[i]
-        if a * q[i] + q[i - 1] != q[i + 1]:
-            raise IdentityFailure(f"monic recurrence failed to rebuild qhat_{i}")
-        ahat[i] = a * (rho[i - 1] / rho[i])
-        betas[i] = rho[i - 2] / rho[i]
-    return MonicCF(max_index=m, _betas=betas, _monic_quotients=ahat, _rho=rho, _raw_q=cf.raw_q)
+    return MonicCF(cf)
 
 
 def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int]:
@@ -307,15 +301,14 @@ def expand_family(
     kind: str,
     n: int,
     floor: int | None = None,
-    depth_cap: int = DEPTH_CAP_DEFAULT,
 ) -> tuple[CFExpansion, TruncatedLaurentSeries]:
     """Expand one of the built-in families to n quotients, doubling the
-    generation depth on InsufficientPrecision up to depth_cap."""
+    generation depth on InsufficientPrecision up to DEPTH_CAP_DEFAULT."""
     depth = -(floor if floor is not None else default_floor(d, n))
     if depth <= 0:
         raise InvalidParameter(f"floor must be negative, got {-depth}")
     last_error: InsufficientPrecision | None = None
-    while depth <= depth_cap:
+    while depth <= DEPTH_CAP_DEFAULT:
         series = family_series(d, kind, -depth)
         try:
             return cf_expand(series, n), series
@@ -325,8 +318,8 @@ def expand_family(
     if last_error is None:
         raise InsufficientPrecision(
             f"starting depth {depth} for {kind}_{d} with n={n} already exceeds "
-            f"the depth cap {depth_cap}"
+            f"the depth cap {DEPTH_CAP_DEFAULT}"
         )
     raise InsufficientPrecision(
-        f"depth cap {depth_cap} reached for {kind}_{d} with n={n}: {last_error}"
+        f"depth cap {DEPTH_CAP_DEFAULT} reached for {kind}_{d} with n={n}: {last_error}"
     )

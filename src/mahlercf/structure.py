@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import (
     ClassificationFailure,
     InvalidParameter,
+    MismatchAt,
     RateViolation,
     ShapeViolation,
     ZeroDenominator,
@@ -27,7 +28,7 @@ from .contfrac import (
     expand_family,
     monic_normalize,
 )
-from .laurent import generate, partial_product, rate_of_approximation
+from .laurent import generate, partial_product, rate_of_approximation, verify_functional_equations
 from .polys import RatPoly, poly_divmod, poly_substitute_power
 
 
@@ -273,7 +274,8 @@ class BetaSequence:
         qhat_{2k+1} = (1+x+...+x^{d-1}) qhat_{2k}   + beta_{2k+1} qhat_{2k-1}
         qhat_{2k+2} = (x-1)             qhat_{2k+1} + beta_{2k+2} qhat_{2k}
 
-    read from the verified monic view ``monic`` of ``expansion``.
+    read from the monic view ``monic``; ``expansion`` is the expansion that
+    view reads, so the two cannot come from different expansions.
 
     For d = 3, ``a_coeff(m)`` and ``b_coeff(m)`` are the second- and
     third-highest coefficients s_{k-1} and s_{k-2}, k = m // 2, of the cube
@@ -284,8 +286,11 @@ class BetaSequence:
     """
 
     d: int
-    expansion: CFExpansion
     monic: MonicCF
+
+    @property
+    def expansion(self) -> CFExpansion:
+        return self.monic.expansion
 
     @property
     def max_index(self) -> int:
@@ -319,12 +324,14 @@ class BetaSequence:
 
 
 def beta_sequence(d: int, n: int) -> BetaSequence:
-    """The betas beta_1..beta_n of g_d, read from the monic view that
-    monic_normalize builds and verifies for the expansion of g_d.
+    """The betas beta_1..beta_n of g_d, read from the monic view of the
+    expansion of g_d; the view reads the one chain that the expansion built
+    and checked, and re-verifies nothing.
 
     Each monic quotient must have the rigid shape (1+x+...+x^{d-1} at odd
-    steps, x-1 at even steps); with the monic recurrence verified, the
-    denominators then obey the two-term recurrence of BetaSequence.
+    steps, x-1 at even steps); the monic recurrence is the raw one divided
+    by rho_{n+1}, so the denominators then obey the two-term recurrence of
+    BetaSequence.
     ShapeViolation(i) reports the first index whose quotient departs from
     the rigid pattern — expected for every d >= 4.
     """
@@ -339,7 +346,7 @@ def beta_sequence(d: int, n: int) -> BetaSequence:
         shape = odd_shape if i % 2 == 1 else X_MINUS_1
         if monic.monic_quotient(i) != shape:
             raise ShapeViolation(i, f"monic quotient {i} is {monic.monic_quotient(i)}, not {shape}")
-    return BetaSequence(d=d, expansion=cf, monic=monic)
+    return BetaSequence(d=d, monic=monic)
 
 
 def beta_closed_form(n: int) -> dict[int, Fraction]:
@@ -415,9 +422,6 @@ def verify_identity(
     failures: list = []
 
     if name == "funceq":
-        from .laurent import verify_functional_equations
-        from .errors import MismatchAt
-
         floor = -abs(hi) if hi != 0 else -abs(lo)
         try:
             verify_functional_equations(d, min(floor, -d))

@@ -176,9 +176,12 @@ class TestCertification:
         assert len(cf.partial_quotients) == 31
         assert series.floor <= -60
 
-    def test_depth_cap_stops_retries(self):
-        with pytest.raises(InsufficientPrecision):
-            expand_family(6, "U", 50, floor=-8, depth_cap=16)
+    def test_depth_cap_stops_retries(self, monkeypatch):
+        import mahlercf.contfrac as contfrac
+
+        monkeypatch.setattr(contfrac, "DEPTH_CAP_DEFAULT", 16)
+        with pytest.raises(InsufficientPrecision, match="depth cap 16 reached"):
+            expand_family(6, "U", 50, floor=-8)
 
     def test_default_floor_formula(self):
         assert default_floor(2, 10) == -(2 * 10 * 2 + 16)
@@ -215,6 +218,17 @@ class TestMonicView:
         cf, _ = g2_expansion
         monic = monic_normalize(cf)
         assert monic.beta(1) == 0
+
+    def test_beta_and_quotient_range_checks(self, g2_expansion):
+        cf, _ = g2_expansion
+        monic = monic_normalize(cf)
+        top = monic.max_index
+        for n in (0, top + 1):
+            beta_message = rf"^beta_{n} not available \(have 1\.\.{top}\)$"
+            with pytest.raises(InvalidParameter, match=beta_message):
+                monic.beta(n)
+            with pytest.raises(InvalidParameter, match=f"^monic quotient {n} not available$"):
+                monic.monic_quotient(n)
 
     def test_numerators_are_built_only_when_read(self, monkeypatch):
         import mahlercf.padic as padic
@@ -262,13 +276,13 @@ class TestTypedChecks:
         with pytest.raises(IdentityFailure, match="deg q_1"):
             CFExpansion([RatPoly.zero(), RatPoly.x()], terminated=True)
 
-    @pytest.mark.parametrize("index", [1, 2, 6])
-    def test_monic_recurrence(self, index):
-        # the seed row, an inner row and the last row of the raw-form check
+    def test_chain_cannot_be_edited(self):
+        # the monic view reads the chain built at construction, so no
+        # later edit may put it out of step with the partial quotients
         cf, _ = expand_family(2, "G", 6)
-        cf.raw_q[index] = cf.raw_q[index] + 1
-        with pytest.raises(IdentityFailure, match=f"qhat_{index}$"):
-            monic_normalize(cf)
+        for chain in (cf.partial_quotients, cf.raw_q, cf.raw_p):
+            with pytest.raises(TypeError):
+                chain[2] = chain[2] + 1
 
     def test_rate_differs_from_next_degree(self):
         cf, series = expand_family(2, "G", 6)

@@ -7,7 +7,6 @@ import pytest
 from mahlercf.contfrac import expand_family, monic_normalize
 from mahlercf.errors import (
     ClassificationFailure,
-    IdentityFailure,
     InvalidParameter,
     ShapeViolation,
 )
@@ -42,17 +41,21 @@ class TestShape:
                 else:
                     assert quotient == RatPoly.from_text("-1, 1"), (d, i)
 
-    def test_tampered_chain_fails_the_monic_check(self, monkeypatch):
-        import mahlercf.structure as structure
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_beta_sequence_builds_the_chain_once(self, d, monkeypatch):
+        # one product a_i * q_{i-1} per quotient; scalar rescalings of the
+        # monic view are not polynomial products
+        products = []
+        multiply = RatPoly.__mul__
 
-        def tampered(d, kind, n):
-            cf, series = expand_family(d, kind, n)
-            cf.raw_q[2] = cf.raw_q[2] + 1
-            return cf, series
+        def counting(self, other):
+            if isinstance(other, RatPoly):
+                products.append(other)
+            return multiply(self, other)
 
-        monkeypatch.setattr(structure, "expand_family", tampered)
-        with pytest.raises(IdentityFailure, match="qhat_2"):
-            beta_sequence(2, 6)
+        monkeypatch.setattr(RatPoly, "__mul__", counting)
+        beta_sequence(d, 40)
+        assert len(products) == 40
 
     def test_shape_violation_d4(self):
         with pytest.raises(ShapeViolation) as err:
