@@ -41,7 +41,6 @@ from .errors import (
     InvalidParameter,
     MahlerCFError,
     MismatchAt,
-    NotCoprime,
     NotFound,
     PrecisionCascade,
     RateViolation,
@@ -65,14 +64,10 @@ from .padic import (
     OrbitRow,
     check_conditions,
     convergent_denominators,
-    fermat_quotient_nonzero,
     enumerate_orbit_hits,
-    gamma_growth,
     hensel_divisibility_demo,
-    mult_order,
     orbit_table,
     orbit_table_csv,
-    order_growth_check,
     power_tower_residue,
     revalidate_witness,
     wieferich_scan,

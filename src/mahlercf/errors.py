@@ -124,19 +124,15 @@ class ZeroDenominator(MahlerCFError):
     cannot continue."""
 
 
-class NotCoprime(MahlerCFError):
-    """Raised when a multiplicative order is requested for arguments that are
-    not coprime."""
-
-
 # ---------------------------------------------------------------------------
 # p-adic layer
 # ---------------------------------------------------------------------------
 
 
 class HypothesisFailed(MahlerCFError):
-    """Raised when a numeric hypothesis (e.g. an order-growth pattern) that a
-    certificate relies on does not hold for the given inputs."""
+    """Raised when a numeric hypothesis (e.g. that a witness root lifts by
+    Newton steps) that a certificate relies on does not hold for the given
+    inputs."""
 
 
 class ScaleNotInvertible(MahlerCFError):

@@ -21,16 +21,22 @@ order of d mod p^2 is either its order mod p or p times it, and it is the
 former exactly when d^{p-1} = 1 mod p^2.  No factorization of p - 1 is
 needed, so a prime of any size is checked at the cost of one ``pow``.
 
-The search and the orbit survey find roots with one evaluator
-(``_vanishing``): a table of the residue's powers mod p^2, then one dot
-product per integer-primitive q_t.  ``orbit_table`` is ``enumerate_orbit_hits``
-grouped into the orbits of x -> x^d.
+Every residue that c1 admits is a nontrivial 1-unit 1 + cp.  An integer
+polynomial has integer Taylor coefficients at 1, so
+q_t(1 + cp) = q_t(1) + cp * q_t'(1) (mod p^2): Hensel's lemma at first
+order.  The search and the orbit survey read only q_t(1) mod p^2 and
+q_t'(1) mod p.  Under c4, q_t'(1) is a unit, so the congruence fixes c
+mod p: the one 1-unit root is 1 + cp with c = -(q_t(1)/p) * q_t'(1)^{-1},
+present when p divides q_t(1) and nontrivial when c != 0.  Without c4, q_t
+vanishes at every 1-unit or at none.  ``check_conditions`` evaluates q_t at
+the residue in full, as the independent check of each witness returned.
+``orbit_table`` is ``enumerate_orbit_hits`` grouped into the orbits of
+x -> x^d.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
@@ -38,7 +44,6 @@ from typing import Iterator
 from .errors import (
     HypothesisFailed,
     InvalidParameter,
-    NotCoprime,
     NotFound,
     ScaleNotInvertible,
     SearchExhausted,
@@ -48,7 +53,7 @@ from .polys import IntPolyWithContent, RatPoly, poly_eval_mod, poly_normalize_in
 
 
 # ---------------------------------------------------------------------------
-# primes, primality and factorization
+# primes and primality
 # ---------------------------------------------------------------------------
 
 _SIEVE_SEGMENT = 1 << 18
@@ -164,137 +169,9 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-_TRIAL_PRIMES = tuple(prime_range(2, 1000))
-
-
-def _factor(n: int) -> Counter[int]:
-    """The prime factorization of n >= 1 as {prime: exponent}: trial
-    division by the primes below 1000, then perfect powers are split by
-    their roots and other composites by Pollard-Brent, so that no large
-    prime factor is sought by trial division."""
-    factors: Counter[int] = Counter()
-    for p in _TRIAL_PRIMES:
-        while n % p == 0:
-            factors[p] += 1
-            n //= p
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if is_prime(m):
-            factors[m] += 1
-            continue
-        # Pollard-Brent would need about sqrt(r) steps to split r^k.
-        # m has no prime factor below 1000, so m = r^k needs k < bits / 9.
-        for k in range(2, m.bit_length() // 9 + 1):
-            r = _integer_root(m, k)
-            if r**k == m:
-                pending += [r] * k
-                break
-        else:
-            f = _pollard_brent(m)
-            pending += [f, m // f]
-    return factors
-
-
-def _integer_root(n: int, k: int) -> int:
-    """The floor of the k-th root of n >= 1, by Newton's iteration from
-    above."""
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _pollard_brent(n: int) -> int:
-    """A proper factor of the composite n, which has no prime factor below
-    1000: Brent's cycle search on x -> x^2 + c, one gcd per 128 steps."""
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: redo its steps one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 # ---------------------------------------------------------------------------
-# multiplicative orders and growth conditions
+# the growth condition and the power tower
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaOrder:
-    """Multiplicative order of ``base`` modulo prime^power."""
-
-    base: int
-    prime: int
-    power: int
-    order: int
-
-
-def mult_order(a: int, m: int) -> int:
-    """Least e >= 1 with a^e = 1 (mod m)."""
-    if m < 2:
-        raise InvalidParameter(f"modulus must be >= 2, got {m}")
-    if math.gcd(a, m) != 1:
-        raise NotCoprime(f"gcd({a}, {m}) != 1")
-    # The order divides phi(m): start from phi(m), factored through the
-    # factorization of m, and divide out each prime q while a^(order/q) = 1.
-    order = 1
-    phi_factors: Counter[int] = Counter()
-    for p, e in _factor(m).items():
-        order *= (p - 1) * p ** (e - 1)
-        phi_factors[p] += e - 1
-        phi_factors.update(_factor(p - 1))
-    for q, e in phi_factors.items():
-        for _ in range(e):
-            if pow(a, order // q, m) != 1:
-                break
-            order //= q
-    return order
-
-
-def gamma_growth(a: int, p: int) -> bool:
-    """True iff the order of a modulo p^2 is p times its order modulo p."""
-    if not is_prime(p) or p == 2:
-        raise InvalidParameter(f"need an odd prime, got {p}")
-    return mult_order(a, p * p) == p * mult_order(a, p)
-
-
-def fermat_quotient_nonzero(a: int, p: int) -> bool:
-    """True iff a^{p-1} is not 1 modulo p^2.
-
-    When true, the order of a mod p^2 cannot divide p-1, forcing the
-    p-fold order growth; that implication is cross-checked, and
-    HypothesisFailed is raised if it does not hold.
-    """
-    if not is_prime(p) or p == 2:
-        raise InvalidParameter(f"need an odd prime, got {p}")
-    if a % p == 0:
-        raise NotCoprime(f"{p} divides {a}")
-    nonzero = pow(a, p - 1, p * p) != 1
-    if nonzero and not gamma_growth(a, p):
-        raise HypothesisFailed(f"order growth should follow for a={a}, p={p}")
-    return nonzero
 
 
 def wieferich_scan(a: int, bound: int) -> list[int]:
@@ -320,28 +197,6 @@ def power_tower_residue(a: int, d: int, n0: int, modulus: int) -> int:
     for _ in range(n0):
         x = pow(x, d, modulus)
     return x
-
-
-def order_growth_check(a: int, p: int, m_max: int) -> list[GammaOrder]:
-    """Verify |order of a mod p^{m+1}| = p^m * |order mod p| for m <= m_max.
-
-    Requires the base growth condition; HypothesisFailed otherwise.
-    """
-    if m_max < 1:
-        raise InvalidParameter(f"need m_max >= 1, got {m_max}")
-    if not gamma_growth(a, p):
-        raise HypothesisFailed(f"order of {a} mod {p}^2 does not grow p-fold")
-    base_order = mult_order(a, p)
-    out = [GammaOrder(base=a, prime=p, power=1, order=base_order)]
-    for m in range(1, m_max + 1):
-        order = mult_order(a, p ** (m + 1))
-        expected = base_order * p**m
-        if order != expected:
-            raise HypothesisFailed(
-                f"order of {a} mod {p}^{m + 1} is {order}, expected {expected}"
-            )
-        out.append(GammaOrder(base=a, prime=p, power=m + 1, order=order))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +231,12 @@ def _derivative_at_1(qt: IntPolyWithContent, p: int) -> int:
 
 def _usable_t(
     denominators: list[IntPolyWithContent], p: int, d: int, t_bound: int
-) -> tuple[list[tuple[int, dict[int, int], int]], int]:
+) -> tuple[list[tuple[int, int, int]], int]:
     """The t <= t_bound that a witness may use at p (even t only when d != 2)
     whose q_t has a normalization scale that is a unit at p, each as
-    (t, integer coefficients of q_t, q_t'(1) mod p); and the number of t
-    skipped for their scale."""
+    (t, q_t(1) mod p^2, q_t'(1) mod p); and the number of t skipped for
+    their scale."""
+    p2 = p * p
     usable = []
     scale_skips = 0
     for t in range(1, t_bound + 1):
@@ -390,23 +246,8 @@ def _usable_t(
         if not _unit_scale(qt, p):
             scale_skips += 1
             continue
-        usable.append((t, qt.int_coeffs(), _derivative_at_1(qt, p)))
+        usable.append((t, sum(qt.int_coeffs().values()) % p2, _derivative_at_1(qt, p)))
     return usable, scale_skips
-
-
-def _vanishing(
-    usable: list[tuple[int, dict[int, int], int]], residue: int, p2: int
-) -> Iterator[tuple[int, dict[int, int], int]]:
-    """The entries of ``usable`` (as built by ``_usable_t``) whose q_t
-    vanishes at residue modulo p2, in order: one table of the residue's
-    powers, then one dot product per q_t."""
-    top = max((max(coeffs) for _, coeffs, _ in usable), default=0)
-    powers = [1] * (top + 1)
-    for k in range(1, top + 1):
-        powers[k] = powers[k - 1] * residue % p2
-    for entry in usable:
-        if sum(c * powers[deg] for deg, c in entry[1].items()) % p2 == 0:
-            yield entry
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +452,10 @@ def _search_one_prime(
             continue  # p does not divide a^{d^{n0}} - 1 exactly once
         diag.admissible_pairs += 1
         diag.evaluations += len(usable)
-        for t, _, d_at_1 in _vanishing(usable, residue, p2):
-            if d_at_1 == 0:
+        for t, value, slope in usable:
+            if (value + (residue - 1) * slope) % p2:
+                continue  # q_t(residue), linear in residue - 1 = cp, is not 0
+            if slope == 0:
                 diag.roots_without_c4 += 1
                 continue
             check = check_conditions(a, d, p, n0, t, denominators[t])
@@ -774,7 +617,7 @@ def orbit_table(
     """For each prime, decompose the 1-units 1+cp (c != 0) mod p^2 into
     orbits of the d-th-powering map and give each orbit the first hit of
     ``enumerate_orbit_hits`` whose residue lies in it: the least t with a
-    root in the orbit, and the least such root."""
+    root in the orbit, and that root."""
     rows: list[OrbitRow] = []
     for p in primes:
         p = int(p)
@@ -807,9 +650,9 @@ def orbit_table(
 
 
 def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, int]]:
-    """Every certified (t, residue) pair for a prime, ordered by t and then
-    by residue: t <= t_bound with q_t'(1) a unit mod p and residue a
-    nontrivial 1-unit root of q_t mod p^2.
+    """Every certified (t, residue) pair for a prime, ordered by t: t <=
+    t_bound with q_t'(1) a unit mod p and residue the nontrivial 1-unit root
+    of q_t mod p^2, which c4 makes unique (see the module docstring).
 
     ``orbit_table`` keeps the first of these per orbit; this lists them all,
     so any externally quoted pair can be checked for membership even when an
@@ -817,10 +660,14 @@ def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, in
     p = int(p)
     if not is_prime(p) or p == 2 or (d == 3 and p < 5):
         raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
-    p2 = p * p
     denominators = convergent_denominators(d, t_bound)
-    usable = [entry for entry in _usable_t(denominators, p, d, t_bound)[0] if entry[2]]
-    return sorted((t, e) for e in range(1 + p, p2, p) for t, _, _ in _vanishing(usable, e, p2))
+    hits = []
+    for t, value, slope in _usable_t(denominators, p, d, t_bound)[0]:
+        if slope and value % p == 0:
+            c = -(value // p) * pow(slope, -1, p) % p
+            if c:
+                hits.append((t, 1 + c * p))
+    return hits
 
 
 def orbit_table_csv(rows: list[OrbitRow]) -> str:

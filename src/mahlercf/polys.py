@@ -301,10 +301,6 @@ def poly_substitute_power(q: RatPoly, d: int) -> RatPoly:
     return RatPoly({deg * d: c for deg, c in q.coeffs.items()})
 
 
-def poly_derivative(q: RatPoly) -> RatPoly:
-    return RatPoly({deg - 1: c * deg for deg, c in q.coeffs.items() if deg >= 1})
-
-
 def poly_normalize_integer(q: RatPoly) -> IntPolyWithContent:
     """Split q into (scale, primitive integer polynomial with lc > 0)."""
     if q.is_zero():

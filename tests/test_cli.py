@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mahlercf
-from mahlercf.cli import main
+from mahlercf.cli import TABLE_PRIME_BOUND, main
 
 
 def run_cli(capsys, argv):
@@ -270,6 +270,27 @@ class TestTable:
         code, _, err = run_cli(capsys, ["table", "--d", "3", "--primes", "5"])
         assert code == 4
         assert "d = 2" in err
+
+    def test_primes_above_the_bound_are_refused(self, capsys):
+        assert TABLE_PRIME_BOUND == 10_000
+        code, _, err = run_cli(capsys, ["table", "--d", "2", "--p-max", "10001"])
+        assert code == 4
+        assert "must not exceed 10000, got 10001" in err
+        code, _, err = run_cli(capsys, ["table", "--d", "2", "--primes", "3,10007"])
+        assert code == 4
+        assert "got 10007" in err
+        # the largest prime below the bound is allowed
+        code, _, _ = run_cli(capsys, ["table", "--d", "2", "--primes", "9973", "--t-bound", "1"])
+        assert code == 0
+
+    def test_more_primes_than_below_the_bound_are_refused(self, capsys):
+        # 1229 primes lie below 10000
+        argv = ["table", "--d", "2", "--t-bound", "1", "--primes"]
+        code, _, _ = run_cli(capsys, [*argv, ",".join(["3"] * 1229)])
+        assert code == 0
+        code, _, err = run_cli(capsys, [*argv, ",".join(["3"] * 1230)])
+        assert code == 4
+        assert "1230 entries; at most 1229" in err
 
 
 class TestEval:

@@ -1,4 +1,4 @@
-"""Multiplicative orders, witness conditions, searches, orbit table, lifting."""
+"""Primes, witness conditions, searches, orbit table, lifting."""
 
 import json
 from bisect import bisect_left
@@ -15,7 +15,6 @@ from mahlercf.contfrac import expand_family, monic_normalize
 from mahlercf.errors import (
     HypothesisFailed,
     InvalidParameter,
-    NotCoprime,
     NotFound,
     ScaleNotInvertible,
     SearchExhausted,
@@ -25,14 +24,10 @@ from mahlercf.padic import (
     check_conditions,
     convergent_denominators,
     enumerate_orbit_hits,
-    fermat_quotient_nonzero,
-    gamma_growth,
     hensel_divisibility_demo,
     is_prime,
-    mult_order,
     orbit_table,
     orbit_table_csv,
-    order_growth_check,
     power_tower_residue,
     prime_range,
     revalidate_witness,
@@ -40,13 +35,12 @@ from mahlercf.padic import (
     witness_from_check,
     witness_search,
 )
-from mahlercf.polys import RatPoly, poly_derivative, poly_eval_mod, poly_normalize_integer
+from mahlercf.polys import RatPoly, poly_eval_mod, poly_normalize_integer
 
 
-def integer_map(poly: RatPoly) -> dict[int, int]:
-    """The coefficients of an integer polynomial as a degree -> int map."""
-    assert all(c.denominator == 1 for c in poly.coeffs.values()), poly
-    return {deg: c.numerator for deg, c in poly.coeffs.items()}
+def derivative_map(coeffs: dict[int, int]) -> dict[int, int]:
+    """The integer coefficients of the derivative of an integer polynomial."""
+    return {deg - 1: deg * c for deg, c in coeffs.items() if deg}
 
 
 # first certified (t, residue) per squaring-orbit, verified by standalone
@@ -59,8 +53,8 @@ FROZEN_TABLE_SMALL = {
 
 
 class TestPrimes:
-    """The sieve, the primality test and the factorization, each against
-    sympy as the reference."""
+    """The sieve and the primality test, each against sympy as the
+    reference."""
 
     LIMIT = 200_000
 
@@ -120,90 +114,30 @@ class TestPrimes:
                       if padic._strong_lucas(n) != is_strong_lucas_prp(n)]
         assert mismatches == []
 
-    @given(st.integers(1, 10**18))
-    def test_factor_matches_sympy(self, n):
-        assert dict(padic._factor(n)) == sympy.factorint(n)
-
-    def test_factor_splits_large_cofactors(self):
-        for n in ((10**6 + 3) ** 2 * 999983 * 10007,
-                  (10**10 + 19) * (10**12 + 39),
-                  (10**10 + 19) ** 3,
-                  (2**89 - 1) ** 2,
-                  (2**61 - 1) ** 3 * (2**31 - 1) ** 6 * 1009):
-            assert dict(padic._factor(n)) == sympy.factorint(n)
-
-    def test_integer_root(self):
-        for n in (1, 2, 7, 8, 9, 10**40, 10**40 - 1, 3**300 + 1):
-            for k in (2, 3, 5, 11):
-                r = padic._integer_root(n, k)
-                assert r**k <= n < (r + 1) ** k
-
 
 class TestOrders:
-    def test_mult_order_matches_sympy(self):
-        for p in sympy.primerange(3, 400):
-            for a in range(2, 40):
-                if a % p:
-                    assert mult_order(a, p) == n_order(a, p)
-                    assert mult_order(a, p * p) == n_order(a, p * p)
-        for p in sympy.primerange(2, 50):
-            for k in (3, 4, 5):
-                for a in (-1, 2, 3, 5, 10, p + 1, p**k - 2):
-                    if a % p:
-                        assert mult_order(a, p**k) == n_order(a, p**k)
-        for m in range(2, 1500):
-            for a in (2, 3, 7, 10, m - 1):
-                if sympy.gcd(a, m) == 1:
-                    assert mult_order(a, m) == n_order(a, m), (a, m)
-        for big in ((10**6 + 3) * (10**9 + 7) ** 2, (2**89 - 1) ** 2):
-            assert mult_order(2, big) == n_order(2, big)
+    """Condition c2, the growth of the order of d from mod p to mod p^2, at
+    primes where it is known to hold or to fail."""
 
-    def test_mult_order_rejects_small_modulus(self):
-        with pytest.raises(InvalidParameter):
-            mult_order(2, 1)
-
-    def test_mult_order_basics(self):
-        assert mult_order(2, 3) == 2
-        assert mult_order(2, 9) == 6
-        assert mult_order(2, 7) == 3
-
-    def test_mult_order_requires_coprime(self):
-        with pytest.raises(NotCoprime):
-            mult_order(6, 9)
+    @staticmethod
+    def c2(d, p):
+        q2 = convergent_denominators(d, 2)[2]
+        return check_conditions(2, d, p, 1, 2, q2).verdicts["c2"]
 
     def test_gamma_growth_typical(self):
-        assert gamma_growth(2, 3)
-        assert gamma_growth(2, 5)
-        assert gamma_growth(3, 5)
+        assert self.c2(2, 3)
+        assert self.c2(2, 5)
+        assert self.c2(3, 5)
 
     def test_gamma_growth_fails_at_wieferich(self):
-        assert not gamma_growth(2, 1093)
-        assert not gamma_growth(2, 3511)
-        assert not gamma_growth(3, 11)
-
-    def test_fermat_quotient_cross_check_raises(self, monkeypatch):
-        monkeypatch.setattr(padic, "gamma_growth", lambda a, p: False)
-        with pytest.raises(HypothesisFailed, match="order growth"):
-            fermat_quotient_nonzero(2, 5)
-
-    def test_fermat_quotient_matches_growth(self):
-        for a, p in ((2, 5), (2, 7), (3, 7), (2, 1093), (3, 11)):
-            assert fermat_quotient_nonzero(a, p) == gamma_growth(a, p)
+        assert not self.c2(2, 1093)
+        assert not self.c2(2, 3511)
+        assert not self.c2(3, 11)
 
     def test_wieferich_scan_small_windows(self):
         assert wieferich_scan(2, 1000) == []
         assert wieferich_scan(2, 4000) == [1093, 3511]
         assert wieferich_scan(3, 100) == [11]
-
-    def test_order_growth_sequence(self):
-        growth = order_growth_check(2, 3, 5)
-        assert [g.order for g in growth] == [2, 6, 18, 54, 162, 486]
-        growth5 = order_growth_check(2, 5, 4)
-        assert [g.order for g in growth5] == [4, 20, 100, 500, 2500]
-
-    def test_order_growth_refuses_stalled_base(self):
-        with pytest.raises(HypothesisFailed):
-            order_growth_check(3, 11, 3)
 
 
 class TestDivisibility:
@@ -257,18 +191,19 @@ class TestConditions:
         assert not check.passed
 
     def test_c2_agrees_with_gamma_growth(self):
-        # c2 is decided as d^(p-1) != 1 mod p^2, without computing an order
+        # c2 is decided as d^(p-1) != 1 mod p^2, without computing an order;
+        # sympy's orders say whether the order of d grows p-fold mod p^2
         for d in (2, 3):
             q2 = convergent_denominators(d, 2)[2]
             for p in prime_range(5, 20_000):
                 c2 = check_conditions(2, d, p, 1, 2, q2).verdicts["c2"]
-                assert c2 == gamma_growth(d, p), (d, p)
+                assert c2 == (n_order(d, p * p) == p * n_order(d, p)), (d, p)
 
     def test_derivative_at_1_matches_the_derivative_polynomial(self):
         for d in (2, 3):
             for t, qt in enumerate(convergent_denominators(d, 60)):
                 for p in (3, 5, 7, 11, 13, 43):
-                    expected = poly_eval_mod(integer_map(poly_derivative(qt.primitive)), 1, p)
+                    expected = poly_eval_mod(derivative_map(qt.int_coeffs()), 1, p)
                     assert padic._derivative_at_1(qt, p) == expected, (d, t, p)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -323,6 +258,39 @@ class TestWitnessSearch:
     def test_invalid_d_rejected(self):
         with pytest.raises(InvalidParameter):
             witness_search(2, 5, 10, 5, 10)
+
+    # (a, d, p_bound, n0_bound, t_bound) -> the witness's (p, n0, t, residue),
+    # or the SearchDiagnostics fields in order when NotFound is raised; both
+    # recorded from the coefficient-by-coefficient root scan that preceded
+    # the closed form
+    PINNED_SEARCHES = {
+        (7, 3, 400, 8, 200): ("diag", 76, 1, 1, 21, 2036, 52, 0),
+        (3, 2, 5, 2, 3): ("diag", 2, 0, 1, 1, 3, 0, 0),
+        (2, 2, 1100, 1, 1): ("diag", 183, 1, 0, 1, 1, 0, 0),
+        (3, 3, 60, 4, 40): ("diag", 15, 1, 0, 4, 76, 4, 0),
+        (13, 3, 150, 6, 150): ("diag", 33, 1, 1, 6, 450, 32, 0),
+        (55, 2, 13, 2, 70): ("diag", 5, 0, 2, 2, 140, 19, 2),
+        (190, 2, 13, 2, 70): ("diag", 5, 0, 1, 3, 207, 19, 2),
+        (5, 2, 100, 3, 30): ("witness", 3, 1, 9, 7),
+        (10, 2, 50, 6, 100): ("witness", 11, 2, 86, 78),
+        (6, 3, 200, 5, 120): ("witness", 5, 1, 38, 16),
+        (4, 2, 30, 2, 10): ("witness", 3, 1, 9, 7),
+        (9, 2, 200, 4, 60): ("witness", 5, 1, 22, 6),
+        (11, 3, 100, 3, 80): ("witness", 5, 2, 38, 16),
+        (12, 2, 120, 2, 200): ("witness", 5, 2, 11, 11),
+    }
+
+    @pytest.mark.parametrize("bounds", sorted(PINNED_SEARCHES), ids=str)
+    def test_pinned_witness_or_diagnostics(self, bounds):
+        kind, *expected = self.PINNED_SEARCHES[bounds]
+        if kind == "witness":
+            w = witness_search(*bounds)
+            assert [w.p, w.n0, w.t, w.residue] == expected
+        else:
+            with pytest.raises(NotFound) as err:
+                witness_search(*bounds)
+            summary = padic.SearchDiagnostics(*expected).summary()
+            assert str(err.value).endswith(f"diagnostics: {summary}")
 
 
 
@@ -518,7 +486,7 @@ class TestOrbitTableOracle:
                 (t, qt) for t, qt in enumerate(denominators)
                 if t >= 1 and (d == 2 or t % 2 == 0)
                 and qt.scale.numerator % p and qt.scale.denominator % p
-                and poly_eval_mod(integer_map(poly_derivative(qt.primitive)), 1, p)
+                and poly_eval_mod(derivative_map(qt.int_coeffs()), 1, p)
             ]
             seen = set()
             for start in range(1 + p, p2, p):
@@ -551,3 +519,52 @@ class TestOrbitTableOracle:
         rows = orbit_table(primes, t_bound, d=d, include_missing=include_missing)
         got = [(r.p, r.t, r.residue, r.orbit, r.a_classes) for r in rows]
         assert got == self.scan_orbits(primes, t_bound, d, include_missing)
+
+
+class TestOrbitHitsOracle:
+    """enumerate_orbit_hits, which solves the first-order congruence, against
+    the scan it replaced: every usable q_t evaluated at every nontrivial
+    1-unit, one dot product with a table of the residue's powers each."""
+
+    @staticmethod
+    def scan_hits(p, t_bound, d):
+        p2 = p * p
+        usable = [
+            (t, qt.int_coeffs()) for t, qt in enumerate(convergent_denominators(d, t_bound))
+            if t >= 1 and (d == 2 or t % 2 == 0)
+            and qt.scale.numerator % p and qt.scale.denominator % p
+            and poly_eval_mod(derivative_map(qt.int_coeffs()), 1, p)
+        ]
+        top = max((max(coeffs) for _, coeffs in usable), default=0)
+        hits = []
+        for e in range(1 + p, p2, p):
+            powers = [1] * (top + 1)
+            for k in range(1, top + 1):
+                powers[k] = powers[k - 1] * e % p2
+            hits += [(t, e) for t, coeffs in usable
+                     if sum(c * powers[deg] for deg, c in coeffs.items()) % p2 == 0]
+        return sorted(hits)
+
+    @pytest.mark.parametrize("d, primes", [
+        (2, [*prime_range(3, 50), 67, 101]),
+        (3, [*prime_range(5, 50), 71, 97]),
+    ])
+    def test_hits_match_the_dot_product_scan(self, d, primes):
+        found = 0
+        for p in primes:
+            hits = enumerate_orbit_hits(p, 200, d)
+            assert hits == self.scan_hits(p, 200, d), p
+            found += len(hits)
+        assert found > 20
+
+    def test_first_order_taylor_rule(self):
+        # q(1 + cp) = q(1) + cp q'(1) mod p^2 for an integer polynomial q
+        for d in (2, 3):
+            for t, qt in enumerate(convergent_denominators(d, 60)):
+                coeffs = qt.int_coeffs()
+                value, slope = sum(coeffs.values()), sum(derivative_map(coeffs).values())
+                for p in (3, 5, 7, 11, 13):
+                    for c in range(p):
+                        e = 1 + c * p
+                        expected = (value + c * p * slope) % (p * p)
+                        assert poly_eval_mod(coeffs, e, p * p) == expected, (d, t, p, c)

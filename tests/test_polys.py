@@ -14,7 +14,6 @@ from mahlercf.polys import (
     _add,
     _divide,
     _mul,
-    poly_derivative,
     poly_divmod,
     poly_eval_mod,
     poly_normalize_integer,
@@ -161,24 +160,11 @@ class TestTransforms:
         assert poly_substitute_power(a + b, d).coeffs == (sub_a + sub_b).coeffs
         assert sub_a.coeffs == {deg * d: c for deg, c in a.coeffs.items()}
 
-    @given(rat_polys(max_degree=5), rat_polys(max_degree=5))
-    def test_derivative_product_rule(self, a, b):
-        lhs = poly_derivative(a * b)
-        rhs = poly_derivative(a) * b + a * poly_derivative(b)
-        assert lhs == rhs
-
     def test_substitute_power_worked_examples(self):
         assert poly_substitute_power(RatPoly.from_text("1, 1"), 2) == RatPoly.from_text("1, 0, 1")
         three_terms = RatPoly.from_text("1, 1, 1")
         assert poly_substitute_power(three_terms, 1) == three_terms
         assert poly_substitute_power(three_terms, 3) == RatPoly.from_text("1, 0, 0, 1, 0, 0, 1")
-
-    def test_derivative_worked_examples(self):
-        assert poly_derivative(RatPoly.from_text("1, 0, 1")) == RatPoly.from_text("0, 2")
-        assert poly_derivative(RatPoly.from_text("5")) == RatPoly.zero()
-        # (x+1)(x^8 - x^6 + x^2 + 2): derivative at 1 is s(1) + 2 s'(1) = 3 + 8
-        product = RatPoly.from_text("1, 1") * RatPoly.from_text("2, 0, 1, 0, 0, 0, -1, 0, 1")
-        assert sum(poly_derivative(product).coeffs.values()) == 11
 
 
 class TestIntegerNormalization:
