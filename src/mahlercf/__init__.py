@@ -9,15 +9,9 @@ every numeric claim the library makes is decided by integer comparisons.
 from .approx import (
     CertifiedValue,
     IrrationalityReport,
-    IteratedApproximant,
-    divisibility_ladder,
     eval_mahler,
     irrationality_witness,
-    iterated_approximants,
-    iterated_pair_polynomials,
-    locate_as_convergent,
     partial_product_value,
-    quality_sup,
     real_cf_prefix,
 )
 from .contfrac import (
@@ -25,7 +19,6 @@ from .contfrac import (
     Convergent,
     MonicCF,
     cf_expand,
-    cf_expand_fraction,
     convergent_soundness,
     default_floor,
     expand_family,
@@ -42,7 +35,6 @@ from .errors import (
     MahlerCFError,
     MismatchAt,
     NotFound,
-    PrecisionCascade,
     RateViolation,
     ScaleNotInvertible,
     SearchExhausted,
@@ -83,8 +75,6 @@ from .structure import (
     beta_sequence,
     classify_all,
     classify_convergent,
-    companion_map,
-    transport,
     verify_identity,
     well_approx_rate,
     well_approx_report,

@@ -1,21 +1,16 @@
-"""Certified numeric evaluation of the product series and integer approximants.
+"""Certified numeric evaluation of the product series at integer points.
 
 Everything here is exact.  Values and error bounds are `Fraction`s, and every
 inequality between real quantities is decided by integer cross-multiplication.
 Floating point never enters; decimal strings are rendered digit by digit from
 exact rationals and only for human consumption.
 
-Two families of approximants live here:
-
-* Partial products ``r_k(a) = prod_{t<=k} (1 - a^{-d^t})`` with the tail bound
-  ``|f_d(a) - r_k(a)| <= 2 / a^{d^{k+1}}`` (the neglected factors differ from 1
-  by a geometric-series tail dominated by twice its first term).
-* Iterated approximants obtained from a polynomial convergent (p_t, q_t) of the
-  series g_d by applying the self-similarity g_d(x) = x^{d^2-2d} (x-1) g_d(x^d)
-  n times: the rational number
-  ``prod_{k<n} a^{(d^2-2d) d^k} (a^{d^k}-1) * p_t(a^{d^n}) / q_t(a^{d^n})``
-  approximates g_d(a) with quality O(1/q^2), and its numerator carries the
-  divisibility ladder exploited by the p-adic witness conditions.
+The approximants are the partial products
+``r_k(a) = prod_{t<=k} (1 - a^{-d^t})`` with the tail bound
+``|f_d(a) - r_k(a)| <= 2 / a^{d^{k+1}}`` (the neglected factors differ from 1
+by a geometric-series tail dominated by twice its first term).  They give the
+certified values, the certified integer continued-fraction prefixes read from
+those values, and the irrationality-exponent witnesses for d >= 4.
 """
 
 from __future__ import annotations
@@ -23,30 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .contfrac import expand_family
-from .errors import (
-    IdentityFailure,
-    InvalidParameter,
-    NotFound,
-    PrecisionCascade,
-    ScaleNotInvertible,
-)
-from .polys import IntPolyWithContent, RatPoly, poly_normalize_integer, poly_substitute_power
+from .errors import IdentityFailure, InvalidParameter
 
 __all__ = [
     "CertifiedValue",
-    "IteratedApproximant",
     "ExponentSample",
     "IrrationalityReport",
     "partial_product_value",
     "eval_mahler",
-    "iterated_approximants",
-    "iterated_pair_polynomials",
-    "locate_as_convergent",
-    "quality_sup",
-    "divisibility_ladder",
     "real_cf_prefix",
     "irrationality_witness",
 ]
@@ -157,229 +137,6 @@ def eval_mahler(a: int, d: int, eps: Fraction, which: str = "F") -> CertifiedVal
     bound = _tail_bound(a, d, k) * monomial
     name = "f" if which == "F" else "g"
     return CertifiedValue(value=value, error_bound=bound, target=f"{name}_{d}({a})")
-
-
-# ---------------------------------------------------------------------------
-# iterated integer approximants
-# ---------------------------------------------------------------------------
-
-
-def _eval_integer_poly(coeffs: dict[int, int], point: int) -> int:
-    return sum(c * point**deg for deg, c in coeffs.items())
-
-
-def _prefactor_value(a: int, d: int, n: int) -> int:
-    """prod_{k<n} a^{(d^2-2d) d^k} * (a^{d^k} - 1), the accumulated factor from
-    iterating g_d(x) = x^{d^2-2d} (x-1) g_d(x^d) n times, evaluated at a."""
-    out = 1
-    shift = d * d - 2 * d
-    for k in range(n):
-        step = d**k
-        out *= a ** (shift * step) * (a**step - 1)
-    return out
-
-
-def _prefactor_polynomial(d: int, n: int) -> RatPoly:
-    out = RatPoly.one()
-    shift = d * d - 2 * d
-    for k in range(n):
-        step = d**k
-        out = out * RatPoly.monomial(shift * step) * (RatPoly.monomial(step) - RatPoly.one())
-    return out
-
-
-@dataclass(frozen=True)
-class IteratedApproximant:
-    """Integer fraction numerator/denominator approximating g_d(a), built from
-    convergent index t of g_d by n substitution steps; `quality_low/high` is a
-    certified interval around |g_d(a) - numerator/denominator| * denominator^2.
-    """
-
-    a: int
-    d: int
-    t: int
-    n: int
-    numerator: int
-    denominator: int
-    quality_low: Fraction
-    quality_high: Fraction
-
-
-def _convergent_pair(d: int, t: int) -> tuple[RatPoly, RatPoly]:
-    cf, _ = expand_family(d, "G", t)
-    conv = cf.convergents[t]
-    return conv.p, conv.q
-
-
-def _integer_pair(p: RatPoly, q: RatPoly) -> tuple[dict[int, int], IntPolyWithContent]:
-    """The convergent p/q of g_d over integers: q split by
-    ``poly_normalize_integer`` with the scale of monic q, and the integer
-    coefficients of p scaled by the same factor.  p is the polynomial part of
-    q * g_d and g_d has integer coefficients, so the scaled p is integral;
-    IdentityFailure if it is not."""
-    q_int = poly_normalize_integer(q).monic()
-    p_int = {}
-    for deg, c in (p * (1 / (q.leading_coefficient() * q_int.scale))).coeffs.items():
-        if c.denominator != 1:
-            raise IdentityFailure("convergent numerator not integral over the primitive q")
-        p_int[deg] = c.numerator
-    return p_int, q_int
-
-
-def _quality_interval(
-    a: int,
-    d: int,
-    frac: Fraction,
-    denominator: int,
-) -> tuple[Fraction, Fraction]:
-    """Certified interval for |g_d(a) - frac| * denominator^2, refining the
-    series evaluation until the error bound is small against the gap."""
-    eps = Fraction(1, max(4, denominator * denominator))
-    square = denominator * denominator
-    floor_eps = Fraction(1, square * 2**40)
-    for _ in range(12):
-        cert = eval_mahler(a, d, eps, which="G")
-        gap = abs(cert.value - frac)
-        if cert.error_bound <= gap / 4 or cert.error_bound <= floor_eps:
-            low = gap - cert.error_bound
-            if low < 0:
-                low = Fraction(0)
-            high = gap + cert.error_bound
-            return low * square, high * square
-        eps = eps * eps
-    raise PrecisionCascade(
-        f"could not separate approximant from g_{d}({a}) within 12 refinements"
-    )
-
-
-def iterated_approximants(
-    a: int, d: int, t: int, n_max: int
-) -> tuple[IteratedApproximant, ...]:
-    """Build the integer approximants of g_d(a) for n = 0..n_max from
-    convergent index t, with certified quality intervals.
-
-    For d = 3 the index t must be even: odd-index convergents expand with a
-    degree-1 next quotient, which is too weak for the substituted fraction to
-    stay a convergent.
-    """
-    if d not in (2, 3):
-        raise InvalidParameter("iterated approximants are defined for d in {2, 3}")
-    if a < 2:
-        raise InvalidParameter("need a >= 2")
-    if t < 1:
-        raise InvalidParameter("need t >= 1")
-    if d == 3 and t % 2 != 0:
-        raise InvalidParameter("for d = 3 the convergent index t must be even")
-    if n_max < 0:
-        raise InvalidParameter("need n_max >= 0")
-    p_int, q_int = _integer_pair(*_convergent_pair(d, t))
-    out = []
-    for n in range(n_max + 1):
-        point = a ** (d**n)
-        prefactor = _prefactor_value(a, d, n)
-        numerator = prefactor * _eval_integer_poly(p_int, point)
-        denominator = _eval_integer_poly(q_int.int_coeffs(), point)
-        if denominator == 0:
-            raise InvalidParameter(f"denominator vanished at n={n}")
-        if denominator < 0:
-            numerator, denominator = -numerator, -denominator
-        low, high = _quality_interval(a, d, Fraction(numerator, denominator), denominator)
-        out.append(
-            IteratedApproximant(
-                a=a,
-                d=d,
-                t=t,
-                n=n,
-                numerator=numerator,
-                denominator=denominator,
-                quality_low=low,
-                quality_high=high,
-            )
-        )
-    return tuple(out)
-
-
-def quality_sup(approximants: Iterable[IteratedApproximant]) -> Fraction:
-    """The measured supremum of the quality upper bounds (empirical constant)."""
-    sup = Fraction(0)
-    for approx in approximants:
-        if approx.quality_high > sup:
-            sup = approx.quality_high
-    return sup
-
-
-def iterated_pair_polynomials(d: int, t: int, n: int) -> tuple[RatPoly, RatPoly]:
-    """The polynomial form of the iterated approximant: numerator
-    prod_{k<n} x^{(d^2-2d) d^k} (x^{d^k} - 1) * p_t(x^{d^n}) and denominator
-    q_t(x^{d^n})."""
-    if d not in (2, 3):
-        raise InvalidParameter("defined for d in {2, 3}")
-    if d == 3 and t % 2 != 0:
-        raise InvalidParameter("for d = 3 the convergent index t must be even")
-    p_poly, q_poly = _convergent_pair(d, t)
-    step = d**n
-    return (
-        _prefactor_polynomial(d, n) * poly_substitute_power(p_poly, step),
-        poly_substitute_power(q_poly, step),
-    )
-
-
-def locate_as_convergent(d: int, numerator: RatPoly, denominator: RatPoly) -> int:
-    """Return the convergent index of g_d whose fraction equals
-    numerator/denominator, or raise NotFound.
-
-    The search expands g_d deep enough to cover deg(denominator); monic
-    denominators are compared first, then the numerators are cross-multiplied.
-    """
-    deg = denominator.degree()
-    if not isinstance(deg, int):
-        raise InvalidParameter("denominator must be nonzero")
-    # denominator degrees grow at least by 1 per index, so deg+1 suffices
-    max_index = deg + 1
-    cf, _ = expand_family(d, "G", max_index)
-    target_monic = denominator.monic()
-    for conv in cf.convergents:
-        if conv.q.degree() == deg and conv.q.monic() == target_monic:
-            if conv.p * denominator == numerator * conv.q:
-                return conv.index
-    raise NotFound(
-        f"fraction with denominator degree {deg} is not a convergent of g_{d} "
-        f"within index {max_index}"
-    )
-
-
-def divisibility_ladder(witness, n_offset_max: int = 5) -> tuple[tuple[int, int, int], ...]:
-    """For a validated witness (fields a, d, p, n0, t), verify exactly that
-    p^{n-n0} divides the iterated numerator for n = n0 .. n0+n_offset_max.
-
-    Returns tuples (n, required_exponent, actual_valuation).  Raises
-    IdentityFailure on the first miss and ScaleNotInvertible if the
-    denominator-clearing factor shares a factor with p.
-    """
-    a, d, p, n0, t = witness.a, witness.d, witness.p, witness.n0, witness.t
-    p_int, q_int = _integer_pair(*_convergent_pair(d, t))
-    scale = q_int.scale.denominator
-    if scale % p == 0:
-        raise ScaleNotInvertible(
-            f"clearing factor {scale} is divisible by p={p}; ladder undefined"
-        )
-    results = []
-    for n in range(n0, n0 + n_offset_max + 1):
-        point = a ** (d**n)
-        numerator = _prefactor_value(a, d, n) * _eval_integer_poly(p_int, point)
-        required = n - n0
-        valuation = 0
-        value = numerator
-        while value != 0 and value % p == 0 and valuation < required + 64:
-            value //= p
-            valuation += 1
-        if numerator % (p**required) != 0:
-            raise IdentityFailure(
-                f"p^{required} does not divide the iterated numerator at n={n} "
-                f"(a={a}, d={d}, p={p}, t={t})"
-            )
-        results.append((n, required, valuation))
-    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

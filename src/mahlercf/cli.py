@@ -36,7 +36,6 @@ from .errors import (
     InvalidParameter,
     MahlerCFError,
     NotFound,
-    PrecisionCascade,
     ScaleNotInvertible,
     SearchExhausted,
     ShapeViolation,
@@ -434,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except ShapeViolation as exc:
         print(f"quotient shape violated at index {exc.index}: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (InsufficientPrecision, PrecisionCascade) as exc:
+    except InsufficientPrecision as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except (InvalidParameter, ScaleNotInvertible) as exc:

@@ -16,9 +16,7 @@ whenever 2*deg(q_i) <= -floor:
 
 Quotients past the certified prefix are never emitted: the expander raises
 InsufficientPrecision and the caller regenerates the series with a deeper
-floor.  A rational function p/q needs no truncation at all:
-``cf_expand_fraction`` runs Euclid on p and q themselves and terminates
-exactly.
+floor.
 
 Certification at local cost.  Convergent p_i/q_i, claiming rate c_i, puts the
 top term of u - p_i/q_i at F_i = -(2 deg q_i + c_i) = -(deg q_i + deg q_{i+1}).
@@ -77,7 +75,7 @@ class CFExpansion:
     first read.
     """
 
-    def __init__(self, partial_quotients: list[RatPoly], terminated: bool):
+    def __init__(self, partial_quotients: list[RatPoly]):
         if not partial_quotients:
             raise InvalidParameter("a continued fraction needs at least a_0")
         for i, a in enumerate(partial_quotients):
@@ -86,7 +84,6 @@ class CFExpansion:
                     f"partial quotient a_{i} must have degree >= 1, got {a}"
                 )
         self.partial_quotients = tuple(partial_quotients)
-        self.terminated = terminated
         self.raw_q = self._chain(RatPoly.zero(), RatPoly.one())
         # Degree bookkeeping: deg q_{n+1} = sum of deg a_1..a_{n+1}.  Euclid
         # certifies quotients against this sum, so it is checked on the chain.
@@ -148,12 +145,11 @@ def _check_count(n: int) -> None:
         raise InvalidParameter(f"quotient count must be an integer >= 0, got {n!r}")
 
 
-def _euclid_chain(num: RatPoly, den: RatPoly, n: int, certify_degree: int | None):
-    """Shared Euclid loop.  Emits quotients of num/den; when certify_degree is
-    given, stops before any quotient whose denominator degree g_i would
-    violate 2*g_i <= certify_degree.  g_i is the running sum of the quotient
-    degrees (CFExpansion checks that sum on the denominators it builds).
-    Returns (quotients, terminated)."""
+def _euclid_chain(num: RatPoly, den: RatPoly, n: int, certify_degree: int) -> list[RatPoly]:
+    """Euclid on num/den.  Emits up to n + 1 quotients, stopping before any
+    quotient whose denominator degree g_i would violate
+    2*g_i <= certify_degree.  g_i is the running sum of the quotient degrees
+    (CFExpansion checks that sum on the denominators it builds)."""
     quotients: list[RatPoly] = []
     a0, rem = poly_divmod(num, den)
     quotients.append(a0)
@@ -162,19 +158,11 @@ def _euclid_chain(num: RatPoly, den: RatPoly, n: int, certify_degree: int | None
     while len(quotients) <= n and not y_cur.is_zero():
         a, rem = poly_divmod(x_cur, y_cur)
         deg_q += int(a.degree())
-        if certify_degree is not None and 2 * deg_q > certify_degree:
-            return quotients, False
+        if 2 * deg_q > certify_degree:
+            break
         quotients.append(a)
         x_cur, y_cur = y_cur, rem
-    return quotients, y_cur.is_zero()
-
-
-def cf_expand_fraction(p: RatPoly, q: RatPoly, n: int) -> CFExpansion:
-    """Expand the rational function p/q exactly, with partial quotients
-    a_0..a_n, or fewer when Euclid terminates first."""
-    _check_count(n)
-    quotients, terminated = _euclid_chain(p, q, n, certify_degree=None)
-    return CFExpansion(quotients, terminated=terminated)
+    return quotients
 
 
 def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
@@ -189,7 +177,7 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     # u = N / x^{-floor} with N collecting degrees floor..top.
     num = RatPoly({deg - floor: c for deg, c in u.coeffs.items()})
     den = RatPoly.monomial(-floor)
-    quotients, _ = _euclid_chain(num, den, n, certify_degree=-floor)
+    quotients = _euclid_chain(num, den, n, certify_degree=-floor)
     if len(quotients) <= n:
         # Either a quotient failed certification or the truncation's Euclid
         # ran dry; in both cases the true series is not pinned down: a tail
@@ -198,7 +186,7 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
             f"only {len(quotients) - 1} partial quotients certified at floor {floor}; "
             f"requested {n} - regenerate with a deeper floor"
         )
-    return CFExpansion(quotients, terminated=False)
+    return CFExpansion(quotients)
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,9 @@ class MismatchAt(MahlerCFError):
 
 
 class RateViolation(MahlerCFError):
-    """Raised when a measured rate of approximation falls short of the bound
-    that a transported or mapped fraction is guaranteed to satisfy."""
+    """Raised when a measured rate of approximation differs from the rate
+    predicted for it: the degree of the next partial quotient for a
+    convergent, or the closed form for a partial product of f_d (d >= 4)."""
 
 
 class ClassificationFailure(MahlerCFError):
@@ -143,16 +144,6 @@ class ScaleNotInvertible(MahlerCFError):
 class SearchExhausted(MahlerCFError):
     """Raised when a bounded search (e.g. for an exponent hitting a lifted
     root) ends without success."""
-
-
-# ---------------------------------------------------------------------------
-# value layer
-# ---------------------------------------------------------------------------
-
-
-class PrecisionCascade(MahlerCFError):
-    """Raised when repeated precision refinement fails to separate a computed
-    quantity from a decision boundary."""
 
 
 class NotFound(MahlerCFError):

@@ -19,8 +19,7 @@ u_d = (1 - x^{-1}) f_d, exactly down to any requested floor: factors with
 d^t > -floor cannot touch degrees >= floor, so the product is finite.
 
 A rational function p/q enters through ``from_fraction`` as an ordinary
-truncation; its exact continued fraction comes from
-``contfrac.cf_expand_fraction``, which works on p and q directly.
+truncation.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Structural facts about the continued fractions of the generated families.
 
 Everything here is *checked against the Euclidean oracle* in contfrac rather
-than assumed: convergent transports between the companion series, the
-parity classification of g_d convergents, the rigid quotient shape for
-d in {2, 3} with its beta parameters, the closed beta recurrence for d = 2,
-the d = 3 coefficient identities, and the well-approximability witnesses for
-d >= 4.
+than assumed: the parity classification of g_d convergents, the rigid
+quotient shape for d in {2, 3} with its beta parameters, the closed beta
+recurrence for d = 2, the d = 3 coefficient identities, and the
+well-approximability witnesses for d >= 4.
 """
 
 from __future__ import annotations
@@ -57,114 +56,6 @@ def _undo_power(p: RatPoly, d: int) -> RatPoly | None:
             return None
         out[deg // d] = c
     return RatPoly(out)
-
-
-# ---------------------------------------------------------------------------
-# convergent transports between the companion series
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransportedConvergent:
-    """A convergent of h_d or u_d pushed forward to an approximant of g_d."""
-
-    source: Convergent
-    origin: str  # "H" or "U"
-    result_p: RatPoly
-    result_q: RatPoly
-    claimed_rate_lower_bound: int
-    exact_rate_condition: bool
-    measured_rate: int
-
-
-def transport(
-    d: int,
-    origin: str,
-    conv: Convergent,
-) -> TransportedConvergent:
-    """Push a convergent p/q of h_d (origin "H") or u_d (origin "U") forward
-    to an approximant of g_d and measure its actual rate.
-
-    origin H: (x-1) p(x^d) / q(x^d), rate >= c*d - 1,
-              equality iff (x-1) does not divide q;
-    origin U: p(x^d) / ((1+x+...+x^{d-1}) q(x^d)), rate >= d(c-1) + 1,
-              equality iff (x-1) does not divide p;
-
-    where c is the source convergent's rate.  A measured rate below the bound
-    raises RateViolation; a wrong equality/strictness pattern does too.
-    """
-    if conv.rate is None:
-        raise InvalidParameter("transport needs a source convergent with a known rate")
-    c = conv.rate
-    if origin == "H":
-        result_p = X_MINUS_1 * poly_substitute_power(conv.p, d)
-        result_q = poly_substitute_power(conv.q, d)
-        bound = c * d - 1
-        exact_cond = not _is_multiple(conv.q, X_MINUS_1)
-    elif origin == "U":
-        result_p = poly_substitute_power(conv.p, d)
-        result_q = ones_polynomial(d) * poly_substitute_power(conv.q, d)
-        bound = d * (c - 1) + 1
-        exact_cond = not _is_multiple(conv.p, X_MINUS_1)
-    else:
-        raise InvalidParameter(f"origin must be 'H' or 'U', got {origin!r}")
-
-    g_series = generate(d, "G", -(2 * abs(int(result_q.degree())) + bound + 8))
-    measured = rate_of_approximation(g_series, result_p, result_q)
-    if measured < bound:
-        raise RateViolation(
-            f"transported {origin}-convergent {conv.index}: rate {measured} < bound {bound}"
-        )
-    if exact_cond and measured != bound:
-        raise RateViolation(
-            f"transported {origin}-convergent {conv.index}: expected exact rate {bound}, "
-            f"measured {measured}"
-        )
-    if not exact_cond and measured == bound:
-        raise RateViolation(
-            f"transported {origin}-convergent {conv.index}: rate should exceed {bound}"
-        )
-    return TransportedConvergent(
-        source=conv,
-        origin=origin,
-        result_p=result_p,
-        result_q=result_q,
-        claimed_rate_lower_bound=bound,
-        exact_rate_condition=exact_cond,
-        measured_rate=measured,
-    )
-
-
-def companion_map(
-    d: int,
-    direction: str,
-    p: RatPoly,
-    q: RatPoly,
-    c: int,
-) -> tuple[RatPoly, RatPoly, int]:
-    """Move an approximant between the companion pair u_d = (x-1) h_d.
-
-    direction "U->H": p/q approximates u_d with rate c; returns
-    (p, (x-1) q), an approximant of h_d with rate >= c - 1.
-    direction "H->U": p/q approximates h_d with rate c; returns
-    ((x-1) p, q), an approximant of u_d with rate >= c - 1.
-
-    Returns (new_p, new_q, measured_rate); RateViolation if the measured
-    rate falls below c - 1.
-    """
-    if direction == "U->H":
-        new_p, new_q, kind = p, X_MINUS_1 * q, "H"
-    elif direction == "H->U":
-        new_p, new_q, kind = X_MINUS_1 * p, q, "U"
-    else:
-        raise InvalidParameter(f"direction must be 'U->H' or 'H->U', got {direction!r}")
-    target_series = generate(d, kind, -(2 * int(new_q.degree()) + abs(c) + 8))
-    measured = rate_of_approximation(target_series, new_p, new_q)
-    if measured < c - 1:
-        raise RateViolation(
-            f"companion map {direction}: measured rate {measured} < {c - 1}"
-        )
-    return new_p, new_q, measured
 
 
 # ---------------------------------------------------------------------------

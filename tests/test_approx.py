@@ -1,33 +1,17 @@
-"""Certified evaluation, iterated approximants, real continued fractions."""
+"""Certified evaluation, real continued fractions, irrationality witnesses."""
 
-import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from mahlercf.approx import (
     CertifiedValue,
-    _integer_pair,
-    divisibility_ladder,
     eval_mahler,
     irrationality_witness,
-    iterated_approximants,
-    iterated_pair_polynomials,
-    locate_as_convergent,
     partial_product_value,
-    quality_sup,
     real_cf_prefix,
 )
-from mahlercf.errors import (
-    IdentityFailure,
-    InvalidParameter,
-    NotFound,
-    ScaleNotInvertible,
-)
-from mahlercf.contfrac import expand_family
-from mahlercf.padic import witness_search
-from mahlercf.polys import RatPoly
+from mahlercf.errors import InvalidParameter
 
 
 class TestCertifiedValue:
@@ -95,80 +79,6 @@ class TestEvalMahler:
             eval_mahler(2, 2, Fraction(1, 100), which="Z")
 
 
-class TestIteratedApproximants:
-    def test_d2_denominator_chain(self):
-        apxs = iterated_approximants(2, 2, 9, 2)
-        assert [a.denominator for a in apxs] == [594, 307290, 72729235746]
-        for a in apxs:
-            assert a.quality_low <= a.quality_high
-            assert a.quality_low > 0
-
-    def test_d2_quality_narrows_to_constant(self):
-        apxs = iterated_approximants(2, 2, 9, 2)
-        final = apxs[2]
-        assert Fraction(118, 100) < final.quality_low <= final.quality_high
-        assert final.quality_high < Fraction(119, 100)
-        assert final.quality_high - final.quality_low < Fraction(1, 10**6)
-        assert quality_sup(apxs) == max(a.quality_high for a in apxs)
-
-    def test_d3_quality_stays_small(self):
-        apxs = iterated_approximants(2, 3, 8, 2)
-        sup = quality_sup(apxs)
-        assert Fraction(1, 5) < sup < Fraction(1, 4)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidParameter):
-            iterated_approximants(2, 3, 9, 1)  # odd t for d=3
-        with pytest.raises(InvalidParameter):
-            iterated_approximants(2, 4, 8, 1)
-        with pytest.raises(InvalidParameter):
-            iterated_approximants(2, 2, 0, 1)
-
-
-class TestLocateAsConvergent:
-    @pytest.mark.parametrize(
-        "d,t,n", [(2, 9, 0), (2, 9, 1), (2, 9, 2), (3, 8, 1), (3, 8, 2)]
-    )
-    def test_iterated_pair_is_a_convergent(self, d, t, n):
-        num, den = iterated_pair_polynomials(d, t, n)
-        assert locate_as_convergent(d, num, den) == t * d**n
-
-    def test_mismatched_pair_not_found(self):
-        wrong_num, _ = iterated_pair_polynomials(2, 9, 0)
-        _, den = iterated_pair_polynomials(2, 9, 1)
-        with pytest.raises(NotFound):
-            locate_as_convergent(2, wrong_num, den)
-
-
-class TestDivisibilityLadder:
-    def test_d2_ladder_exact_steps(self):
-        w = witness_search(2, 2, 11, 8, 20)
-        assert (w.p, w.n0, w.t) == (3, 1, 18)
-        assert divisibility_ladder(w, 3) == ((1, 0, 1), (2, 1, 2), (3, 2, 3), (4, 3, 4))
-
-    def test_d3_ladder_exact_steps(self):
-        w = witness_search(2, 3, 7, 6, 10)
-        assert (w.p, w.n0, w.t) == (7, 2, 8)
-        assert divisibility_ladder(w, 3) == ((2, 0, 2), (3, 1, 3), (4, 2, 4), (5, 3, 5))
-
-    def test_valuation_meets_requirement(self):
-        w = witness_search(2, 2, 11, 8, 20)
-        for n, required, valuation in divisibility_ladder(w, 4):
-            assert n >= w.n0
-            assert required == n - w.n0
-            assert valuation >= required
-
-    def test_wrong_prime_raises(self):
-        fake = SimpleNamespace(a=2, d=2, p=7, n0=1, t=18)
-        with pytest.raises(IdentityFailure):
-            divisibility_ladder(fake, 3)
-
-    def test_scale_sharing_prime_raises(self):
-        fake = SimpleNamespace(a=3, d=3, p=2, n0=1, t=8)
-        with pytest.raises(ScaleNotInvertible):
-            divisibility_ladder(fake, 2)
-
-
 class TestRealCFPrefix:
     def test_f2_at_2_prefix(self):
         cv = eval_mahler(2, 2, Fraction(1, 10**24))
@@ -215,41 +125,3 @@ class TestIrrationalityWitness:
         with pytest.raises(InvalidParameter):
             irrationality_witness(1, 4, 3)
 
-
-def canonical_integer_pair(p, q):
-    """Reference for ``_integer_pair``: the joint integer-primitive form of
-    p/q, built independently: make q monic, clear the denominators of both
-    polynomials, then remove their joint integer content.  Returns
-    (p_int, q_int, clearing factor)."""
-    lead = q.leading_coefficient()
-    p_monic, q_monic = p * (1 / lead), q * (1 / lead)
-    scale = 1
-    for poly in (p_monic, q_monic):
-        for coeff in poly.coeffs.values():
-            scale = math.lcm(scale, coeff.denominator)
-    p_int, q_int = p_monic * scale, q_monic * scale
-    content = 0
-    for poly in (p_int, q_int):
-        for coeff in poly.coeffs.values():
-            content = math.gcd(content, coeff.numerator)
-    if content > 1:
-        p_int, q_int = p_int * Fraction(1, content), q_int * Fraction(1, content)
-        scale //= math.gcd(scale, content)
-    return p_int, q_int, scale
-
-
-class TestIntegerPair:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_matches_the_joint_content_reference(self, d):
-        cf, _ = expand_family(d, "G", 120)
-        for conv in cf.convergents:
-            p_ref, q_ref, scale_ref = canonical_integer_pair(conv.p, conv.q)
-            p_int, q_int = _integer_pair(conv.p, conv.q)
-            assert RatPoly(p_int) == p_ref, conv.index
-            assert q_int.primitive == q_ref, conv.index
-            assert q_int.scale.denominator == scale_ref, conv.index
-
-    def test_non_integral_numerator_raises(self):
-        # over the primitive x, the pair 1/(2x) has numerator 1/2
-        with pytest.raises(IdentityFailure):
-            _integer_pair(RatPoly.one(), RatPoly.from_text("0, 2"))

@@ -9,7 +9,6 @@ from mahlercf.contfrac import (
     CFExpansion,
     Convergent,
     cf_expand,
-    cf_expand_fraction,
     convergent_soundness,
     default_floor,
     expand_family,
@@ -27,7 +26,7 @@ from mahlercf.laurent import (
     partial_product,
     rate_of_approximation,
 )
-from mahlercf.polys import RatPoly
+from mahlercf.polys import RatPoly, poly_divmod, poly_substitute_power
 
 FROZEN_BETAS_D2 = [
     Fraction(v)
@@ -42,18 +41,24 @@ FROZEN_BETAS_D3 = [
 ]  # beta_2 .. beta_12
 
 
-class TestExactExpansion:
-    def test_rational_series_terminates(self):
-        cf = cf_expand_fraction(RatPoly.one(), RatPoly.from_text("1, 1"), 10)
-        assert cf.terminated
-        assert list(cf.partial_quotients) == [RatPoly.zero(), RatPoly.from_text("1, 1")]
+def exact_quotients(num, den, n):
+    """Reference: the partial quotients a_0..a_n of the rational function
+    num/den by plain Euclid over poly_divmod, fewer if a remainder vanishes."""
+    quotients = []
+    while len(quotients) <= n and not den.is_zero():
+        a, rem = poly_divmod(num, den)
+        quotients.append(a)
+        num, den = den, rem
+    return tuple(quotients)
 
+
+class TestExactExpansion:
     def test_already_monic_expansion_has_unit_betas(self):
-        # (x^2+1)/(x^3+2x) = 1/(x + 1/(x + 1/x)) has monic convergent
-        # denominators x, x^2+1, x^3+2x: the monic view is the identity
-        cf = cf_expand_fraction(
-            RatPoly.from_text("1, 0, 1"), RatPoly.from_text("0, 2, 0, 1"), 6
-        )
+        # [0; x, x, x] expands (x^2+1)/(x^3+2x) = 1/(x + 1/(x + 1/x)), whose
+        # monic convergent denominators x, x^2+1, x^3+2x make the monic view
+        # the identity
+        x = RatPoly.x()
+        cf = CFExpansion([RatPoly.zero(), x, x, x])
         monic = monic_normalize(cf)
         for n in range(1, 4):
             assert monic.monic_denominator(n) == cf.convergents[n].q
@@ -64,14 +69,14 @@ class TestExactExpansion:
     def test_exact_and_truncated_paths_agree(self):
         poly, denom = partial_product(2, 4)
         exact = TruncatedLaurentSeries.from_fraction(poly, denom, -40)
-        cf_exact = cf_expand_fraction(poly, denom, 14)
+        exact_prefix = exact_quotients(poly, denom, 14)
         # the same rational function fed through plain coefficient truncation
         plain = TruncatedLaurentSeries(
             {deg: exact.coeff(deg) for deg in range(-40, 1) if exact.coeff(deg)},
             -40,
         )
         cf_plain = cf_expand(plain, 14)
-        assert cf_exact.partial_quotients[: 15] == cf_plain.partial_quotients[: 15]
+        assert exact_prefix[:15] == cf_plain.partial_quotients[:15]
 
     def test_partial_product_cf_agrees_with_full_series_on_certified_prefix(self):
         # |f_2 - r_4| has degree -2^5 = -32, so the two quotient sequences must
@@ -79,7 +84,7 @@ class TestExactExpansion:
         # criterion applied to the difference of the two inputs)
         poly, denom = partial_product(2, 4)
         f2 = generate(2, "F", -64)
-        cf_r = cf_expand_fraction(poly, denom, 15)
+        r_prefix = exact_quotients(poly, denom, 15)
         cf_f = cf_expand(f2, 15)
         certified = [
             conv.index
@@ -88,7 +93,32 @@ class TestExactExpansion:
         ]
         top = max(certified)
         assert top >= 8
-        assert cf_r.partial_quotients[: top + 1] == cf_f.partial_quotients[: top + 1]
+        assert r_prefix[: top + 1] == cf_f.partial_quotients[: top + 1]
+
+
+class TestSelfSimilarity:
+    @pytest.mark.parametrize(
+        "d,t,n", [(2, 9, 0), (2, 9, 1), (2, 9, 2), (3, 8, 1), (3, 8, 2)]
+    )
+    def test_iterated_pair_is_a_convergent(self, d, t, n):
+        # iterating g_d(x) = x^{d^2-2d} (x-1) g_d(x^d) n times carries the
+        # convergent p_t/q_t to P/Q with
+        #   P = prod_{k<n} x^{(d^2-2d) d^k} (x^{d^k}-1) * p_t(x^{d^n}),
+        #   Q = q_t(x^{d^n}),
+        # which is the convergent of g_d at index t d^n
+        cf, _ = expand_family(d, "G", t * d**n)
+        source, target = cf.convergents[t], cf.convergents[t * d**n]
+        big_p = poly_substitute_power(source.p, d**n)
+        for k in range(n):
+            step = d**k
+            big_p = (
+                big_p
+                * RatPoly.monomial((d * d - 2 * d) * step)
+                * (RatPoly.monomial(step) - RatPoly.one())
+            )
+        big_q = poly_substitute_power(source.q, d**n)
+        assert big_p * target.q == big_q * target.p
+        assert big_q.degree() == target.q.degree()
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +293,7 @@ class TestMonicView:
 
     def test_quotient_degree_validation(self):
         with pytest.raises(InvalidParameter):
-            CFExpansion((RatPoly.zero(), RatPoly.one()), terminated=False)
+            CFExpansion((RatPoly.zero(), RatPoly.one()))
 
 
 class TestTypedChecks:
@@ -274,7 +304,7 @@ class TestTypedChecks:
         # a multiply that drops the partial quotient leaves deg q_1 at 0
         monkeypatch.setattr(RatPoly, "__mul__", lambda self, other: other)
         with pytest.raises(IdentityFailure, match="deg q_1"):
-            CFExpansion([RatPoly.zero(), RatPoly.x()], terminated=True)
+            CFExpansion([RatPoly.zero(), RatPoly.x()])
 
     def test_chain_cannot_be_edited(self):
         # the monic view reads the chain built at construction, so no

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import mahlercf
+import mahlercf.errors
 
 
 def test_library_has_no_assert_statements():
@@ -18,20 +19,6 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
-
-
-# Exports whose only callers are the unit tests.  A name leaves this list when
-# it gains a caller outside the tests or is deleted; none may join it.
-TEST_ONLY_EXPORTS = {
-    "cf_expand_fraction",
-    "companion_map",
-    "divisibility_ladder",
-    "iterated_approximants",
-    "iterated_pair_polynomials",
-    "locate_as_convergent",
-    "quality_sup",
-    "transport",
-}
 
 
 def test_every_export_has_a_caller_outside_the_unit_tests():
@@ -58,4 +45,30 @@ def test_every_export_has_a_caller_outside_the_unit_tests():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert sorted(exported - referenced) == sorted(TEST_ONLY_EXPORTS)
+    assert sorted(exported - referenced) == []
+
+
+def test_every_error_class_is_constructed_by_the_library():
+    # An error class that no module constructs is dead API.  Any call counts,
+    # so a class built by a helper such as classify_convergent's fail() does.
+    package = Path(mahlercf.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    classes = {
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef)
+        and issubclass(getattr(mahlercf.errors, node.name), mahlercf.errors.MahlerCFError)
+    } - {"MahlerCFError"}
+    assert classes
+    constructed = set()
+    for path in package.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    constructed.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    constructed.add(func.attr)
+    assert sorted(classes - constructed) == []

@@ -4,22 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from mahlercf.contfrac import expand_family, monic_normalize
+from mahlercf.contfrac import monic_normalize
 from mahlercf.errors import (
     ClassificationFailure,
     InvalidParameter,
     ShapeViolation,
 )
-from mahlercf.polys import RatPoly, poly_divmod, poly_normalize_integer, poly_substitute_power
+from mahlercf.polys import RatPoly, poly_divmod, poly_normalize_integer
 from mahlercf.structure import (
     IDENTITY_NAMES,
     beta_closed_form,
     beta_sequence,
     classify_all,
     classify_convergent,
-    companion_map,
     ones_polynomial,
-    transport,
     verify_identity,
     well_approx_rate,
     well_approx_report,
@@ -139,25 +137,6 @@ class TestIntegerForms:
         q8 = poly_normalize_integer(monic.monic_denominator(8))
         assert q8.primitive == RatPoly.from_text("1, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 2")
         assert q8.scale == Fraction(1, 2)
-
-
-class TestTransport:
-    def test_h_transport_d2(self):
-        h_cf, _ = expand_family(2, "H", 6)
-        conv = h_cf.convergents[1]
-        moved = transport(2, "H", conv)
-        assert moved.claimed_rate_lower_bound == 2 * int(conv.q.degree()) - 1
-        assert moved.measured_rate >= moved.claimed_rate_lower_bound
-        assert moved.result_q == poly_substitute_power(conv.q, 2)
-
-    def test_companion_map_on_real_convergent(self):
-        u_cf, _ = expand_family(2, "U", 6)
-        conv = u_cf.convergents[1]
-        new_p, new_q, measured = companion_map(
-            2, "U->H", conv.p, conv.q, int(conv.q.degree())
-        )
-        assert measured >= int(conv.q.degree()) - 1
-        assert isinstance(new_p, RatPoly) and isinstance(new_q, RatPoly)
 
 
 class TestClassification:
