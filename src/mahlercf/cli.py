@@ -241,8 +241,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 # Each prime costs an O(p) walk over its orbits: `table --d 2 --p-max 10000`
-# takes about 5.6 s on a 2-core Xeon (Python 3.11), and as many --primes as
-# there are primes below the bound, each 9973, take about 7.6 s.
+# takes about 1.5 s on a 2-core Xeon (Python 3.11.7), and as many --primes as
+# there are primes below the bound, each 9973, take about 2.4 s.
 TABLE_PRIME_BOUND = 10_000
 
 

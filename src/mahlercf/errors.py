@@ -1,4 +1,4 @@
-"""Exception hierarchy and sentinel values shared across the package.
+"""Exception hierarchy shared across the package.
 
 Every failure mode that callers are expected to handle programmatically
 gets its own exception class so that tests and the CLI can dispatch on
@@ -35,32 +35,6 @@ class InvalidParameter(MahlerCFError):
 # ---------------------------------------------------------------------------
 # truncated-series layer
 # ---------------------------------------------------------------------------
-
-
-class _ZeroSoFar:
-    """Sentinel returned by degree queries on a truncated series whose known
-    coefficients all vanish: the series may be zero or may have degree below
-    the precision floor, and the truncation cannot tell which.
-
-    A single module-level instance ``ZERO_SO_FAR`` is used everywhere, so
-    identity comparison (``is ZERO_SO_FAR``) is the supported test.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "ZERO_SO_FAR"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-ZERO_SO_FAR = _ZeroSoFar()
 
 
 class InsufficientPrecision(MahlerCFError):

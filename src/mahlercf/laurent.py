@@ -33,7 +33,6 @@ from .errors import (
     InsufficientPrecision,
     InvalidParameter,
     MismatchAt,
-    ZERO_SO_FAR,
 )
 from .polys import RatPoly, _add, _divide, _mul, _render_terms
 
@@ -73,10 +72,10 @@ class TruncatedLaurentSeries:
     def coeffs(self) -> dict[int, Fraction]:
         return dict(self._coeffs)
 
-    def degree(self):
-        """Largest degree with a nonzero coefficient, or ZERO_SO_FAR when all
-        known coefficients vanish (true degree may hide below the floor)."""
-        return max(self._coeffs) if self._coeffs else ZERO_SO_FAR
+    def degree(self) -> int | None:
+        """Largest degree with a nonzero coefficient, or None when all known
+        coefficients vanish (true degree may hide below the floor)."""
+        return max(self._coeffs) if self._coeffs else None
 
     def coeff(self, degree: int) -> Fraction:
         if degree < self._floor:
@@ -209,7 +208,7 @@ def rate_of_approximation(u: TruncatedLaurentSeries, p: RatPoly, q: RatPoly) -> 
     approx = TruncatedLaurentSeries.from_fraction(p, q, u.floor)
     diff = u - approx
     deg = diff.degree()
-    if deg is ZERO_SO_FAR:
+    if deg is None:
         raise InsufficientPrecision(
             f"u - p/q vanishes above the floor {diff.floor}; regenerate u deeper"
         )
@@ -268,8 +267,8 @@ def _compare_series(a: TruncatedLaurentSeries, b: TruncatedLaurentSeries, floor:
     top_a = a.degree()
     top_b = b.degree()
     top = max(
-        top_a if top_a is not ZERO_SO_FAR else floor,
-        top_b if top_b is not ZERO_SO_FAR else floor,
+        top_a if top_a is not None else floor,
+        top_b if top_b is not None else floor,
         0,
     )
     mismatches = [k for k in (a - b).coeffs if k >= floor]

@@ -28,15 +28,18 @@ order.  The search and the orbit survey read only q_t(1) mod p^2 and
 q_t'(1) mod p.  Under c4, q_t'(1) is a unit, so the congruence fixes c
 mod p: the one 1-unit root is 1 + cp with c = -(q_t(1)/p) * q_t'(1)^{-1},
 present when p divides q_t(1) and nontrivial when c != 0.  Without c4, q_t
-vanishes at every 1-unit or at none.  ``check_conditions`` evaluates q_t at
-the residue in full, as the independent check of each witness returned.
-``orbit_table`` is ``enumerate_orbit_hits`` grouped into the orbits of
-x -> x^d.
+vanishes at every 1-unit or at none.  ``_roots`` solves this once per prime
+for the search, ``enumerate_orbit_hits`` and ``orbit_table``; the table maps
+each root 1 + cp to its orbit under x -> x^d, which is the orbit of c under
+c -> dc mod p, as (1 + cp)^d = 1 + dcp (mod p^2).  ``check_conditions``
+evaluates q_t at the residue in full, as the independent check of each
+witness returned.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
@@ -209,7 +212,10 @@ _denominator_cache: dict[int, list[IntPolyWithContent]] = {}
 def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
     """The denominators q_0..q_{t_max} of the convergents of g_d, each made
     monic: an integer-primitive part and the scale 1/lc of that part.  Every
-    q_t is normalized once per process and cached per d."""
+    q_t is normalized once per process and cached per d.  Only d = 2, 3
+    carry certificates, so any other d is refused before g_d is expanded."""
+    if d not in (2, 3):
+        raise InvalidParameter(f"certificates exist for d in {{2, 3}}, got {d}")
     _check_count(t_max)  # before the cache, whose slice a negative t_max would cut
     cached = _denominator_cache.get(d)
     if cached is None or len(cached) <= t_max:
@@ -223,31 +229,41 @@ def _unit_scale(qt: IntPolyWithContent, p: int) -> bool:
     return qt.scale.numerator % p != 0 and qt.scale.denominator % p != 0
 
 
-def _derivative_at_1(qt: IntPolyWithContent, p: int) -> int:
-    """q_t'(1) mod p, the quantity of condition c4: the sum of deg * c over
-    the integer coefficients."""
-    return sum(deg * c for deg, c in qt.int_coeffs().items()) % p
+def _at_1(qt: IntPolyWithContent) -> tuple[int, int]:
+    """(q_t(1), q_t'(1)) over the integer coefficients of q_t."""
+    coeffs = qt.int_coeffs()
+    return sum(coeffs.values()), sum(deg * c for deg, c in coeffs.items())
 
 
-def _usable_t(
-    denominators: list[IntPolyWithContent], p: int, d: int, t_bound: int
-) -> tuple[list[tuple[int, int, int]], int]:
-    """The t <= t_bound that a witness may use at p (even t only when d != 2)
-    whose q_t has a normalization scale that is a unit at p, each as
-    (t, q_t(1) mod p^2, q_t'(1) mod p); and the number of t skipped for
-    their scale."""
+def _roots(
+    denominators: list[IntPolyWithContent], at_1: list[tuple[int, int]], p: int, d: int,
+    t_bound: int,
+) -> tuple[list[tuple[int, int]], list[int], int, int]:
+    """The root map of one prime: (hits, everywhere, usable, scale_skips).
+
+    Only t <= t_bound whose q_t has a unit scale at p are usable (even t only
+    when d != 2); ``at_1[t]`` is ``_at_1(denominators[t])``.  hits are the
+    (t, 1 + cp) with q_t'(1) a unit mod p, p | q_t(1) and c != 0, ordered by
+    t; everywhere are the t with p | q_t'(1) whose q_t vanishes at every
+    1-unit; scale_skips counts the t skipped for their scale."""
     p2 = p * p
-    usable = []
-    scale_skips = 0
-    for t in range(1, t_bound + 1):
-        if d != 2 and t % 2:
-            continue
-        qt = denominators[t]
-        if not _unit_scale(qt, p):
+    hits, everywhere = [], []
+    usable = scale_skips = 0
+    step = 1 if d == 2 else 2
+    for t in range(step, t_bound + 1, step):
+        if not _unit_scale(denominators[t], p):
             scale_skips += 1
             continue
-        usable.append((t, sum(qt.int_coeffs().values()) % p2, _derivative_at_1(qt, p)))
-    return usable, scale_skips
+        usable += 1
+        value, slope = at_1[t]
+        if slope % p == 0:
+            if value % p2 == 0:
+                everywhere.append(t)
+        elif value % p == 0:
+            c = -(value // p) * pow(slope, -1, p) % p
+            if c:
+                hits.append((t, 1 + c * p))
+    return hits, everywhere, usable, scale_skips
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +378,7 @@ def check_conditions(
     parity_ok = (t % 2 == 0) if d == 3 else True
     c3 = parity_ok and qt_value == 0
 
-    qt_derivative_at_1 = _derivative_at_1(qt, p)
+    qt_derivative_at_1 = _at_1(qt)[1] % p
     c4 = qt_derivative_at_1 != 0
 
     return ConditionCheck(
@@ -432,18 +448,19 @@ class SearchDiagnostics:
 
 
 def _search_one_prime(
-    a: int,
-    d: int,
-    p: int,
-    n0_bound: int,
-    t_bound: int,
-    denominators: list[IntPolyWithContent],
+    a: int, d: int, p: int, n0_bound: int, t_bound: int,
+    denominators: list[IntPolyWithContent], at_1: list[tuple[int, int]],
     diag: SearchDiagnostics,
 ) -> BadApproxWitness | None:
-    """Scan (n0, t) lexicographically for one prime; None if nothing passes."""
+    """Scan (n0, t) lexicographically for one prime; None if nothing passes.
+
+    Each admissible residue is looked up in the root map of ``_roots``: the
+    least t it is the root of.  The t before it whose q_t vanishes
+    everywhere count as roots without c4."""
     p2 = p * p
-    usable, scale_skips = _usable_t(denominators, p, d, t_bound)
+    hits, everywhere, usable, scale_skips = _roots(denominators, at_1, p, d, t_bound)
     diag.scale_skips += scale_skips
+    first_t = {root: t for t, root in reversed(hits)}  # the least t per root
 
     residue = a % p2
     for n0 in range(1, n0_bound + 1):
@@ -451,17 +468,14 @@ def _search_one_prime(
         if residue % p != 1 or residue == 1:
             continue  # p does not divide a^{d^{n0}} - 1 exactly once
         diag.admissible_pairs += 1
-        diag.evaluations += len(usable)
-        for t, value, slope in usable:
-            if (value + (residue - 1) * slope) % p2:
-                continue  # q_t(residue), linear in residue - 1 = cp, is not 0
-            if slope == 0:
-                diag.roots_without_c4 += 1
-                continue
-            check = check_conditions(a, d, p, n0, t, denominators[t])
-            if check.passed:
-                return witness_from_check(check)
-            diag.roots_without_c4 += 1
+        diag.evaluations += usable
+        t = first_t.get(residue)
+        if t is None:
+            diag.roots_without_c4 += len(everywhere)
+            continue
+        diag.roots_without_c4 += bisect_left(everywhere, t)
+        # c1, c2, parity and c4 hold here; check_conditions re-derives c3 in full
+        return witness_from_check(check_conditions(a, d, p, n0, t, denominators[t]))
     return None
 
 
@@ -479,6 +493,7 @@ def witness_search(
     if p_bound < 3 or n0_bound < 1 or t_bound < 1:
         raise InvalidParameter("all search bounds must be positive (p_bound >= 3)")
     denominators = convergent_denominators(d, t_bound)
+    at_1 = [_at_1(qt) for qt in denominators]
     diag = SearchDiagnostics()
 
     for p in prime_range(3 if d == 2 else 5, p_bound + 1):
@@ -489,7 +504,7 @@ def witness_search(
         if pow(d, p - 1, p * p) == 1:  # condition c2 fails
             diag.primes_rejected_growth += 1
             continue
-        witness = _search_one_prime(a, d, p, n0_bound, t_bound, denominators, diag)
+        witness = _search_one_prime(a, d, p, n0_bound, t_bound, denominators, at_1, diag)
         if witness is not None:
             return witness
     raise NotFound(
@@ -597,18 +612,39 @@ def hensel_divisibility_demo(
 
 @dataclass(frozen=True)
 class OrbitRow:
-    """One orbit of the nontrivial 1-units mod p^2 under x -> x^d.
+    """One orbit of the nontrivial 1-units mod p^2 under x -> x^d, kept as its
+    least member ``start``.
 
     ``t`` and ``residue`` give the first convergent denominator with a root
     in the orbit (t = None when none exists within the scanned bound);
-    ``a_classes`` lists the +/- compressed residues a mod p^2 covered by this
-    orbit (a and -a reach the same squaring orbit)."""
+    ``orbit`` and ``a_classes`` are worked out when read."""
 
     p: int
     t: int | None
     residue: int | None
-    orbit: tuple[int, ...]
-    a_classes: tuple[int, ...]
+    start: int
+    d: int
+
+    @property
+    def orbit(self) -> tuple[int, ...]:
+        """The members 1 + cp, walked as c -> dc mod p from ``start`` back to it."""
+        p, first = self.p, self.start // self.p
+        members, c = [self.start], first * self.d % p
+        while c != first:
+            members.append(1 + c * p)
+            c = c * self.d % p
+        return tuple(sorted(members))
+
+    @property
+    def a_classes(self) -> tuple[int, ...]:
+        """The +/- compressed residues a mod p^2 in this orbit (a and -a reach
+        the same squaring orbit)."""
+        return tuple(sorted(min(e, self.p**2 - e) for e in self.orbit))
+
+
+def _check_orbit_prime(p: int, d: int) -> None:
+    if not is_prime(p) or p == 2 or (d == 3 and p < 5):
+        raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
 
 
 def orbit_table(
@@ -618,33 +654,29 @@ def orbit_table(
     orbits of the d-th-powering map and give each orbit the first hit of
     ``enumerate_orbit_hits`` whose residue lies in it: the least t with a
     root in the orbit, and that root."""
+    primes = [int(p) for p in primes]
+    for p in primes:
+        _check_orbit_prime(p, d)
+    denominators = convergent_denominators(d, t_bound)
+    at_1 = [_at_1(qt) for qt in denominators]
     rows: list[OrbitRow] = []
     for p in primes:
-        p = int(p)
-        hits = enumerate_orbit_hits(p, t_bound, d)
-        p2 = p * p
-        seen: set[int] = set()
-        for start in range(1 + p, p2, p):
-            if start in seen:
+        least = [0] * p  # least[c]: the least member of the orbit of c
+        starts = []
+        for start in range(1, p):
+            if least[start]:
                 continue
-            orbit = []
-            x = start
-            while x not in seen:
-                seen.add(x)
-                orbit.append(x)
-                x = pow(x, d, p2)
-            members = set(orbit)
-            hit_t, hit_residue = next(((t, e) for t, e in hits if e in members), (None, None))
-            if hit_t is not None or include_missing:
-                rows.append(
-                    OrbitRow(
-                        p=p,
-                        t=hit_t,
-                        residue=hit_residue,
-                        orbit=tuple(sorted(orbit)),
-                        a_classes=tuple(sorted(min(e, p2 - e) for e in orbit)),
-                    )
-                )
+            starts.append(start)
+            c = start
+            while not least[c]:
+                least[c] = start
+                c = c * d % p
+        hits = _roots(denominators, at_1, p, d, t_bound)[0]
+        first = {least[root // p]: (t, root) for t, root in reversed(hits)}
+        for start in starts:
+            if start in first or include_missing:
+                t, root = first.get(start, (None, None))
+                rows.append(OrbitRow(p=p, t=t, residue=root, start=1 + start * p, d=d))
     rows.sort(key=lambda r: (r.p, r.t if r.t is not None else 10**9))
     return rows
 
@@ -658,16 +690,9 @@ def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, in
     so any externally quoted pair can be checked for membership even when an
     earlier t serves the same orbit."""
     p = int(p)
-    if not is_prime(p) or p == 2 or (d == 3 and p < 5):
-        raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
+    _check_orbit_prime(p, d)
     denominators = convergent_denominators(d, t_bound)
-    hits = []
-    for t, value, slope in _usable_t(denominators, p, d, t_bound)[0]:
-        if slope and value % p == 0:
-            c = -(value // p) * pow(slope, -1, p) % p
-            if c:
-                hits.append((t, 1 + c * p))
-    return hits
+    return _roots(denominators, [_at_1(qt) for qt in denominators], p, d, t_bound)[0]
 
 
 def orbit_table_csv(rows: list[OrbitRow]) -> str:

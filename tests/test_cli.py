@@ -230,6 +230,17 @@ class TestWitness:
         monkeypatch.setenv("MAHLERCF_THREADS", "2")
         assert run_cli(capsys, argv) == serial
 
+    def test_replay_with_a_d_outside_2_3_exits_4_before_expansion(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        run_cli(capsys, ["witness", "--a", "2", "--d", "3", "--save", str(path)])
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(stored, d=4, t=200)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == "invalid input: certificates exist for d in {2, 3}, got 4\n"
+
     def test_missing_replay_file_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["witness", "--replay", str(tmp_path / "absent.json")]
@@ -386,6 +397,18 @@ class TestDemoHensel:
         assert time.perf_counter() - start < 5
         assert code == 1
         assert "conditions fail" in out
+
+    def test_d_outside_2_3_exits_4_before_expansion(self, capsys):
+        # g_4 breaks the quotient shape, so expanding it to t = 200 would
+        # exhaust the depth cap (exit 3) before d was looked at
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "4", "--p", "7", "--n0", "2", "--t", "200"],
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == "invalid input: certificates exist for d in {2, 3}, got 4\n"
 
     def test_failing_conditions_exit_1(self, capsys):
         code, out, _ = run_cli(

@@ -11,22 +11,27 @@ import mahlercf
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# (script, argv) -> test id; the first run of each script keeps its bare name
 SCRIPT_ARGV = {
-    "beta_survey.py": ["--d", "3", "--n", "20"],
-    "quotient_growth.py": [],
-    "reproduce_table.py": ["--p-max", "13", "--t-bound", "40", "--all-hits"],
-    "check_references.py": ["--help"],
+    ("beta_survey.py", ("--d", "3", "--n", "20")): "beta_survey.py",
+    ("quotient_growth.py", ()): "quotient_growth.py",
+    ("reproduce_table.py", ("--p-max", "13", "--t-bound", "40", "--all-hits")):
+        "reproduce_table.py",
+    ("reproduce_table.py", ("--p-max", "13", "--t-bound", "40", "--csv")):
+        "reproduce_table.py-csv",
+    ("check_references.py", ("--help",)): "check_references.py",
 }
+RUNS = sorted(SCRIPT_ARGV)
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPT_ARGV))
-def test_script_runs(script):
+@pytest.mark.parametrize("script, argv", RUNS, ids=[SCRIPT_ARGV[run] for run in RUNS])
+def test_script_runs(script, argv):
     src = str(Path(mahlercf.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *SCRIPT_ARGV[script]],
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
