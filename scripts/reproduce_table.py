@@ -6,6 +6,7 @@ list every later (t, residue) pair so externally quoted rows can be located
 even when they are not the first hit in their orbit."""
 
 import argparse
+import sys
 
 from mahlercf.padic import enumerate_orbit_hits, orbit_table, orbit_table_csv, prime_range
 
@@ -27,7 +28,7 @@ def main() -> int:
 
     rows = orbit_table(primes, args.t_bound, include_missing=True)
     if args.csv:
-        print(orbit_table_csv(rows), end="")
+        sys.stdout.writelines(orbit_table_csv(rows))
     else:
         for row in rows:
             classes = ", ".join(f"+-{c}" for c in row.a_classes)

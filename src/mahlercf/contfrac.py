@@ -175,7 +175,7 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     floor = u.floor
     # Shift every known coefficient up into an honest polynomial pair:
     # u = N / x^{-floor} with N collecting degrees floor..top.
-    num = RatPoly({deg - floor: c for deg, c in u.coeffs.items()})
+    num = RatPoly.from_int_coeffs({deg - floor: c for deg, c in u.int_coeffs().items()}, u.scale)
     den = RatPoly.monomial(-floor)
     quotients = _euclid_chain(num, den, n, certify_degree=-floor)
     if len(quotients) <= n:
@@ -253,9 +253,8 @@ def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int
         if conv.rate is None:
             break
         floor = max(u.floor, -(2 * int(conv.q.degree()) + conv.rate))
-        local = TruncatedLaurentSeries({k: c for k, c in u.coeffs.items() if k >= floor}, floor)
         try:
-            measured = rate_of_approximation(local, conv.p, conv.q)
+            measured = rate_of_approximation(u.truncate(floor), conv.p, conv.q)
         except InsufficientPrecision:
             measured = rate_of_approximation(u, conv.p, conv.q)
         if measured != conv.rate:

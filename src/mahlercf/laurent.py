@@ -20,6 +20,11 @@ d^t > -floor cannot touch degrees >= floor, so the product is finite.
 
 A rational function p/q enters through ``from_fraction`` as an ordinary
 truncation.
+
+A series is stored like a ``RatPoly``: one rational scale times a primitive
+integer map (content 1, top coefficient positive), and every operation runs
+on the integer kernel of ``polys``.  Negation is a change of scale; a sum, a
+truncation and a floored product take one content pass.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (
     InvalidParameter,
     MismatchAt,
 )
-from .polys import RatPoly, _add, _divide, _mul, _render_terms
+from .polys import RatPoly, _add, _divide, _mul, _normal, _primitive, _render_terms
 
 _Scalar = Union[int, Fraction]
 
@@ -43,14 +48,16 @@ FUNCEQ_FLOOR_BOUND = 100_000  # deepest verify_functional_equations floor: ~6 s,
 
 
 class TruncatedLaurentSeries:
-    """Finitely many exact coefficients of a Laurent series in x^{-1}."""
+    """Finitely many exact coefficients of a Laurent series in x^{-1}, stored
+    like ``RatPoly``: a rational scale times a primitive integer map with a
+    positive top coefficient."""
 
-    __slots__ = ("_coeffs", "_floor")
+    __slots__ = ("_scale", "_ints", "_floor")
 
     def __init__(self, coeffs: Mapping[int, _Scalar], floor: int):
         if not isinstance(floor, int):
             raise InvalidParameter(f"floor must be an integer, got {floor!r}")
-        clean: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
         for deg, c in coeffs.items():
             if not isinstance(deg, int):
                 raise InvalidParameter(f"invalid degree {deg!r}")
@@ -58,9 +65,16 @@ class TruncatedLaurentSeries:
                 raise InvalidParameter(f"stored degree {deg} below floor {floor}")
             frac = c if isinstance(c, Fraction) else Fraction(c)
             if frac != 0:
-                clean[deg] = frac
-        self._coeffs = clean
+                terms[deg] = frac
+        self._scale, self._ints = _normal(terms)
         self._floor = floor
+
+    @classmethod
+    def _of(cls, scale: Fraction, ints: dict[int, int], floor: int) -> "TruncatedLaurentSeries":
+        """The series scale * ints down to floor, for a map in normal form."""
+        series = object.__new__(cls)
+        series._scale, series._ints, series._floor = scale, ints, floor
+        return series
 
     # -- queries ------------------------------------------------------
 
@@ -70,19 +84,29 @@ class TruncatedLaurentSeries:
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        return {deg: self._scale * c for deg, c in self._ints.items()}
+
+    @property
+    def scale(self) -> Fraction:
+        """The rational factor in front of ``int_coeffs()``."""
+        return self._scale
+
+    def int_coeffs(self) -> dict[int, int]:
+        """The stored primitive integer map itself, not a copy: callers must
+        not mutate it."""
+        return self._ints
 
     def degree(self) -> int | None:
         """Largest degree with a nonzero coefficient, or None when all known
         coefficients vanish (true degree may hide below the floor)."""
-        return max(self._coeffs) if self._coeffs else None
+        return max(self._ints) if self._ints else None
 
     def coeff(self, degree: int) -> Fraction:
         if degree < self._floor:
             raise InsufficientPrecision(
                 f"coefficient at degree {degree} is below the floor {self._floor}"
             )
-        return self._coeffs.get(degree, Fraction(0))
+        return self._scale * self._ints.get(degree, 0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -90,14 +114,23 @@ class TruncatedLaurentSeries:
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
         floor = max(self._floor, other._floor)
-        total = _add(self._coeffs, other._coeffs)
-        return TruncatedLaurentSeries({k: c for k, c in total.items() if k >= floor}, floor)
+        a, b = self.truncate(floor), other.truncate(floor)
+        return TruncatedLaurentSeries._of(*_add(a._scale, a._ints, b._scale, b._ints), floor)
 
     def __sub__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
         return self + other.negate()
 
     def negate(self) -> "TruncatedLaurentSeries":
-        return TruncatedLaurentSeries({deg: -c for deg, c in self._coeffs.items()}, self._floor)
+        return TruncatedLaurentSeries._of(-self._scale, self._ints, self._floor)
+
+    def truncate(self, floor: int) -> "TruncatedLaurentSeries":
+        """The same series known only down to floor (>= self.floor)."""
+        if floor < self._floor:
+            raise InsufficientPrecision(f"cannot truncate below the floor {self._floor}: {floor}")
+        if floor == self._floor:
+            return self
+        content, ints = _primitive({k: c for k, c in self._ints.items() if k >= floor})
+        return TruncatedLaurentSeries._of(self._scale * content, ints, floor)
 
     def mul_laurent(self, poly: Mapping[int, _Scalar]) -> "TruncatedLaurentSeries":
         """Multiply by an exactly-known Laurent polynomial (degree -> coeff).
@@ -110,20 +143,22 @@ class TruncatedLaurentSeries:
         if not terms:
             return TruncatedLaurentSeries({}, self._floor)
         floor = self._floor + max(terms)
-        return TruncatedLaurentSeries(_mul(self._coeffs, terms, floor), floor)
+        scale, ints = _normal(terms)
+        content, product = _primitive(_mul(self._ints, ints, floor))
+        return TruncatedLaurentSeries._of(self._scale * scale * content, product, floor)
 
     def shift(self, offset: int) -> "TruncatedLaurentSeries":
         """Multiply by x^offset (exact monomial: floor moves by offset)."""
-        return TruncatedLaurentSeries(
-            {deg + offset: c for deg, c in self._coeffs.items()}, self._floor + offset
+        return TruncatedLaurentSeries._of(
+            self._scale, {deg + offset: c for deg, c in self._ints.items()}, self._floor + offset
         )
 
     def substitute_power(self, d: int) -> "TruncatedLaurentSeries":
         """Return the series with x replaced by x^d; floor becomes d*floor."""
         if not isinstance(d, int) or d < 1:
             raise InvalidParameter(f"substitution power must be a positive integer, got {d!r}")
-        return TruncatedLaurentSeries(
-            {deg * d: c for deg, c in self._coeffs.items()}, self._floor * d
+        return TruncatedLaurentSeries._of(
+            self._scale, {deg * d: c for deg, c in self._ints.items()}, self._floor * d
         )
 
     # -- identity -----------------------------------------------------
@@ -131,10 +166,10 @@ class TruncatedLaurentSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
-        return self._floor == other._floor and self._coeffs == other._coeffs
+        return (self._floor, self._scale, self._ints) == (other._floor, other._scale, other._ints)
 
     def __hash__(self) -> int:
-        return hash((self._floor, frozenset(self._coeffs.items())))
+        return hash((self._floor, self._scale, frozenset(self._ints.items())))
 
     # -- construction from rational functions ---------------------------
 
@@ -143,17 +178,18 @@ class TruncatedLaurentSeries:
         """Expand the rational function p/q as a Laurent series down to floor."""
         if q.is_zero():
             raise DivisionByZeroPoly("fraction with zero denominator")
-        return cls(_divide(p.coeffs, q.coeffs, floor)[0], floor)
+        scale, ints, _, _ = _divide(p.int_coeffs(), q.int_coeffs(), floor)
+        return cls._of(p.scale / q.scale * scale, ints, floor)
 
     # -- rendering ----------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TruncatedLaurentSeries(floor={self._floor}, terms={len(self._coeffs)})"
+        return f"TruncatedLaurentSeries(floor={self._floor}, terms={len(self._ints)})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._ints:
             return f"0 (down to x^{self._floor})"
-        return _render_terms(self._coeffs) + f"  (exact down to x^{self._floor})"
+        return _render_terms(self._scale, self._ints) + f"  (exact down to x^{self._floor})"
 
 
 def generate(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:
@@ -179,12 +215,13 @@ def _generate_f(d: int, floor: int) -> TruncatedLaurentSeries:
     dropping degrees below floor after each product is sound."""
     if floor > 0:
         raise InvalidParameter(f"floor must be <= 0, got {floor}")
-    coeffs = {0: Fraction(1)}
+    ints = {0: 1}
     power = 1
     while power <= -floor:
-        coeffs = _mul(coeffs, {0: Fraction(1), -power: Fraction(-1)}, floor)
+        ints = _mul(ints, {0: 1, -power: -1}, floor)
         power *= d
-    return TruncatedLaurentSeries(coeffs, floor)
+    # The top term stays 1 at degree 0, so the map is primitive as it stands.
+    return TruncatedLaurentSeries._of(Fraction(1), ints, floor)
 
 
 def partial_product(d: int, k: int) -> tuple[RatPoly, RatPoly]:
@@ -271,7 +308,7 @@ def _compare_series(a: TruncatedLaurentSeries, b: TruncatedLaurentSeries, floor:
         top_b if top_b is not None else floor,
         0,
     )
-    mismatches = [k for k in (a - b).coeffs if k >= floor]
+    mismatches = [k for k in (a - b).int_coeffs() if k >= floor]
     if mismatches:
         raise MismatchAt(max(mismatches))
     return top - floor + 1

@@ -225,24 +225,21 @@ def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
     return cached[: t_max + 1]
 
 
-def _unit_scale(qt: IntPolyWithContent, p: int) -> bool:
-    return qt.scale.numerator % p != 0 and qt.scale.denominator % p != 0
-
-
-def _at_1(qt: IntPolyWithContent) -> tuple[int, int]:
-    """(q_t(1), q_t'(1)) over the integer coefficients of q_t."""
-    coeffs = qt.int_coeffs()
-    return sum(coeffs.values()), sum(deg * c for deg, c in coeffs.items())
+def _at_1(qt: IntPolyWithContent) -> tuple[int, int, int, int]:
+    """(q_t(1), q_t'(1), num, den) with num/den the scale of q_t: all that
+    the root map reads of q_t, as integers that do not depend on p."""
+    coeffs, scale = qt.int_coeffs(), qt.scale
+    slope = sum(deg * c for deg, c in coeffs.items())
+    return sum(coeffs.values()), slope, scale.numerator, scale.denominator
 
 
 def _roots(
-    denominators: list[IntPolyWithContent], at_1: list[tuple[int, int]], p: int, d: int,
-    t_bound: int,
+    at_1: list[tuple[int, int, int, int]], p: int, d: int, t_bound: int
 ) -> tuple[list[tuple[int, int]], list[int], int, int]:
     """The root map of one prime: (hits, everywhere, usable, scale_skips).
 
     Only t <= t_bound whose q_t has a unit scale at p are usable (even t only
-    when d != 2); ``at_1[t]`` is ``_at_1(denominators[t])``.  hits are the
+    when d != 2); ``at_1[t]`` is ``_at_1(q_t)``.  hits are the
     (t, 1 + cp) with q_t'(1) a unit mod p, p | q_t(1) and c != 0, ordered by
     t; everywhere are the t with p | q_t'(1) whose q_t vanishes at every
     1-unit; scale_skips counts the t skipped for their scale."""
@@ -251,11 +248,11 @@ def _roots(
     usable = scale_skips = 0
     step = 1 if d == 2 else 2
     for t in range(step, t_bound + 1, step):
-        if not _unit_scale(denominators[t], p):
+        value, slope, num, den = at_1[t]
+        if num % p == 0 or den % p == 0:
             scale_skips += 1
             continue
         usable += 1
-        value, slope = at_1[t]
         if slope % p == 0:
             if value % p2 == 0:
                 everywhere.append(t)
@@ -361,7 +358,8 @@ def check_conditions(
         raise InvalidParameter("need n0 >= 1 and t >= 1")
     if p < 1:
         raise InvalidParameter(f"need p >= 1, got {p}")
-    if not _unit_scale(qt, p):
+    _, slope, num, den = _at_1(qt)
+    if num % p == 0 or den % p == 0:
         raise ScaleNotInvertible(
             f"normalization scale {qt.scale} of q_{t} is not a unit at p={p}"
         )
@@ -378,7 +376,7 @@ def check_conditions(
     parity_ok = (t % 2 == 0) if d == 3 else True
     c3 = parity_ok and qt_value == 0
 
-    qt_derivative_at_1 = _at_1(qt)[1] % p
+    qt_derivative_at_1 = slope % p
     c4 = qt_derivative_at_1 != 0
 
     return ConditionCheck(
@@ -449,7 +447,7 @@ class SearchDiagnostics:
 
 def _search_one_prime(
     a: int, d: int, p: int, n0_bound: int, t_bound: int,
-    denominators: list[IntPolyWithContent], at_1: list[tuple[int, int]],
+    denominators: list[IntPolyWithContent], at_1: list[tuple[int, int, int, int]],
     diag: SearchDiagnostics,
 ) -> BadApproxWitness | None:
     """Scan (n0, t) lexicographically for one prime; None if nothing passes.
@@ -458,7 +456,7 @@ def _search_one_prime(
     least t it is the root of.  The t before it whose q_t vanishes
     everywhere count as roots without c4."""
     p2 = p * p
-    hits, everywhere, usable, scale_skips = _roots(denominators, at_1, p, d, t_bound)
+    hits, everywhere, usable, scale_skips = _roots(at_1, p, d, t_bound)
     diag.scale_skips += scale_skips
     first_t = {root: t for t, root in reversed(hits)}  # the least t per root
 
@@ -657,27 +655,38 @@ def orbit_table(
     primes = [int(p) for p in primes]
     for p in primes:
         _check_orbit_prime(p, d)
-    denominators = convergent_denominators(d, t_bound)
-    at_1 = [_at_1(qt) for qt in denominators]
+    at_1 = [_at_1(qt) for qt in convergent_denominators(d, t_bound)]
     rows: list[OrbitRow] = []
+    rows_of: dict[int, list[OrbitRow]] = {}  # a prime listed twice is walked once
     for p in primes:
-        least = [0] * p  # least[c]: the least member of the orbit of c
-        starts = []
-        for start in range(1, p):
-            if least[start]:
-                continue
-            starts.append(start)
-            c = start
-            while not least[c]:
-                least[c] = start
-                c = c * d % p
-        hits = _roots(denominators, at_1, p, d, t_bound)[0]
-        first = {least[root // p]: (t, root) for t, root in reversed(hits)}
-        for start in starts:
-            if start in first or include_missing:
-                t, root = first.get(start, (None, None))
-                rows.append(OrbitRow(p=p, t=t, residue=root, start=1 + start * p, d=d))
+        if p not in rows_of:
+            rows_of[p] = _orbit_rows(at_1, p, d, t_bound, include_missing)
+        rows.extend(rows_of[p])
     rows.sort(key=lambda r: (r.p, r.t if r.t is not None else 10**9))
+    return rows
+
+
+def _orbit_rows(
+    at_1: list[tuple[int, int, int, int]], p: int, d: int, t_bound: int, include_missing: bool
+) -> list[OrbitRow]:
+    """The rows of one prime, in the order of their least members."""
+    least = [0] * p  # least[c]: the least member of the orbit of c
+    starts = []
+    for start in range(1, p):
+        if least[start]:
+            continue
+        starts.append(start)
+        c = start
+        while not least[c]:
+            least[c] = start
+            c = c * d % p
+    hits = _roots(at_1, p, d, t_bound)[0]
+    first = {least[root // p]: (t, root) for t, root in reversed(hits)}
+    rows = []
+    for start in starts:
+        if start in first or include_missing:
+            t, root = first.get(start, (None, None))
+            rows.append(OrbitRow(p=p, t=t, residue=root, start=1 + start * p, d=d))
     return rows
 
 
@@ -691,17 +700,16 @@ def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, in
     earlier t serves the same orbit."""
     p = int(p)
     _check_orbit_prime(p, d)
-    denominators = convergent_denominators(d, t_bound)
-    return _roots(denominators, [_at_1(qt) for qt in denominators], p, d, t_bound)[0]
+    return _roots([_at_1(qt) for qt in convergent_denominators(d, t_bound)], p, d, t_bound)[0]
 
 
-def orbit_table_csv(rows: list[OrbitRow]) -> str:
-    """CSV rendering: p, t, residue, a_classes (+/- compressed)."""
-    lines = ["p,t,residue,a_classes"]
+def orbit_table_csv(rows: list[OrbitRow]) -> Iterator[str]:
+    """CSV rendering, one newline-terminated line at a time, so that a table
+    is printed as it is rendered: p, t, residue, a_classes (+/- compressed)."""
+    yield "p,t,residue,a_classes\n"
     for r in rows:
         classes = " ".join(f"+-{c}" for c in r.a_classes)
-        lines.append(
+        yield (
             f"{r.p},{r.t if r.t is not None else ''},"
-            f"{r.residue if r.residue is not None else ''},{classes}"
+            f"{r.residue if r.residue is not None else ''},{classes}\n"
         )
-    return "\n".join(lines) + "\n"

@@ -1,12 +1,15 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are stored sparsely (degree -> nonzero Fraction).  The zero
-polynomial is the empty map and its degree is the sentinel ``NEG_INF`` so
-that degree comparisons never collide with genuine (possibly negative)
-degrees elsewhere in the package.
+A polynomial is stored as one rational scale times a primitive integer
+coefficient map (degree -> nonzero int): the map has content 1 and a
+positive leading coefficient, so every value has exactly one stored form,
+the form ``IntPolyWithContent`` spells out.  The zero polynomial is the
+empty map with scale 0; its degree is the sentinel ``NEG_INF`` so that
+degree comparisons never collide with genuine (possibly negative) degrees
+elsewhere in the package.  ``coeffs`` and ``coeff`` answer in ``Fraction``s.
 
 All values are immutable after construction; every operation returns a new
-polynomial.
+polynomial.  Values may share an integer map, which is never mutated.
 """
 
 from __future__ import annotations
@@ -34,20 +37,29 @@ def _as_fraction(value: _Scalar) -> Fraction:
 
 
 class RatPoly:
-    """Sparse polynomial with ``Fraction`` coefficients and degrees >= 0."""
+    """Polynomial with rational coefficients and degrees >= 0, stored as
+    ``scale`` times a primitive integer map with a positive leading
+    coefficient."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_scale", "_ints")
 
     def __init__(self, coeffs: Mapping[int, _Scalar] | None = None):
-        clean: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
         if coeffs:
             for deg, c in coeffs.items():
                 if not isinstance(deg, int) or deg < 0:
                     raise InvalidParameter(f"invalid degree {deg!r}")
                 frac = _as_fraction(c)
                 if frac != 0:
-                    clean[deg] = frac
-        self._coeffs = clean
+                    terms[deg] = frac
+        self._scale, self._ints = _normal(terms)
+
+    @classmethod
+    def _of(cls, scale: Fraction, ints: dict[int, int]) -> "RatPoly":
+        """The polynomial scale * ints, for a map already in normal form."""
+        poly = object.__new__(cls)
+        poly._scale, poly._ints = scale, ints
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -90,26 +102,45 @@ class RatPoly:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"bad polynomial text {text!r}: {exc}") from exc
 
+    @classmethod
+    def from_int_coeffs(cls, ints: Mapping[int, int], scale: _Scalar = 1) -> "RatPoly":
+        """scale * ints, for a map of degrees >= 0 to nonzero integers of any
+        content; one gcd pass brings it to normal form."""
+        if ints and min(ints) < 0:
+            raise InvalidParameter(f"invalid degree {min(ints)!r}")
+        content, prim = _primitive(dict(ints))
+        return cls._of(_as_fraction(scale) * content, prim) if scale else cls()
+
     # -- queries ------------------------------------------------------
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        return {deg: self._scale * c for deg, c in self._ints.items()}
+
+    @property
+    def scale(self) -> Fraction:
+        """The rational factor in front of ``int_coeffs()``."""
+        return self._scale
+
+    def int_coeffs(self) -> dict[int, int]:
+        """The stored primitive integer map itself, not a copy: callers must
+        not mutate it."""
+        return self._ints
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     def degree(self) -> int | float:
         """Maximum stored degree; NEG_INF for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else NEG_INF
+        return max(self._ints) if self._ints else NEG_INF
 
     def coeff(self, degree: int) -> Fraction:
-        return self._coeffs.get(degree, Fraction(0))
+        return self._scale * self._ints.get(degree, 0)
 
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._ints:
             return Fraction(0)
-        return self._coeffs[max(self._coeffs)]
+        return self._scale * self._ints[max(self._ints)]
 
     def monic(self) -> "RatPoly":
         lc = self.leading_coefficient()
@@ -120,12 +151,13 @@ class RatPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
-        return RatPoly(_add(self._coeffs, self._coerce(other)._coeffs))
+        other = self._coerce(other)
+        return RatPoly._of(*_add(self._scale, self._ints, other._scale, other._ints))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly({deg: -c for deg, c in self._coeffs.items()})
+        return RatPoly._of(-self._scale, self._ints)
 
     def __sub__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
         return self + (-self._coerce(other))
@@ -138,8 +170,11 @@ class RatPoly:
             scalar = _as_fraction(other)
             if scalar == 0:
                 return RatPoly.zero()
-            return RatPoly({deg: c * scalar for deg, c in self._coeffs.items()})
-        return RatPoly(_mul(self._coeffs, self._coerce(other)._coeffs))
+            return RatPoly._of(self._scale * scalar, self._ints)
+        other = self._coerce(other)
+        # Gauss's lemma: a product of primitive maps is primitive, and the
+        # product of positive leading coefficients is positive.
+        return RatPoly._of(self._scale * other._scale, _mul(self._ints, other._ints))
 
     __rmul__ = __mul__
 
@@ -156,37 +191,50 @@ class RatPoly:
             other = RatPoly.constant(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._scale == other._scale and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        if self.degree() in (0, NEG_INF):
+            # equal to its value as a number, so it hashes as that number
+            return hash(self.coeff(0))
+        return hash((self._scale, frozenset(self._ints.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._ints)
 
     # -- rendering ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"coeffs": {str(deg): str(c) for deg, c in sorted(self._coeffs.items())}}
+        num, den = self._scale.numerator, self._scale.denominator
+        coeffs = {str(deg): _ratio_text(num * c, den) for deg, c in sorted(self._ints.items())}
+        return {"coeffs": coeffs}
 
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"
 
     def __str__(self) -> str:
-        return _render_terms(self._coeffs) if self._coeffs else "0"
+        return _render_terms(self._scale, self._ints) if self._ints else "0"
 
 
-def _render_terms(coeffs: Mapping[int, Fraction]) -> str:
-    """Render a nonempty coefficient map as "x^2 - 1/2*x + 3", top degree first."""
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _render_terms(scale: Fraction, ints: Mapping[int, int]) -> str:
+    """Render scale * ints, a nonempty map, as "x^2 - 1/2*x + 3", top degree
+    first."""
+    num, den = scale.numerator, scale.denominator
     out = ""
-    for deg in sorted(coeffs, reverse=True):
-        c = coeffs[deg]
-        mag = abs(c)
+    for deg in sorted(ints, reverse=True):
+        c = num * ints[deg]
+        mag = _ratio_text(abs(c), den)
         if deg == 0:
-            body = str(mag)
+            body = mag
         else:
             var = "x" if deg == 1 else f"x^{deg}"
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = var if mag == "1" else f"{mag}*{var}"
         if not out:
             out = ("-" if c < 0 else "") + body
         else:
@@ -197,68 +245,134 @@ def _render_terms(coeffs: Mapping[int, Fraction]) -> str:
 # -- the arithmetic kernel ------------------------------------------------
 #
 # Every sum, product and long division in the package, of polynomials and
-# of truncated Laurent series alike, runs through these three loops over
-# sparse coefficient maps (degree -> nonzero Fraction; degrees may be
-# negative): _add, _mul and _divide.
+# of truncated Laurent series alike, runs through three loops over integer
+# coefficient maps (degree -> nonzero int; degrees may be negative): _add,
+# _mul and _divide.  A value is a rational scale times a primitive map whose
+# top coefficient is positive.  Products of such maps are again primitive
+# (Gauss's lemma); sums, truncations and division steps take one content
+# pass (_primitive), and rescalings touch only the scale.
 
 
-def _add(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """The sum of two coefficient maps, without the terms that cancel."""
-    out = dict(a)
+def _primitive(ints: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(content, ints / content) with the content signed so that the top
+    coefficient of the quotient map is positive; (0, ints) for the empty
+    map.  ints holds no zero and is not mutated."""
+    if not ints:
+        return 0, ints
+    content = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        content = -content
+    if content != 1:
+        ints = {deg: c // content for deg, c in ints.items()}
+    return content, ints
+
+
+def _from_ratios(terms: Iterable[tuple[int, int, int]]) -> tuple[Fraction, dict[int, int]]:
+    """(scale, primitive map) of the map deg -> num/den, given as the triples
+    (deg, num, den) with num != 0 and den > 0, not necessarily in lowest
+    terms."""
+    terms = list(terms)
+    if not terms:
+        return _ZERO, {}
+    common = math.lcm(*(den for _, _, den in terms))
+    content, ints = _primitive({deg: num * (common // den) for deg, num, den in terms})
+    return Fraction(content, common), ints
+
+
+def _normal(terms: Mapping[int, Fraction]) -> tuple[Fraction, dict[int, int]]:
+    """(scale, primitive map) of a map of nonzero Fractions."""
+    return _from_ratios((deg, c.numerator, c.denominator) for deg, c in terms.items())
+
+
+def _add(
+    sa: Fraction, a: dict[int, int], sb: Fraction, b: dict[int, int]
+) -> tuple[Fraction, dict[int, int]]:
+    """The sum sa*a + sb*b of two values in normal form, in normal form."""
+    if not a:
+        return sb, b
+    if not b:
+        return sa, a
+    # sa*a + sb*b = (sb/v) * (u*a + v*b) with u/v = sa/sb in lowest terms
+    ratio = sa / sb
+    u, v = ratio.numerator, ratio.denominator
+    out = {deg: u * c for deg, c in a.items()}
     for deg, c in b.items():
-        s = out.get(deg, _ZERO) + c
+        s = out.get(deg, 0) + v * c
         if s:
             out[deg] = s
         else:
-            out.pop(deg, None)
-    return out
+            del out[deg]
+    if not out:
+        return _ZERO, out
+    content, out = _primitive(out)
+    return sb * Fraction(content, v), out
 
 
-def _mul(
-    a: Mapping[int, Fraction], b: Mapping[int, Fraction], floor: int | None = None
-) -> dict[int, Fraction]:
-    """The product of two coefficient maps, without its terms below floor."""
-    out: dict[int, Fraction] = {}
+def _mul(a: Mapping[int, int], b: Mapping[int, int], floor: int | None = None) -> dict[int, int]:
+    """The product of two integer maps, without its terms below floor."""
+    if len(a) > len(b):
+        a, b = b, a
+    if floor is None:
+        floor = min(a, default=0) + min(b, default=0)
+    out: dict[int, int] = {}
     for d1, c1 in a.items():
+        if not out:
+            out = {d1 + d2: c1 * c2 for d2, c2 in b.items() if d1 + d2 >= floor}
+            continue
         for d2, c2 in b.items():
             deg = d1 + d2
-            if floor is not None and deg < floor:
-                continue
-            prev = out.get(deg)
-            out[deg] = c1 * c2 if prev is None else prev + c1 * c2
+            if deg >= floor:
+                out[deg] = out.get(deg, 0) + c1 * c2
     return {deg: c for deg, c in out.items() if c}
 
 
 def _divide(
-    num: Mapping[int, Fraction], den: Mapping[int, Fraction], stop: int
-) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """Top-down long division of coefficient maps: (quotient, remainder) with
-    num == quotient*den + remainder, where the quotient holds every term of
-    degree >= stop and the remainder has no term above stop + deg(den) - 1.
-    With stop = 0 this is Euclidean division of polynomials; with a negative
-    stop it expands num/den as a Laurent series down to x^stop."""
+    num: Mapping[int, int], den: Mapping[int, int], stop: int
+) -> tuple[Fraction, dict[int, int], Fraction, dict[int, int]]:
+    """Top-down pseudo-division of integer maps, den with a positive top
+    coefficient: (qs, quo, rs, rem) in normal form with
+    num == qs*quo*den + rs*rem, where quo holds every term of degree >= stop
+    and rem has no term above stop + deg(den) - 1.  With stop = 0 this is
+    Euclidean division of polynomials; with a negative stop it expands
+    num/den as a Laurent series down to x^stop.
+
+    Each step scales the remainder by lc/gcd(lc, top) instead of dividing
+    by lc, and a content pass keeps its integers primitive."""
     if not den:
         raise DivisionByZeroPoly("division by the zero coefficient map")
     e = max(den)
     lc = den[e]
     lower = [(deg, c) for deg, c in den.items() if deg != e]
     rem = dict(num)
-    quo: dict[int, Fraction] = {}
+    sn, sd = 1, 1  # num == (quotient so far)*den + (sn/sd)*rem
+    quo: list[tuple[int, int, int]] = []
     while rem:
         top = max(rem)
         k = top - e
         if k < stop:
             break
-        factor = rem.pop(top) / lc
-        quo[k] = factor
+        t = rem.pop(top)
+        g = math.gcd(t, lc)
+        t, m = t // g, lc // g
+        quo.append((k, sn * t, sd * m))
+        if m != 1:
+            rem = {deg: c * m for deg, c in rem.items()}
         for deg, c in lower:
             target = deg + k
-            s = rem.get(target, _ZERO) - factor * c
+            s = rem.get(target, 0) - t * c
             if s:
                 rem[target] = s
             else:
                 del rem[target]
-    return quo, rem
+        if m != 1:
+            content = math.gcd(*rem.values()) if rem else 1
+            if content != 1:
+                rem = {deg: c // content for deg, c in rem.items()}
+            g = math.gcd(sn * content, sd * m)
+            sn, sd = sn * content // g, sd * m // g
+    qs, quo_ints = _from_ratios(quo)
+    content, rem = _primitive(rem)
+    return qs, quo_ints, Fraction(sn * content, sd), rem
 
 
 @dataclass(frozen=True)
@@ -290,33 +404,23 @@ def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
     """Euclidean division: a = q*b + r with deg r < deg b."""
     if b.is_zero():
         raise DivisionByZeroPoly("polynomial division by zero")
-    quo, rem = _divide(a._coeffs, b._coeffs, 0)
-    return RatPoly(quo), RatPoly(rem)
+    qs, quo, rs, rem = _divide(a._ints, b._ints, 0)
+    return RatPoly._of(a._scale / b._scale * qs, quo), RatPoly._of(a._scale * rs, rem)
 
 
 def poly_substitute_power(q: RatPoly, d: int) -> RatPoly:
     """Return q(x^d): every degree is multiplied by d."""
     if not isinstance(d, int) or d < 1:
         raise InvalidParameter(f"substitution power must be a positive integer, got {d!r}")
-    return RatPoly({deg * d: c for deg, c in q.coeffs.items()})
+    return RatPoly._of(q._scale, {deg * d: c for deg, c in q._ints.items()})
 
 
 def poly_normalize_integer(q: RatPoly) -> IntPolyWithContent:
-    """Split q into (scale, primitive integer polynomial with lc > 0)."""
+    """Split q into (scale, primitive integer polynomial with lc > 0): the
+    stored form itself."""
     if q.is_zero():
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    coeffs = q.coeffs
-    denom_lcm = 1
-    for c in coeffs.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = {deg: int(c * denom_lcm) for deg, c in coeffs.items()}
-    content = 0
-    for v in ints.values():
-        content = math.gcd(content, abs(v))
-    sign = 1 if ints[max(ints)] > 0 else -1
-    divisor = sign * content
-    primitive = {deg: v // divisor for deg, v in ints.items()}
-    return IntPolyWithContent(coeffs=primitive, scale=Fraction(divisor, denom_lcm))
+    return IntPolyWithContent(coeffs=q._ints, scale=q._scale)
 
 
 def poly_eval_mod(q: IntPolyWithContent | Mapping[int, int], r: int, m: int) -> int:

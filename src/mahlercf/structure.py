@@ -50,12 +50,10 @@ def _is_multiple(numerator: RatPoly, divisor: RatPoly) -> bool:
 
 def _undo_power(p: RatPoly, d: int) -> RatPoly | None:
     """Inverse of substituting x -> x^d, or None if p is not a polynomial in x^d."""
-    out: dict[int, Fraction] = {}
-    for deg, c in p.coeffs.items():
-        if deg % d != 0:
-            return None
-        out[deg // d] = c
-    return RatPoly(out)
+    ints = p.int_coeffs()
+    if any(deg % d for deg in ints):
+        return None
+    return RatPoly.from_int_coeffs({deg // d: c for deg, c in ints.items()}, p.scale)
 
 
 # ---------------------------------------------------------------------------

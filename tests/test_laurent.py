@@ -83,6 +83,12 @@ class TestFloorAlgebra:
         with pytest.raises(InsufficientPrecision):
             series.coeff(-11)
 
+    def test_truncate_below_the_floor_raises(self):
+        series = generate(2, "F", -10)
+        assert series.truncate(-10) is series
+        with pytest.raises(InsufficientPrecision):
+            series.truncate(-11)
+
     def test_add_takes_max_floor(self):
         a = generate(2, "F", -20)
         b = generate(2, "F", -10)

@@ -1,7 +1,9 @@
 """Primes, witness conditions, searches, orbit table, lifting."""
 
+import itertools
 import json
 from bisect import bisect_left
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -202,7 +204,8 @@ class TestConditions:
     def test_derivative_at_1_matches_the_derivative_polynomial(self):
         for d in (2, 3):
             for t, qt in enumerate(convergent_denominators(d, 60)):
-                value, slope = padic._at_1(qt)
+                value, slope, num, den = padic._at_1(qt)
+                assert Fraction(num, den) == qt.scale
                 for p in (3, 5, 7, 11, 13, 43):
                     expected = poly_eval_mod(derivative_map(qt.int_coeffs()), 1, p)
                     assert (value % p, slope % p) == (poly_eval_mod(qt, 1, p), expected)
@@ -459,10 +462,33 @@ class TestOrbitTable:
 
     def test_csv_shape(self):
         rows = orbit_table([3, 5], 50)
-        csv_text = orbit_table_csv(rows)
-        lines = csv_text.strip().split("\n")
+        lines = list(orbit_table_csv(rows))
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        lines = [line.rstrip("\n") for line in lines]
         assert lines[0] == "p,t,residue,a_classes"
         assert lines[1] == "3,9,7,+-2 +-4"
+
+    def test_csv_is_rendered_line_by_line(self):
+        # the lines come out one at a time, so an endless row source still
+        # yields its first lines
+        lines = orbit_table_csv(itertools.repeat(orbit_table([3], 50)[0]))
+        assert [next(lines) for _ in range(3)] == [
+            "p,t,residue,a_classes\n", "3,9,7,+-2 +-4\n", "3,9,7,+-2 +-4\n"]
+
+    def test_a_prime_listed_twice_is_walked_once(self, monkeypatch):
+        walked = []
+        orbit_rows = padic._orbit_rows
+
+        def recording(at_1, p, *rest):
+            walked.append(p)
+            return orbit_rows(at_1, p, *rest)
+
+        monkeypatch.setattr(padic, "_orbit_rows", recording)
+        rows = orbit_table([7, 5, 7], 60, include_missing=True)
+        assert walked == [7, 5]
+        once = {p: orbit_table([p], 60, include_missing=True) for p in (5, 7)}
+        listed = [*once[7], *once[5], *once[7]]
+        assert rows == sorted(listed, key=lambda r: (r.p, r.t if r.t is not None else 10**9))
 
     def test_include_missing_marks_row(self):
         rows = orbit_table([3], 5, include_missing=True)

@@ -1,5 +1,7 @@
-"""Exact sparse polynomial arithmetic: ring laws, division, modular evaluation."""
+"""Exact sparse polynomial arithmetic: ring laws, the integer kernel,
+division, modular evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from mahlercf.polys import (
     _add,
     _divide,
     _mul,
+    _primitive,
     poly_divmod,
     poly_eval_mod,
     poly_normalize_integer,
@@ -38,9 +41,37 @@ def rat_polys(draw, max_degree=6):
     return RatPoly(coeffs)
 
 
-laurent_maps = st.dictionaries(
-    st.integers(min_value=-8, max_value=4), small_coeff.filter(lambda c: c != 0), max_size=8
+int_maps = st.dictionaries(
+    st.integers(min_value=-8, max_value=4),
+    st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    max_size=8,
 )
+scales = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool)
+
+
+def assert_normal(scale, ints):
+    """The kernel's normal form: a nonzero primitive map with a positive top
+    coefficient and a nonzero scale, or the empty map with scale 0."""
+    assert all(type(c) is int and c for c in ints.values())
+    if ints:
+        assert scale != 0
+        assert math.gcd(*ints.values()) == 1
+        assert ints[max(ints)] > 0
+    else:
+        assert scale == 0
+
+
+def normal(ints):
+    """(content, primitive map) of an integer map, checked to be normal."""
+    content, prim = _primitive(ints)
+    assert_normal(Fraction(content), prim)
+    assert {k: content * c for k, c in prim.items()} == ints
+    return content, prim
+
+
+def valued(scale, ints):
+    """The Fraction map scale * ints."""
+    return {k: scale * c for k, c in ints.items()}
 
 
 def dense_product(a: dict, b: dict) -> dict:
@@ -121,33 +152,54 @@ class TestDivision:
         with pytest.raises(DivisionByZeroPoly):
             poly_divmod(RatPoly.one(), RatPoly.zero())
 
-    @given(rat_polys(), rat_polys().filter(lambda p: not p.is_zero()),
-           st.integers(min_value=-6, max_value=0))
+    @given(int_maps, int_maps.filter(bool), st.integers(min_value=-6, max_value=0))
     def test_division_kernel_identity(self, num, den, stop):
-        quotient, remainder = _divide(num.coeffs, den.coeffs, stop)
-        rebuilt = dense_product(quotient, den.coeffs)
-        for deg, c in remainder.items():
+        # num == qs*quo*den + rs*rem, with both parts in normal form
+        _, num = normal(num)
+        _, den = normal(den)
+        qs, quotient, rs, remainder = _divide(num, den, stop)
+        assert_normal(qs, quotient)
+        assert_normal(rs, remainder)
+        rebuilt = dense_product(valued(qs, quotient), den)
+        for deg, c in valued(rs, remainder).items():
             rebuilt[deg] = rebuilt.get(deg, 0) + c
-        assert {k: v for k, v in rebuilt.items() if v} == num.coeffs
+        assert {k: v for k, v in rebuilt.items() if v} == num
         assert min(quotient, default=stop) >= stop
-        assert max(remainder, default=NEG_INF) < stop + den.degree()
+        assert max(remainder, default=NEG_INF) < stop + max(den)
 
 
 class TestAddKernel:
-    @given(laurent_maps, laurent_maps, st.sets(st.integers(min_value=-8, max_value=4)))
-    def test_sum_is_the_dense_sum(self, a, b, cancel):
+    @given(int_maps, int_maps, scales, scales, st.sets(st.integers(min_value=-8, max_value=4)))
+    def test_sum_is_the_dense_sum(self, a, b, sa, sb, cancel):
         # b also carries -a at the degrees in cancel, so those terms vanish
         b = {**b, **{k: -a[k] for k in cancel if k in a}}
-        dense = {k: a.get(k, 0) + b.get(k, 0) for k in range(-8, 5)}
-        assert _add(a, b) == {k: v for k, v in dense.items() if v}
+        ca, a = normal(a)
+        cb, b = normal(b)
+        sa, sb = sa * ca if a else Fraction(0), sb * cb if b else Fraction(0)
+        dense = {k: sa * a.get(k, 0) + sb * b.get(k, 0) for k in range(-8, 5)}
+        scale, total = _add(sa, a, sb, b)
+        assert_normal(scale, total)
+        assert valued(scale, total) == {k: v for k, v in dense.items() if v}
+
+    @given(int_maps.filter(bool), scales)
+    def test_full_cancellation_is_the_normal_zero(self, a, sa):
+        _, a = normal(a)
+        assert _add(sa, a, -sa, a) == (0, {})
 
 
 class TestMultiplyKernel:
-    @given(laurent_maps, laurent_maps, st.integers(min_value=-16, max_value=8))
+    @given(int_maps, int_maps, st.integers(min_value=-16, max_value=8))
     def test_floored_product_is_the_full_product_above_floor(self, a, b, floor):
         full = dense_product(a, b)
         assert _mul(a, b) == full
         assert _mul(a, b, floor) == {k: v for k, v in full.items() if k >= floor}
+
+    @given(int_maps.filter(bool), int_maps.filter(bool))
+    def test_product_of_normal_maps_is_normal(self, a, b):
+        # Gauss's lemma: the unfloored product needs no content pass
+        _, a = normal(a)
+        _, b = normal(b)
+        assert_normal(1, _mul(a, b))
 
 
 class TestTransforms:

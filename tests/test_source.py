@@ -72,3 +72,19 @@ def test_every_error_class_is_constructed_by_the_library():
                 elif isinstance(func, ast.Attribute):
                     constructed.add(func.attr)
     assert sorted(classes - constructed) == []
+
+
+def test_only_polys_reads_the_fraction_valued_coeffs():
+    # RatPoly and TruncatedLaurentSeries store a scale times an integer map;
+    # ``.coeffs`` builds a Fraction per coefficient, so the library reads
+    # ``int_coeffs()`` and ``scale`` instead, and only polys, which defines
+    # the accessor, may touch it.
+    package = Path(mahlercf.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "polys.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+    ]
+    assert offenders == []
