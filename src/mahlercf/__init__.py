@@ -66,7 +66,7 @@ from .padic import (
     witness_from_check,
     witness_search,
 )
-from .polys import IntPolyWithContent, RatPoly, poly_eval_mod, poly_normalize_integer
+from .polys import RatPoly, poly_eval_mod, poly_normalize_integer
 from .structure import (
     BetaSequence,
     IDENTITY_NAMES,

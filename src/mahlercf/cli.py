@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import re
 import sys
@@ -119,7 +120,12 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     if not getattr(args, "no_timestamp", False):
         payload = dict(payload)
         payload["generated_at"] = _timestamp()
-    print(json.dumps(payload, indent=2))
+    # json.dumps(payload, indent=2), written in batches of encoder chunks so
+    # that a large payload is never held as one string.
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ d^t > -floor cannot touch degrees >= floor, so the product is finite.
 A rational function p/q enters through ``from_fraction`` as an ordinary
 truncation.
 
-A series is stored like a ``RatPoly``: one rational scale times a primitive
-integer map (content 1, top coefficient positive), and every operation runs
-on the integer kernel of ``polys``.  Negation is a change of scale; a sum, a
+A series is stored in the form ``polys`` gives every value: one rational
+scale times a primitive integer map (content 1, top coefficient positive),
+held by the base class it shares with ``RatPoly``.  Every operation runs on
+the integer kernel of ``polys``.  Negation is a change of scale; a sum, a
 truncation and a floored product take one content pass.
 """
 
@@ -39,7 +40,7 @@ from .errors import (
     InvalidParameter,
     MismatchAt,
 )
-from .polys import RatPoly, _add, _divide, _mul, _normal, _primitive, _render_terms
+from .polys import RatPoly, _add, _divide, _mul, _primitive, _ScaledIntMap
 
 _Scalar = Union[int, Fraction]
 
@@ -47,33 +48,23 @@ FAMILY_KINDS = ("F", "G", "H", "U")
 FUNCEQ_FLOOR_BOUND = 100_000  # deepest verify_functional_equations floor: ~6 s, ~135 MB
 
 
-class TruncatedLaurentSeries:
-    """Finitely many exact coefficients of a Laurent series in x^{-1}, stored
-    like ``RatPoly``: a rational scale times a primitive integer map with a
-    positive top coefficient."""
+class TruncatedLaurentSeries(_ScaledIntMap):
+    """Finitely many exact coefficients of a Laurent series in x^{-1}, all
+    of degree >= ``floor``."""
 
-    __slots__ = ("_scale", "_ints", "_floor")
+    __slots__ = ("_floor",)
 
     def __init__(self, coeffs: Mapping[int, _Scalar], floor: int):
         if not isinstance(floor, int):
             raise InvalidParameter(f"floor must be an integer, got {floor!r}")
-        terms: dict[int, Fraction] = {}
-        for deg, c in coeffs.items():
-            if not isinstance(deg, int):
-                raise InvalidParameter(f"invalid degree {deg!r}")
-            if deg < floor:
-                raise InvalidParameter(f"stored degree {deg} below floor {floor}")
-            frac = c if isinstance(c, Fraction) else Fraction(c)
-            if frac != 0:
-                terms[deg] = frac
-        self._scale, self._ints = _normal(terms)
+        super().__init__(coeffs, floor)
         self._floor = floor
 
     @classmethod
     def _of(cls, scale: Fraction, ints: dict[int, int], floor: int) -> "TruncatedLaurentSeries":
         """The series scale * ints down to floor, for a map in normal form."""
-        series = object.__new__(cls)
-        series._scale, series._ints, series._floor = scale, ints, floor
+        series = super()._of(scale, ints)
+        series._floor = floor
         return series
 
     # -- queries ------------------------------------------------------
@@ -81,20 +72,6 @@ class TruncatedLaurentSeries:
     @property
     def floor(self) -> int:
         return self._floor
-
-    @property
-    def coeffs(self) -> dict[int, Fraction]:
-        return {deg: self._scale * c for deg, c in self._ints.items()}
-
-    @property
-    def scale(self) -> Fraction:
-        """The rational factor in front of ``int_coeffs()``."""
-        return self._scale
-
-    def int_coeffs(self) -> dict[int, int]:
-        """The stored primitive integer map itself, not a copy: callers must
-        not mutate it."""
-        return self._ints
 
     def degree(self) -> int | None:
         """Largest degree with a nonzero coefficient, or None when all known
@@ -139,13 +116,12 @@ class TruncatedLaurentSeries:
         tail (degrees <= floor-1) shifted up by the top monomial is the first
         contamination.
         """
-        terms = {d: (c if isinstance(c, Fraction) else Fraction(c)) for d, c in poly.items() if c}
-        if not terms:
+        factor = TruncatedLaurentSeries(poly, min(poly, default=0))
+        if not factor._ints:
             return TruncatedLaurentSeries({}, self._floor)
-        floor = self._floor + max(terms)
-        scale, ints = _normal(terms)
-        content, product = _primitive(_mul(self._ints, ints, floor))
-        return TruncatedLaurentSeries._of(self._scale * scale * content, product, floor)
+        floor = self._floor + max(factor._ints)
+        content, product = _primitive(_mul(self._ints, factor._ints, floor))
+        return TruncatedLaurentSeries._of(self._scale * factor._scale * content, product, floor)
 
     def shift(self, offset: int) -> "TruncatedLaurentSeries":
         """Multiply by x^offset (exact monomial: floor moves by offset)."""
@@ -189,7 +165,7 @@ class TruncatedLaurentSeries:
     def __str__(self) -> str:
         if not self._ints:
             return f"0 (down to x^{self._floor})"
-        return _render_terms(self._scale, self._ints) + f"  (exact down to x^{self._floor})"
+        return f"{super().__str__()}  (exact down to x^{self._floor})"
 
 
 def generate(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:

@@ -52,7 +52,7 @@ from .errors import (
     SearchExhausted,
 )
 from .contfrac import _check_count, expand_family
-from .polys import IntPolyWithContent, RatPoly, poly_eval_mod, poly_normalize_integer
+from .polys import RatPoly, poly_eval_mod, poly_normalize_integer
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,10 @@ def power_tower_residue(a: int, d: int, n0: int, modulus: int) -> int:
 # convergent denominators of g_d in integer-primitive form
 # ---------------------------------------------------------------------------
 
-_denominator_cache: dict[int, list[IntPolyWithContent]] = {}
+_denominator_cache: dict[int, list[RatPoly]] = {}
 
 
-def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
+def convergent_denominators(d: int, t_max: int) -> list[RatPoly]:
     """The denominators q_0..q_{t_max} of the convergents of g_d, each made
     monic: an integer-primitive part and the scale 1/lc of that part.  Every
     q_t is normalized once per process and cached per d.  Only d = 2, 3
@@ -225,7 +225,7 @@ def convergent_denominators(d: int, t_max: int) -> list[IntPolyWithContent]:
     return cached[: t_max + 1]
 
 
-def _at_1(qt: IntPolyWithContent) -> tuple[int, int, int, int]:
+def _at_1(qt: RatPoly) -> tuple[int, int, int, int]:
     """(q_t(1), q_t'(1), num, den) with num/den the scale of q_t: all that
     the root map reads of q_t, as integers that do not depend on p."""
     coeffs, scale = qt.int_coeffs(), qt.scale
@@ -281,7 +281,7 @@ class ConditionCheck:
     residue: int  # a^{d^{n0}} mod p^2
     qt_value: int  # q_t(residue) mod p^2
     qt_derivative_at_1: int  # q_t'(1) mod p
-    qt: IntPolyWithContent
+    qt: RatPoly
 
     @property
     def passed(self) -> bool:
@@ -302,7 +302,7 @@ class BadApproxWitness:
     t: int
     residue: int
     conditions: dict[str, bool]
-    qt: IntPolyWithContent
+    qt: RatPoly
 
     def to_json_dict(self) -> dict:
         coeffs = self.qt.int_coeffs()
@@ -345,7 +345,7 @@ class BadApproxWitness:
 
 
 def check_conditions(
-    a: int, d: int, p: int, n0: int, t: int, qt: IntPolyWithContent
+    a: int, d: int, p: int, n0: int, t: int, qt: RatPoly
 ) -> ConditionCheck:
     """Evaluate the four witness conditions for the given parameters.
 
@@ -447,7 +447,7 @@ class SearchDiagnostics:
 
 def _search_one_prime(
     a: int, d: int, p: int, n0_bound: int, t_bound: int,
-    denominators: list[IntPolyWithContent], at_1: list[tuple[int, int, int, int]],
+    denominators: list[RatPoly], at_1: list[tuple[int, int, int, int]],
     diag: SearchDiagnostics,
 ) -> BadApproxWitness | None:
     """Scan (n0, t) lexicographically for one prime; None if nothing passes.

@@ -1,21 +1,22 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A polynomial is stored as one rational scale times a primitive integer
-coefficient map (degree -> nonzero int): the map has content 1 and a
-positive leading coefficient, so every value has exactly one stored form,
-the form ``IntPolyWithContent`` spells out.  The zero polynomial is the
-empty map with scale 0; its degree is the sentinel ``NEG_INF`` so that
-degree comparisons never collide with genuine (possibly negative) degrees
-elsewhere in the package.  ``coeffs`` and ``coeff`` answer in ``Fraction``s.
+A polynomial, and a truncated Laurent series (``laurent``), is stored as one
+rational scale times a primitive integer coefficient map (degree -> nonzero
+int): the map has content 1 and a positive top coefficient, so every value
+has exactly one stored form (Gauss's lemma).  The private base class
+``_ScaledIntMap`` owns that form for both value classes.  The zero value is
+the empty map with scale 0; a zero polynomial's degree is the sentinel
+``NEG_INF`` so that degree comparisons never collide with genuine (possibly
+negative) degrees elsewhere in the package.  ``coeffs`` and ``coeff`` answer
+in ``Fraction``s.
 
 All values are immutable after construction; every operation returns a new
-polynomial.  Values may share an integer map, which is never mutated.
+value.  Values may share an integer map, which is never mutated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -36,30 +37,56 @@ def _as_fraction(value: _Scalar) -> Fraction:
     raise InvalidParameter(f"not a rational scalar: {value!r}")
 
 
-class RatPoly:
-    """Polynomial with rational coefficients and degrees >= 0, stored as
-    ``scale`` times a primitive integer map with a positive leading
-    coefficient."""
+class _ScaledIntMap:
+    """A rational scale times a primitive integer map with a positive top
+    coefficient: the stored form of ``RatPoly`` and
+    ``TruncatedLaurentSeries``."""
 
     __slots__ = ("_scale", "_ints")
 
-    def __init__(self, coeffs: Mapping[int, _Scalar] | None = None):
-        terms: dict[int, Fraction] = {}
-        if coeffs:
-            for deg, c in coeffs.items():
-                if not isinstance(deg, int) or deg < 0:
-                    raise InvalidParameter(f"invalid degree {deg!r}")
-                frac = _as_fraction(c)
-                if frac != 0:
-                    terms[deg] = frac
-        self._scale, self._ints = _normal(terms)
+    def __init__(self, coeffs: Mapping[int, _Scalar], lowest: int):
+        """Store a map of integer degrees >= lowest to rational scalars."""
+        terms = []
+        for deg, c in coeffs.items():
+            if not isinstance(deg, int) or deg < lowest:
+                raise InvalidParameter(f"invalid degree {deg!r}: need an integer >= {lowest}")
+            frac = _as_fraction(c)
+            if frac != 0:
+                terms.append((deg, frac.numerator, frac.denominator))
+        self._scale, self._ints = _from_ratios(terms)
 
     @classmethod
-    def _of(cls, scale: Fraction, ints: dict[int, int]) -> "RatPoly":
-        """The polynomial scale * ints, for a map already in normal form."""
-        poly = object.__new__(cls)
-        poly._scale, poly._ints = scale, ints
-        return poly
+    def _of(cls, scale: Fraction, ints: dict[int, int]):
+        """The value scale * ints, for a map already in normal form."""
+        value = object.__new__(cls)
+        value._scale, value._ints = scale, ints
+        return value
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        return {deg: self._scale * c for deg, c in self._ints.items()}
+
+    @property
+    def scale(self) -> Fraction:
+        """The rational factor in front of ``int_coeffs()``."""
+        return self._scale
+
+    def int_coeffs(self) -> dict[int, int]:
+        """The stored primitive integer map itself, not a copy: callers must
+        not mutate it."""
+        return self._ints
+
+    def __str__(self) -> str:
+        return _render_terms(self._scale, self._ints) if self._ints else "0"
+
+
+class RatPoly(_ScaledIntMap):
+    """Polynomial with rational coefficients and degrees >= 0."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping[int, _Scalar] | None = None):
+        super().__init__(coeffs or {}, 0)
 
     # -- constructors -------------------------------------------------
 
@@ -114,18 +141,9 @@ class RatPoly:
     # -- queries ------------------------------------------------------
 
     @property
-    def coeffs(self) -> dict[int, Fraction]:
-        return {deg: self._scale * c for deg, c in self._ints.items()}
-
-    @property
-    def scale(self) -> Fraction:
-        """The rational factor in front of ``int_coeffs()``."""
-        return self._scale
-
-    def int_coeffs(self) -> dict[int, int]:
-        """The stored primitive integer map itself, not a copy: callers must
-        not mutate it."""
-        return self._ints
+    def primitive(self) -> "RatPoly":
+        """The integer part ``int_coeffs()`` as a polynomial of scale 1."""
+        return RatPoly._of(Fraction(1) if self._ints else _ZERO, self._ints)
 
     def is_zero(self) -> bool:
         return not self._ints
@@ -143,10 +161,10 @@ class RatPoly:
         return self._scale * self._ints[max(self._ints)]
 
     def monic(self) -> "RatPoly":
-        lc = self.leading_coefficient()
-        if lc == 0:
+        """The same integer part with scale 1/lc of that part."""
+        if not self._ints:
             raise ZeroPolynomial("cannot make the zero polynomial monic")
-        return self * (1 / lc)
+        return RatPoly._of(Fraction(1, self._ints[max(self._ints)]), self._ints)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -212,9 +230,6 @@ class RatPoly:
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"
 
-    def __str__(self) -> str:
-        return _render_terms(self._scale, self._ints) if self._ints else "0"
-
 
 def _ratio_text(num: int, den: int) -> str:
     """str(Fraction(num, den)) for den > 0, from one gcd."""
@@ -277,11 +292,6 @@ def _from_ratios(terms: Iterable[tuple[int, int, int]]) -> tuple[Fraction, dict[
     common = math.lcm(*(den for _, _, den in terms))
     content, ints = _primitive({deg: num * (common // den) for deg, num, den in terms})
     return Fraction(content, common), ints
-
-
-def _normal(terms: Mapping[int, Fraction]) -> tuple[Fraction, dict[int, int]]:
-    """(scale, primitive map) of a map of nonzero Fractions."""
-    return _from_ratios((deg, c.numerator, c.denominator) for deg, c in terms.items())
 
 
 def _add(
@@ -375,31 +385,6 @@ def _divide(
     return qs, quo_ints, Fraction(sn * content, sd), rem
 
 
-@dataclass(frozen=True)
-class IntPolyWithContent:
-    """An exactly factored polynomial: original = scale * primitive.
-
-    ``coeffs`` maps each degree to an integer coefficient of the primitive
-    part, which has content 1 and a positive leading coefficient; ``scale``
-    carries the extracted rational factor.
-    """
-
-    coeffs: dict[int, int]
-    scale: Fraction
-
-    @property
-    def primitive(self) -> RatPoly:
-        return RatPoly(self.coeffs)
-
-    def int_coeffs(self) -> dict[int, int]:
-        """The stored integer map itself, not a copy: callers must not mutate it."""
-        return self.coeffs
-
-    def monic(self) -> "IntPolyWithContent":
-        """The monic polynomial original / lc: the same primitive part, scale 1/lc."""
-        return IntPolyWithContent(self.coeffs, Fraction(1, self.coeffs[max(self.coeffs)]))
-
-
 def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
     """Euclidean division: a = q*b + r with deg r < deg b."""
     if b.is_zero():
@@ -415,25 +400,25 @@ def poly_substitute_power(q: RatPoly, d: int) -> RatPoly:
     return RatPoly._of(q._scale, {deg * d: c for deg, c in q._ints.items()})
 
 
-def poly_normalize_integer(q: RatPoly) -> IntPolyWithContent:
-    """Split q into (scale, primitive integer polynomial with lc > 0): the
-    stored form itself."""
+def poly_normalize_integer(q: RatPoly) -> RatPoly:
+    """q itself, which is stored as (scale, primitive integer map with
+    lc > 0); ZeroPolynomial for the zero polynomial."""
     if q.is_zero():
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    return IntPolyWithContent(coeffs=q._ints, scale=q._scale)
+    return q
 
 
-def poly_eval_mod(q: IntPolyWithContent | Mapping[int, int], r: int, m: int) -> int:
+def poly_eval_mod(q: RatPoly | Mapping[int, int], r: int, m: int) -> int:
     """Evaluate an integer-coefficient polynomial at r modulo m.
 
     Uses sparse evaluation with modular powering so that substituted
     high-degree polynomials (degree in the thousands, few terms) stay cheap.
-    Accepts an IntPolyWithContent (its primitive part is used) or a plain
+    Accepts a RatPoly (its integer part ``int_coeffs()`` is used) or a plain
     degree->int map.
     """
     if m < 1:
         raise InvalidParameter(f"modulus must be >= 1, got {m}")
-    coeffs = q.coeffs if isinstance(q, IntPolyWithContent) else q
+    coeffs = q.int_coeffs() if isinstance(q, RatPoly) else q
     total = 0
     for deg, c in coeffs.items():
         total = (total + c * pow(r, deg, m)) % m

@@ -454,6 +454,28 @@ class TestOutputDeterminism:
         assert code == 0
         assert "generated_at" in json.loads(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["cf", "--d", "2", "--n", "200"],
+        ["table", "--d", "2", "--p-max", "600", "--include-missing"],
+    ])
+    def test_json_is_written_in_batches_as_one_dumps(self, capsys, monkeypatch, argv):
+        # the payloads span more than one batch of encoder chunks
+        import mahlercf.cli as cli
+
+        payloads = []
+        emit = cli._emit_json
+
+        def record(payload, args):
+            payloads.append(payload)
+            emit(payload, args)
+
+        monkeypatch.setattr(cli, "_emit_json", record)
+        code, out, _ = run_cli(capsys, [*argv, "--output", "json", "--no-timestamp"])
+        assert code == 0
+        [payload] = payloads
+        assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) > 1 << 16
+        assert out == json.dumps(payload, indent=2) + "\n"
+
 
 class TestTopLevelUsage:
     def test_no_arguments_is_usage_error(self, capsys):

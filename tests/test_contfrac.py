@@ -218,6 +218,45 @@ class TestCertification:
         assert default_floor(3, 7) == -(2 * 7 * 3 + 16)
 
 
+BOUNDARY_FLOORS = range(-8, -100, -1)
+
+
+def last_certified_index(deep, floor):
+    """The last index N of a deep expansion with 2*deg q_N <= -floor."""
+    degrees = [int(q.degree()) for q in deep.raw_q]
+    last = max(i for i, deg in enumerate(degrees) if 2 * deg <= -floor)
+    assert last + 1 < len(degrees), "the deep expansion must reach past the boundary"
+    return last
+
+
+class TestCertificationBoundary:
+    """At a floor F, exactly the quotients a_0..a_N with 2*deg q_N <= -F are
+    certified: cf_expand emits them, and not one more."""
+
+    @pytest.mark.parametrize("d,kind", [(2, "G"), (2, "F"), (2, "H"), (2, "U"), (3, "G"), (3, "F")])
+    def test_emits_exactly_the_certified_prefix(self, d, kind):
+        deep, _ = expand_family(d, kind, 60)
+        for floor in BOUNDARY_FLOORS:
+            n = last_certified_index(deep, floor)
+            series = generate(d, kind, floor)
+            cf = cf_expand(series, n)
+            assert cf.partial_quotients == deep.partial_quotients[: n + 1], floor
+            with pytest.raises(InsufficientPrecision):
+                cf_expand(series, n + 1)
+
+    def test_a_tail_below_the_floor_leaves_the_prefix(self):
+        # g_2 perturbed just below the floor agrees with g_2 down to the
+        # floor, so both expansions begin with the prefix certified there
+        deep, _ = expand_family(2, "G", 60)
+        for floor in BOUNDARY_FLOORS:
+            n = last_certified_index(deep, floor)
+            g2 = generate(2, "G", floor - 40)
+            perturbed = g2 + TruncatedLaurentSeries({floor - 1: 1}, g2.floor)
+            assert perturbed.truncate(floor) == g2.truncate(floor)
+            cf = cf_expand(perturbed, n)
+            assert cf.partial_quotients == deep.partial_quotients[: n + 1], floor
+
+
 class TestMonicView:
     def test_frozen_betas_d2(self, g2_expansion):
         cf, _ = g2_expansion

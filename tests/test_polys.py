@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mahlercf.errors import DivisionByZeroPoly
+from mahlercf.errors import DivisionByZeroPoly, ZeroPolynomial
 from mahlercf.polys import (
     NEG_INF,
-    IntPolyWithContent,
     RatPoly,
     _add,
     _divide,
@@ -233,11 +232,19 @@ class TestIntegerNormalization:
         assert normalized.primitive.leading_coefficient() > 0
 
     def test_int_coeffs(self):
-        normalized = poly_normalize_integer(RatPoly.from_text("2, 4"))
-        assert normalized.primitive == RatPoly.from_text("1, 2")
-        assert normalized.int_coeffs() == {0: 1, 1: 2}
-        assert normalized == IntPolyWithContent(coeffs={0: 1, 1: 2}, scale=Fraction(2))
-        assert all(type(c) is int for c in normalized.int_coeffs().values())
+        poly = RatPoly.from_text("2, 4")
+        assert poly.int_coeffs() == {0: 1, 1: 2}
+        assert poly.scale == Fraction(2)
+        assert poly.primitive == RatPoly.from_text("1, 2")
+        assert all(type(c) is int for c in poly.int_coeffs().values())
+
+    def test_normalize_returns_the_stored_form(self):
+        poly = RatPoly.from_text("-1/3, 0, -2/3")
+        normalized = poly_normalize_integer(poly)
+        assert normalized is poly
+        assert (normalized.int_coeffs(), normalized.scale) == ({0: 1, 2: 2}, Fraction(-1, 3))
+        with pytest.raises(ZeroPolynomial):
+            poly_normalize_integer(RatPoly.zero())
 
 
 class TestModularEvaluation:

@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mahlercf
@@ -88,3 +89,26 @@ def test_only_polys_reads_the_fraction_valued_coeffs():
         if isinstance(node, ast.Attribute) and node.attr == "coeffs"
     ]
     assert offenders == []
+
+
+def test_every_traced_name_resolves_where_the_tracer_looks():
+    # perfbench/tracing.py wraps each SPANNED name: a module attribute, or for
+    # "Class.method" an entry of the class's own __dict__ (an inherited method
+    # is not there).  The tier-1 suite does not run the tracer, so it reads the
+    # table here.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["SPANNED"]
+    )
+    assert spanned
+    missing = []
+    for name, (module_name, attribute) in spanned.items():
+        module = importlib.import_module(module_name)
+        owner, _, method = attribute.rpartition(".")
+        namespace = vars(getattr(module, owner)) if owner else vars(module)
+        if method not in namespace:
+            missing.append(name)
+    assert missing == []
