@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the monic-recurrence parameters beta_n (and for d=3 the derived
-a_k/b_k coefficients) over a range.  The betas are those of the monic view
-that monic_normalize reads off the expansion's convergent chain;
+a_k/b_k coefficients) over a range.  The betas are those the expansion
+reads off its convergent chain;
 beta_sequence adds the check that every monic quotient has the rigid shape.
 For an independent check of the d=2 betas, run ``mahlercf verify --identity
 bzz``, which compares them with the closed recurrence."""

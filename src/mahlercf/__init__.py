@@ -17,7 +17,6 @@ from .approx import (
 from .contfrac import (
     CFExpansion,
     Convergent,
-    MonicCF,
     cf_expand,
     convergent_soundness,
     default_floor,

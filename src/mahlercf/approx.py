@@ -2,8 +2,10 @@
 
 Everything here is exact.  Values and error bounds are `Fraction`s, and every
 inequality between real quantities is decided by integer cross-multiplication.
-Floating point never enters; decimal strings are rendered digit by digit from
-exact rationals and only for human consumption.
+The interval walk of ``real_cf_prefix``, the certified digit count and the
+decimal rendering run on integer numerators and denominators.  Floating
+point never enters; decimal strings are rendered from exact rationals and
+only for human consumption.
 
 The approximants are the partial products
 ``r_k(a) = prod_{t<=k} (1 - a^{-d^t})`` with the tail bound
@@ -15,7 +17,6 @@ those values, and the irrationality-exponent witnesses for d >= 4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,21 +43,15 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def _decimal_render(value: Fraction, digits: int) -> str:
-    """Render `digits` decimal places of `value` exactly, with a trailing
-    ellipsis marking truncation."""
+    """Render `digits` >= 1 decimal places of `value` exactly, truncated
+    toward zero, with a trailing ellipsis marking truncation."""
     sign = "-" if value < 0 else ""
-    v = -value if value < 0 else value
-    int_part = v.numerator // v.denominator
-    frac_part = v - int_part
-    rendered = []
-    for _ in range(max(0, digits)):
-        frac_part *= 10
-        digit = frac_part.numerator // frac_part.denominator
-        rendered.append(str(digit))
-        frac_part -= digit
-    if not rendered:
-        return f"{sign}{int_part}"
-    return f"{sign}{int_part}." + "".join(rendered) + "…"
+    scale = 10**digits
+    int_part, frac_part = divmod(abs(value.numerator) * scale // value.denominator, scale)
+    return f"{sign}{int_part}.{frac_part:0{digits}d}…"
+
+
+DECIMAL_DIGITS_CAP = 30  # the most places decimal() renders
 
 
 @dataclass(frozen=True)
@@ -76,21 +71,18 @@ class CertifiedValue:
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self.value - self.error_bound, self.value + self.error_bound)
 
-    def certified_digits(self, cap: int = 50) -> int:
-        """Number of decimal places that are pinned down by the error bound."""
-        if self.error_bound == 0:
-            return cap
+    def certified_digits(self) -> int:
+        """Number of decimal places, up to DECIMAL_DIGITS_CAP, that are
+        pinned down by the error bound: the largest n with
+        error_bound <= 10^-n / 2."""
+        num, den = self.error_bound.numerator, self.error_bound.denominator
         digits = 0
-        threshold = Fraction(1, 2)
-        while digits < cap and self.error_bound <= threshold / 10:
-            threshold /= 10
+        while digits < DECIMAL_DIGITS_CAP and 20 * num * 10**digits <= den:
             digits += 1
         return digits
 
-    def decimal(self, digits: int | None = None) -> str:
-        if digits is None:
-            digits = max(1, self.certified_digits(cap=30))
-        return _decimal_render(self.value, digits)
+    def decimal(self) -> str:
+        return _decimal_render(self.value, max(1, self.certified_digits()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,10 +97,11 @@ def partial_product_value(a: int, d: int, k: int) -> Fraction:
     """The exact partial product prod_{t=0..k} (1 - a^{-d^t})."""
     if a < 2 or d < 2 or k < 0:
         raise InvalidParameter("need a >= 2, d >= 2, k >= 0")
-    out = Fraction(1)
+    # prod (1 - a^{-d^t}) = prod (a^{d^t} - 1) / a^{d^0 + ... + d^k}
+    num = 1
     for t in range(k + 1):
-        out *= 1 - Fraction(1, a ** (d**t))
-    return out
+        num *= a ** (d**t) - 1
+    return Fraction(num, a ** ((d ** (k + 1) - 1) // (d - 1)))
 
 
 def _tail_bound(a: int, d: int, k: int) -> Fraction:
@@ -148,30 +141,24 @@ def real_cf_prefix(value: CertifiedValue, max_terms: int) -> list[int]:
     """Integer continued-fraction prefix certified by the interval
     [value - bound, value + bound]: emits partial quotients only while both
     endpoints agree, stopping at the first disagreement (short output is the
-    degradation mode, never a wrong quotient)."""
+    degradation mode, never a wrong quotient).  The endpoints are walked as
+    unreduced integer pairs; a point interval takes the same path."""
     if max_terms < 0:
         raise InvalidParameter("max_terms must be non-negative")
     low, high = value.interval()
+    ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
     out: list[int] = []
-    exact = value.error_bound == 0
     while len(out) < max_terms:
-        floor_low = math.floor(low)
-        floor_high = math.floor(high)
-        if floor_low != floor_high:
+        a = ln // ld
+        if a != hn // hd:
             break
-        out.append(floor_low)
-        low -= floor_low
-        high -= floor_high
-        if exact:
-            if low == 0:
-                break
-            low = high = 1 / low
-            continue
-        if low <= 0:
+        out.append(a)
+        ln -= a * ld
+        hn -= a * hd
+        if ln == 0:
             # lower endpoint hit an integer: the next quotient is unbounded
             break
-        # reciprocal reverses the interval order
-        low, high = 1 / high, 1 / low
+        ln, ld, hn, hd = hd, hn, ld, ln
     return out
 
 

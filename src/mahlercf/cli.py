@@ -28,6 +28,7 @@ import itertools
 import json
 import re
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .approx import eval_mahler, real_cf_prefix
@@ -116,15 +117,31 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+def _emit_json(payload: dict, args: argparse.Namespace, rows: Iterable[dict] | None = None) -> None:
+    """Write json.dumps(payload, indent=2) and a newline, the payload ending
+    with `rows` as "rows", if given, and then "generated_at" unless
+    --no-timestamp.  Rows are encoded one at a time and the rest in batches
+    of encoder chunks, so that a large payload is never held as one string."""
+    payload = dict(payload)
+    if rows is not None:
+        payload["rows"] = []
     if not getattr(args, "no_timestamp", False):
-        payload = dict(payload)
         payload["generated_at"] = _timestamp()
-    # json.dumps(payload, indent=2), written in batches of encoder chunks so
-    # that a large payload is never held as one string.
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 1 << 16)):
-        sys.stdout.write(batch)
+    encoder = json.JSONEncoder(indent=2)
+    if rows is None:
+        chunks = encoder.iterencode(payload)
+        while batch := "".join(itertools.islice(chunks, 1 << 16)):
+            sys.stdout.write(batch)
+    else:
+        # without its rows the payload is small; each row fills its empty list
+        head, tail = encoder.encode(payload).split('"rows": []', 1)
+        sys.stdout.write(head + '"rows": [')
+        empty = True
+        for row in rows:
+            text = encoder.encode(row).replace("\n", "\n    ")
+            sys.stdout.write(("\n    " if empty else ",\n    ") + text)
+            empty = False
+        sys.stdout.write(("]" if empty else "\n  ]") + tail)
     sys.stdout.write("\n")
 
 
@@ -147,15 +164,13 @@ def _cmd_cf(args: argparse.Namespace) -> int:
                   "the default floor", file=sys.stderr)
         # beta extraction enforces the quotient shape; d >= 4 violates it at a
         # small index and exits with the shape code.
-        seq = beta_sequence(args.d, args.n)
-        cf, monic = seq.expansion, seq.monic
+        cf = beta_sequence(args.d, args.n).monic
     else:
         cf, series = expand_family(args.d, args.kind, args.n, args.floor)
-        monic = None
         convergent_soundness(series, cf)
 
     if args.output == "json":
-        _emit_json(cf.to_json_dict(monic=monic), args)
+        _emit_json(cf.to_json_dict(betas=args.kind == "G"), args)
         return EXIT_OK
 
     print(f"continued fraction of {args.kind.lower()}_{args.d}, {args.n} quotients")
@@ -163,11 +178,11 @@ def _cmd_cf(args: argparse.Namespace) -> int:
     for i, a in enumerate(cf.partial_quotients[1:], 1):
         # the rate of convergent i - 1 is deg a_i (Convergent.rate)
         print(f"a_{i} = {a}   [rate of convergent {i - 1}: {int(a.degree())}]")
-    if monic is not None:
+    if args.kind == "G":
         print("monic denominators and betas:")
         for i in range(1, args.n + 1):
-            beta_text = f"   beta_{i} = {monic.beta(i)}" if i >= 2 else ""
-            print(f"qhat_{i} = {monic.monic_denominator(i)}{beta_text}")
+            beta_text = f"   beta_{i} = {cf.beta(i)}" if i >= 2 else ""
+            print(f"qhat_{i} = {cf.monic_denominator(i)}{beta_text}")
     return EXIT_OK
 
 
@@ -272,21 +287,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise InvalidParameter("--t-bound must be positive")
     rows = orbit_table(primes, args.t_bound, d=args.d, include_missing=args.include_missing)
     if args.output == "json":
-        payload = {
-            "d": args.d,
-            "t_bound": args.t_bound,
-            "rows": [
-                {
-                    "p": row.p,
-                    "t": row.t,
-                    "residue": row.residue,
-                    "orbit": list(row.orbit),
-                    "a_classes": list(row.a_classes),
-                }
-                for row in rows
-            ],
-        }
-        _emit_json(payload, args)
+        _emit_json({"d": args.d, "t_bound": args.t_bound}, args, (
+            {"p": r.p, "t": r.t, "residue": r.residue, "orbit": list(r.orbit),
+             "a_classes": list(r.a_classes)} for r in rows))
     elif args.output == "csv":
         if not args.no_timestamp:
             print(f"# generated_at: {_timestamp()}")
@@ -300,16 +303,20 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     value = eval_mahler(args.a, args.d, args.eps, args.which)
-    prefix = real_cf_prefix(value, args.cf_terms) if args.cf_terms else None
+    if args.cf_terms < 0:
+        raise InvalidParameter("max_terms must be non-negative")
+    # Render the value before the prefix walk, so that a value too long to
+    # render fails at once; print nothing until both are done.
     if args.output == "json":
         payload = value.to_json_dict()
-        if prefix is not None:
-            payload["cf_prefix"] = prefix
+        if args.cf_terms:
+            payload["cf_prefix"] = real_cf_prefix(value, args.cf_terms)
         _emit_json(payload, args)
-    else:
-        print(f"{value.target} = {value.decimal()}  (error <= {value.error_bound})")
-        if prefix is not None:
-            print(f"certified continued-fraction prefix: {prefix}")
+        return EXIT_OK
+    lines = [f"{value.target} = {value.decimal()}  (error <= {value.error_bound})"]
+    if args.cf_terms:
+        lines.append(f"certified continued-fraction prefix: {real_cf_prefix(value, args.cf_terms)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

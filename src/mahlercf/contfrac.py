@@ -69,10 +69,23 @@ class CFExpansion:
         p_{n+1} = a_{n+1} p_n + p_{n-1},   q_{n+1} = a_{n+1} q_n + q_{n-1}
 
     with seeds p_{-1}=1, q_{-1}=0, p_0=a_0, q_0=1 (no rescaling; the monic
-    view needs the raw leading coefficients).  The quotients and both chains
-    are tuples, so a chain cannot be edited after it is built.
+    quantities need the raw leading coefficients).  The quotients and both
+    chains are tuples, so a chain cannot be edited after it is built.
     ``convergents`` is the sign-normalized public view, also built when
     first read.
+
+    The monic quantities are read off the raw chain.  With rho_n the leading
+    coefficient of the raw q_n (rho_{-1} = 0, ``leading_coeff``):
+
+        qhat_n    = q_n / rho_n                    (``monic_denominator``)
+        ahat_{n+1} = a_{n+1} rho_n / rho_{n+1}      (``monic_quotient``)
+        beta_{n+1} = rho_{n-1} / rho_{n+1}           (``beta``)
+
+    and the monic recurrence qhat_{n+1} = ahat_{n+1} qhat_n + beta_{n+1}
+    qhat_{n-1} holds exactly, with the seed conventions qhat_{-1} = 0,
+    qhat_0 = 1 and hence beta_1 = 0: it is the raw recurrence that built
+    the chain, divided by rho_{n+1}.  Each value is computed when read;
+    nothing is stored and nothing re-verified.
     """
 
     def __init__(self, partial_quotients: list[RatPoly]):
@@ -130,13 +143,30 @@ class CFExpansion:
             return Fraction(0)
         return self.raw_q[n].leading_coefficient()
 
-    def to_json_dict(self, monic: "MonicCF | None" = None) -> dict:
+    def beta(self, n: int) -> Fraction:
+        if not 1 <= n <= self.last_index:
+            raise InvalidParameter(f"beta_{n} not available (have 1..{self.last_index})")
+        return self.leading_coeff(n - 2) / self.leading_coeff(n)
+
+    def monic_quotient(self, n: int) -> RatPoly:
+        if not 1 <= n <= self.last_index:
+            raise InvalidParameter(f"monic quotient {n} not available")
+        return self.partial_quotients[n] * (self.leading_coeff(n - 1) / self.leading_coeff(n))
+
+    def monic_denominator(self, n: int) -> RatPoly:
+        if not -1 <= n <= self.last_index:
+            raise InvalidParameter(f"monic denominator {n} not available")
+        if n == -1:
+            return RatPoly.zero()
+        return self.raw_q[n] * (1 / self.leading_coeff(n))
+
+    def to_json_dict(self, betas: bool = False) -> dict:
         data = {
             "a": [a.to_json_dict() for a in self.partial_quotients],
             "convergents": [c.to_json_dict() for c in self.convergents],
         }
-        if monic is not None:
-            data["betas"] = [str(monic.beta(n)) for n in range(2, monic.max_index + 1)]
+        if betas:
+            data["betas"] = [str(self.beta(n)) for n in range(2, self.last_index + 1)]
         return data
 
 
@@ -189,57 +219,13 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     return CFExpansion(quotients)
 
 
-@dataclass(frozen=True)
-class MonicCF:
-    """Monic re-normalization of an expansion, read from its raw chain.
-
-    With rho_n the leading coefficient of the raw q_n (rho_{-1} = 0,
-    ``CFExpansion.leading_coeff``):
-
-        qhat_n    = q_n / rho_n                    (monic denominators)
-        ahat_{n+1} = a_{n+1} rho_n / rho_{n+1}      (monic quotients)
-        beta_{n+1} = rho_{n-1} / rho_{n+1}
-
-    and the monic recurrence qhat_{n+1} = ahat_{n+1} qhat_n + beta_{n+1}
-    qhat_{n-1} holds exactly, with the seed conventions qhat_{-1} = 0,
-    qhat_0 = 1 and hence beta_1 = 0: it is the raw recurrence that built
-    the chain, divided by rho_{n+1}.  Each value is computed from the chain
-    when read; the view stores nothing else and re-verifies nothing.
-    """
-
-    expansion: CFExpansion
-
-    @property
-    def max_index(self) -> int:
-        return self.expansion.last_index
-
-    def beta(self, n: int) -> Fraction:
-        if not 1 <= n <= self.max_index:
-            raise InvalidParameter(f"beta_{n} not available (have 1..{self.max_index})")
-        rho = self.expansion.leading_coeff
-        return rho(n - 2) / rho(n)
-
-    def monic_quotient(self, n: int) -> RatPoly:
-        if not 1 <= n <= self.max_index:
-            raise InvalidParameter(f"monic quotient {n} not available")
-        rho = self.expansion.leading_coeff
-        return self.expansion.partial_quotients[n] * (rho(n - 1) / rho(n))
-
-    def monic_denominator(self, n: int) -> RatPoly:
-        if not -1 <= n <= self.max_index:
-            raise InvalidParameter(f"monic denominator {n} not available")
-        if n == -1:
-            return RatPoly.zero()
-        return self.expansion.raw_q[n] * (1 / self.expansion.leading_coeff(n))
-
-
-def monic_normalize(cf: CFExpansion) -> MonicCF:
-    """The monic view of cf.  It needs a_1, and it does no polynomial
-    arithmetic: the chain it reads was built, and its degrees checked, once
-    in CFExpansion."""
+def monic_normalize(cf: CFExpansion) -> CFExpansion:
+    """cf itself, once it is known to have a_1, which the monic quantities
+    need.  It does no polynomial arithmetic: the chain they read was built,
+    and its degrees checked, once in CFExpansion."""
     if cf.last_index < 1:
         raise InvalidParameter("monic normalization needs at least two convergents")
-    return MonicCF(cf)
+    return cf
 
 
 def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int]:

@@ -2,7 +2,8 @@
 
 Everything here is *checked against the Euclidean oracle* in contfrac rather
 than assumed: the parity classification of g_d convergents, the rigid
-quotient shape for d in {2, 3} with its beta parameters, the closed beta
+quotient shape for d in {2, 3} with its beta parameters (read off the
+expansion of g_d, which answers the monic quantities), the closed beta
 recurrence for d = 2, the d = 3 coefficient identities, and the
 well-approximability witnesses for d >= 4.
 """
@@ -20,13 +21,7 @@ from .errors import (
     ShapeViolation,
     ZeroDenominator,
 )
-from .contfrac import (
-    CFExpansion,
-    Convergent,
-    MonicCF,
-    expand_family,
-    monic_normalize,
-)
+from .contfrac import CFExpansion, Convergent, expand_family, monic_normalize
 from .laurent import generate, partial_product, rate_of_approximation, verify_functional_equations
 from .polys import RatPoly, poly_divmod, poly_substitute_power
 
@@ -163,27 +158,18 @@ class BetaSequence:
         qhat_{2k+1} = (1+x+...+x^{d-1}) qhat_{2k}   + beta_{2k+1} qhat_{2k-1}
         qhat_{2k+2} = (x-1)             qhat_{2k+1} + beta_{2k+2} qhat_{2k}
 
-    read from the monic view ``monic``; ``expansion`` is the expansion that
-    view reads, so the two cannot come from different expansions.
+    read from the expansion ``monic`` of g_d.
 
     For d = 3, ``a_coeff(m)`` and ``b_coeff(m)`` are the second- and
     third-highest coefficients s_{k-1} and s_{k-2}, k = m // 2, of the cube
     form qhat_{2k} = s(x^3), qhat_{2k+1} = (x^2+x+1) s(x^3); indices outside
-    s's support, or m outside 1..max_index, give 0.
+    s's support, or m outside 1..monic.last_index, give 0.
 
     ``beta(1) = 0`` by the seed convention rho_{-1} = 0 / qhat_{-1} = 0.
     """
 
     d: int
-    monic: MonicCF
-
-    @property
-    def expansion(self) -> CFExpansion:
-        return self.monic.expansion
-
-    @property
-    def max_index(self) -> int:
-        return self.monic.max_index
+    monic: CFExpansion
 
     def beta(self, n: int) -> Fraction:
         if n == 0:
@@ -207,15 +193,15 @@ class BetaSequence:
         # cube form carries s_j alone, so no division by x^2+x+1 is needed;
         # one coefficient of qhat_m = q_m / rho_m is read off the raw q_m.
         j = m // 2 - drop
-        if j < 0 or not 1 <= m <= self.max_index:
+        if j < 0 or not 1 <= m <= self.monic.last_index:
             return Fraction(0)
-        return self.expansion.raw_q[m].coeff(3 * j) / self.expansion.leading_coeff(m)
+        return self.monic.raw_q[m].coeff(3 * j) / self.monic.leading_coeff(m)
 
 
 def beta_sequence(d: int, n: int) -> BetaSequence:
-    """The betas beta_1..beta_n of g_d, read from the monic view of the
-    expansion of g_d; the view reads the one chain that the expansion built
-    and checked, and re-verifies nothing.
+    """The betas beta_1..beta_n of g_d, read from the expansion of g_d; each
+    is read off the one chain that the expansion built and checked, and
+    nothing is re-verified.
 
     Each monic quotient must have the rigid shape (1+x+...+x^{d-1} at odd
     steps, x-1 at even steps); the monic recurrence is the raw one divided
@@ -228,14 +214,13 @@ def beta_sequence(d: int, n: int) -> BetaSequence:
         raise InvalidParameter(f"need d >= 2, got {d}")
     if n < 2:
         raise InvalidParameter(f"need at least two quotients, got n={n}")
-    cf, _ = expand_family(d, "G", n)
-    monic = monic_normalize(cf)
+    cf = monic_normalize(expand_family(d, "G", n)[0])
     odd_shape = ones_polynomial(d)
     for i in range(1, n + 1):
         shape = odd_shape if i % 2 == 1 else X_MINUS_1
-        if monic.monic_quotient(i) != shape:
-            raise ShapeViolation(i, f"monic quotient {i} is {monic.monic_quotient(i)}, not {shape}")
-    return BetaSequence(d=d, monic=monic)
+        if cf.monic_quotient(i) != shape:
+            raise ShapeViolation(i, f"monic quotient {i} is {cf.monic_quotient(i)}, not {shape}")
+    return BetaSequence(d=d, monic=cf)
 
 
 def beta_closed_form(n: int) -> dict[int, Fraction]:
@@ -346,11 +331,11 @@ def _verify_d3_identity(name: str, lo: int, hi: int) -> list:
     if name == "lemma5":
         depth = 6 * hi + 2
         seq = beta_sequence(3, depth)
-        cf, monic = seq.expansion, seq.monic
+        cf = seq.monic
         for k in range(max(lo, 1), hi + 1):
             rho6, rho2 = cf.leading_coeff(6 * k), cf.leading_coeff(2 * k)
-            q6 = monic.monic_denominator(6 * k)
-            q2 = monic.monic_denominator(2 * k)
+            q6 = cf.monic_denominator(6 * k)
+            q2 = cf.monic_denominator(2 * k)
             p6 = cf.raw_p[6 * k] * (1 / rho6)
             p2 = cf.raw_p[2 * k] * (1 / rho2)
             if q6 != poly_substitute_power(q2, 3):

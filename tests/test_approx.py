@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mahlercf.approx import (
+    DECIMAL_DIGITS_CAP,
     CertifiedValue,
     eval_mahler,
     irrationality_witness,
@@ -33,9 +34,18 @@ class TestCertifiedValue:
         assert data["target"] == "f_2(2)"
 
     def test_decimal_prefix(self):
+        # error bound 2^-31 <= 10^-9 / 2 pins nine places
         cv = eval_mahler(2, 2, Fraction(1, 10**6))
-        assert cv.decimal(8) == "0.35018386…"
-        assert cv.certified_digits() >= 8
+        assert cv.certified_digits() == 9
+        assert cv.decimal() == "0.350183865…"
+
+    def test_decimal_cap(self):
+        exact = CertifiedValue(value=Fraction(-1, 3), error_bound=Fraction(0), target="e")
+        assert exact.certified_digits() == DECIMAL_DIGITS_CAP == 30
+        assert exact.decimal() == "-0." + "3" * 30 + "…"
+        wide = CertifiedValue(value=Fraction(7, 3), error_bound=Fraction(1), target="w")
+        assert wide.certified_digits() == 0
+        assert wide.decimal() == "2.3…"
 
 
 class TestEvalMahler:

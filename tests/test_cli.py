@@ -342,6 +342,22 @@ class TestEval:
         assert "100000" in err
         assert time.perf_counter() - start < 2
 
+    def test_the_largest_prefix_request_ends_quickly(self, capsys):
+        # whatever its outcome, the value is rendered before the prefix walk
+        start = time.perf_counter()
+        with contextlib.suppress(Exception):
+            run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", "1e-100000",
+                             "--cf-terms", "1000000", "--no-timestamp"])
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("eps", ["1e-30", "1e-5000"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_negative_cf_terms_exit_4_with_nothing_printed(self, capsys, eps, output):
+        code, out, err = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", eps,
+                                          "--cf-terms", "-1", "--output", output])
+        assert (code, out) == (4, "")
+        assert err == "invalid input: max_terms must be non-negative\n"
+
     @pytest.mark.parametrize("eps", ["1e-30", "1/3"])
     def test_eps_within_the_bound_still_evaluates(self, capsys, eps):
         code, out, _ = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", eps])
@@ -465,9 +481,15 @@ class TestOutputDeterminism:
         payloads = []
         emit = cli._emit_json
 
-        def record(payload, args):
-            payloads.append(payload)
-            emit(payload, args)
+        def record(payload, args, rows=None):
+            # table rows are streamed; the payload they stand for ends with them
+            if rows is not None:
+                rows = list(rows)
+                payloads.append({**payload, "rows": rows})
+                emit(payload, args, iter(rows))
+            else:
+                payloads.append(payload)
+                emit(payload, args)
 
         monkeypatch.setattr(cli, "_emit_json", record)
         code, out, _ = run_cli(capsys, [*argv, "--output", "json", "--no-timestamp"])
@@ -475,6 +497,24 @@ class TestOutputDeterminism:
         [payload] = payloads
         assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) > 1 << 16
         assert out == json.dumps(payload, indent=2) + "\n"
+
+
+class TestStreamedRows:
+    @pytest.mark.parametrize("rows", [[], [{"p": 3, "orbit": [], "a_classes": [2, 4]}],
+                                      [{"p": 3, "t": None}, {"p": 5, "orbit": [1, [2, {}]]}]])
+    @pytest.mark.parametrize("no_timestamp", [True, False])
+    def test_bytes_equal_one_dumps(self, capsys, monkeypatch, rows, no_timestamp):
+        import argparse
+
+        import mahlercf.cli as cli
+
+        monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
+        cli._emit_json({"d": 2, "t_bound": 7}, argparse.Namespace(no_timestamp=no_timestamp),
+                       iter(rows))
+        payload = {"d": 2, "t_bound": 7, "rows": rows}
+        if not no_timestamp:
+            payload["generated_at"] = "2000-01-01T00:00:00Z"
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestTopLevelUsage:

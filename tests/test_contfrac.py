@@ -1,4 +1,4 @@
-"""Continued-fraction expansion: certification, convergent laws, monic view."""
+"""Continued-fraction expansion: certification, convergent laws, monic quantities."""
 
 import dataclasses
 from fractions import Fraction
@@ -55,8 +55,8 @@ def exact_quotients(num, den, n):
 class TestExactExpansion:
     def test_already_monic_expansion_has_unit_betas(self):
         # [0; x, x, x] expands (x^2+1)/(x^3+2x) = 1/(x + 1/(x + 1/x)), whose
-        # monic convergent denominators x, x^2+1, x^3+2x make the monic view
-        # the identity
+        # monic convergent denominators x, x^2+1, x^3+2x make the monic
+        # quantities those of the raw chain
         x = RatPoly.x()
         cf = CFExpansion([RatPoly.zero(), x, x, x])
         monic = monic_normalize(cf)
@@ -279,9 +279,15 @@ class TestMonicView:
         assert monic.monic_denominator(6) == RatPoly.from_text(
             "1, 0, 0, 0, 0, 0, 0, 0, 0, 1"
         )
-        for n in (-2, monic.max_index + 1):
+        for n in (-2, monic.last_index + 1):
             with pytest.raises(InvalidParameter):
                 monic.monic_denominator(n)
+
+    def test_monic_normalize_returns_its_argument(self, g2_expansion):
+        cf, _ = g2_expansion
+        assert monic_normalize(cf) is cf
+        with pytest.raises(InvalidParameter, match="needs at least two convergents"):
+            monic_normalize(CFExpansion([RatPoly.one()]))
 
     def test_beta_convention_beta1_zero(self, g2_expansion):
         cf, _ = g2_expansion
@@ -291,7 +297,7 @@ class TestMonicView:
     def test_beta_and_quotient_range_checks(self, g2_expansion):
         cf, _ = g2_expansion
         monic = monic_normalize(cf)
-        top = monic.max_index
+        top = monic.last_index
         for n in (0, top + 1):
             beta_message = rf"^beta_{n} not available \(have 1\.\.{top}\)$"
             with pytest.raises(InvalidParameter, match=beta_message):
@@ -318,13 +324,12 @@ class TestMonicView:
         assert len(built) == 2
         for cf in built:
             assert not {"raw_p", "convergents"} & set(vars(cf))
-        seq.expansion.to_json_dict(monic=seq.monic)
-        assert {"raw_p", "convergents"} <= set(vars(seq.expansion))
+        seq.monic.to_json_dict(betas=True)
+        assert {"raw_p", "convergents"} <= set(vars(seq.monic))
 
     def test_json_schema(self, g2_expansion):
         cf, _ = g2_expansion
-        monic = monic_normalize(cf)
-        data = cf.to_json_dict(monic=monic)
+        data = cf.to_json_dict(betas=True)
         assert set(data) == {"a", "convergents", "betas"}
         assert data["betas"][0] == "2"
         first = data["convergents"][0]
@@ -346,7 +351,7 @@ class TestTypedChecks:
             CFExpansion([RatPoly.zero(), RatPoly.x()])
 
     def test_chain_cannot_be_edited(self):
-        # the monic view reads the chain built at construction, so no
+        # the monic quantities read the chain built at construction, so no
         # later edit may put it out of step with the partial quotients
         cf, _ = expand_family(2, "G", 6)
         for chain in (cf.partial_quotients, cf.raw_q, cf.raw_p):

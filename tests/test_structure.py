@@ -42,7 +42,7 @@ class TestShape:
     @pytest.mark.parametrize("d", [2, 3])
     def test_beta_sequence_builds_the_chain_once(self, d, monkeypatch):
         # one product a_i * q_{i-1} per quotient; scalar rescalings of the
-        # monic view are not polynomial products
+        # monic quantities are not polynomial products
         products = []
         multiply = RatPoly.__mul__
 
@@ -76,7 +76,7 @@ class TestBetas:
     def test_beta_conventions(self, betas_d2):
         assert betas_d2.beta(0) == 0
         assert betas_d2.beta(1) == 0
-        assert betas_d2.max_index == 40
+        assert betas_d2.monic.last_index == 40
         with pytest.raises(InvalidParameter):
             betas_d2.beta(41)
 
