@@ -41,7 +41,6 @@ from .errors import (
     ZeroDenominator,
 )
 from .laurent import (
-    FunctionalEquationReport,
     TruncatedLaurentSeries,
     generate,
     partial_product,
@@ -50,7 +49,6 @@ from .laurent import (
 )
 from .padic import (
     BadApproxWitness,
-    ConditionCheck,
     HenselDemo,
     OrbitRow,
     check_conditions,
@@ -62,7 +60,6 @@ from .padic import (
     power_tower_residue,
     revalidate_witness,
     wieferich_scan,
-    witness_from_check,
     witness_search,
 )
 from .polys import RatPoly, poly_eval_mod, poly_normalize_integer

@@ -176,7 +176,6 @@ class ExponentSample:
     k: int
     denominator: int
     error_upper: Fraction
-    proof_inequality: bool
     exponent_64ths: int
 
     def exponent_decimal(self) -> str:
@@ -233,9 +232,6 @@ def irrationality_witness(a: int, d: int, k_max: int) -> IrrationalityReport:
         power = d ** (k + 1)
         denominator = a ** ((power - 1) // (d - 1))
         error_upper = Fraction(2, a**power)
-        # the proof's display: 2/a^{d^{k+1}} <= denominator^{-(d-1)}
-        #   <=> 2 * a^{d^{k+1} - 1} <= a^{d^{k+1}}  <=>  2 <= a
-        proof_ok = 2 * denominator ** (d - 1) <= a**power
         exponent = _exponent_64ths(error_upper, denominator, cap_64ths=64 * (d + 1))
         # internal consistency: a deeper partial product stays within the bound
         deeper = partial_product_value(a, d, k + 2)
@@ -249,7 +245,6 @@ def irrationality_witness(a: int, d: int, k_max: int) -> IrrationalityReport:
                 k=k,
                 denominator=denominator,
                 error_upper=error_upper,
-                proof_inequality=proof_ok,
                 exponent_64ths=exponent,
             )
         )

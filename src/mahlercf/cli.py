@@ -43,6 +43,7 @@ from .errors import (
     ShapeViolation,
 )
 from .padic import (
+    TABLE_PRIME_BOUND,
     BadApproxWitness,
     check_conditions,
     convergent_denominators,
@@ -51,7 +52,6 @@ from .padic import (
     orbit_table_csv,
     prime_range,
     revalidate_witness,
-    witness_from_check,
     witness_search,
 )
 from .structure import IDENTITY_NAMES, beta_sequence, verify_identity
@@ -217,16 +217,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.replay is not None:
         with open(args.replay, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        witness = BadApproxWitness.from_json_dict(data)
-        check = revalidate_witness(witness)
-        verdict = "valid" if check.passed else "INVALID"
+        # revalidate_witness raises unless every stored field is confirmed
+        witness = revalidate_witness(BadApproxWitness.from_json_dict(data))
         print(
             f"replay witness a={witness.a} d={witness.d} p={witness.p} "
-            f"n0={witness.n0} t={witness.t} residue={witness.residue}: {verdict}"
+            f"n0={witness.n0} t={witness.t} residue={witness.residue}: valid"
         )
-        if not check.passed:
-            print(f"  conditions: {check.verdicts}")
-            return EXIT_FAIL
         return EXIT_OK
 
     if args.a is None or args.d is None:
@@ -259,13 +255,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         else:
             print("  save with --save FILE and replay with: mahlercf witness --replay FILE")
     return EXIT_OK
-
-
-# Each distinct prime costs an O(p) walk over its orbits: `table --d 2
-# --p-max 10000` takes about 1.5 s on a 2-core Xeon (Python 3.11.7), and as
-# many --primes as there are primes below the bound, each 9973, take about
-# 0.2 s.
-TABLE_PRIME_BOUND = 10_000
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -322,14 +311,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_demo_hensel(args: argparse.Namespace) -> int:
     denominators = convergent_denominators(args.d, args.t)
-    check = check_conditions(args.a, args.d, args.p, args.n0, args.t, denominators[args.t])
-    if not check.passed:
+    witness = check_conditions(args.a, args.d, args.p, args.n0, args.t, denominators[args.t])
+    if not witness.passed:
         print(
             f"conditions fail at a={args.a}, d={args.d}, p={args.p}, "
-            f"n0={args.n0}, t={args.t}: {check.verdicts}"
+            f"n0={args.n0}, t={args.t}: {witness.conditions}"
         )
         return EXIT_FAIL
-    witness = witness_from_check(check)
     try:
         demo = hensel_divisibility_demo(witness, args.m, args.cap)
     except SearchExhausted as exc:

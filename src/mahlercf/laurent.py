@@ -30,7 +30,6 @@ truncation and a floored product take one content pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -228,17 +227,7 @@ def rate_of_approximation(u: TruncatedLaurentSeries, p: RatPoly, q: RatPoly) -> 
     return -deg - 2 * int(q.degree())
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
-    """Outcome of the self-similarity checks for f_d and g_d."""
-
-    d: int
-    verified_floor: int
-    checked_degrees: int
-    identities: tuple[str, ...] = field(default=("f-selfsimilar", "g-selfsimilar"))
-
-
-def verify_functional_equations(d: int, floor: int) -> FunctionalEquationReport:
+def verify_functional_equations(d: int, floor: int) -> None:
     """Check the defining self-similarity of the family exactly, coefficient
     by coefficient, for every degree >= floor:
 
@@ -255,36 +244,24 @@ def verify_functional_equations(d: int, floor: int) -> FunctionalEquationReport:
     if floor < -FUNCEQ_FLOOR_BOUND:
         raise InvalidParameter(f"floor {floor} is past the bound -{FUNCEQ_FLOOR_BOUND}")
 
-    checked = 0
-
     # f-identity, multiplied out to avoid any division: floors stay exact.
     f = generate(d, "F", floor - 1)
     lhs = f.substitute_power(d).mul_laurent({1: 1, 0: -1})  # f(x^d) * (x - 1)
     rhs = f.shift(1)  # x * f(x)
-    checked += _compare_series(lhs, rhs, floor)
+    _compare_series(lhs, rhs, floor)
 
     # g-identity: g(x^d) * x^{d^2-2d} * (x-1) == g(x).
     g = generate(d, "G", floor)
     shift = d * d - 2 * d
     lhs_g = g.substitute_power(d).shift(shift).mul_laurent({1: 1, 0: -1})
-    checked += _compare_series(lhs_g, g, floor)
-
-    return FunctionalEquationReport(d=d, verified_floor=floor, checked_degrees=checked)
+    _compare_series(lhs_g, g, floor)
 
 
-def _compare_series(a: TruncatedLaurentSeries, b: TruncatedLaurentSeries, floor: int) -> int:
+def _compare_series(a: TruncatedLaurentSeries, b: TruncatedLaurentSeries, floor: int) -> None:
     if a.floor > floor or b.floor > floor:
         raise InsufficientPrecision(
             f"comparison floor {floor} deeper than computed floors {a.floor}, {b.floor}"
         )
-    top_a = a.degree()
-    top_b = b.degree()
-    top = max(
-        top_a if top_a is not None else floor,
-        top_b if top_b is not None else floor,
-        0,
-    )
     mismatches = [k for k in (a - b).int_coeffs() if k >= floor]
     if mismatches:
         raise MismatchAt(max(mismatches))
-    return top - floor + 1

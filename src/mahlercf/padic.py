@@ -268,41 +268,36 @@ def _roots(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    """Verdicts c1..c4 with the modular evidence behind them."""
-
-    a: int
-    d: int
-    p: int
-    n0: int
-    t: int
-    verdicts: dict[str, bool]
-    residue: int  # a^{d^{n0}} mod p^2
-    qt_value: int  # q_t(residue) mod p^2
-    qt_derivative_at_1: int  # q_t'(1) mod p
-    qt: RatPoly
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-
 _WITNESS_INTS = ("a", "d", "p", "n0", "t", "residue")
 
 
 @dataclass(frozen=True)
 class BadApproxWitness:
-    """A full certificate that f_d(a) is not badly approximable."""
+    """A witness tuple with the verdicts c1..c4 of its four conditions; a
+    full certificate that f_d(a) is not badly approximable when ``passed``."""
 
     a: int
     d: int
     p: int
     n0: int
     t: int
-    residue: int
+    residue: int  # a^{d^{n0}} mod p^2
     conditions: dict[str, bool]
     qt: RatPoly
+
+    @property
+    def passed(self) -> bool:
+        return all(self.conditions.values())
+
+    @property
+    def qt_value(self) -> int:
+        """q_t(residue) mod p^2."""
+        return poly_eval_mod(self.qt, self.residue, self.p * self.p)
+
+    @property
+    def qt_derivative_at_1(self) -> int:
+        """q_t'(1) mod p."""
+        return _at_1(self.qt)[1] % self.p
 
     def to_json_dict(self) -> dict:
         coeffs = self.qt.int_coeffs()
@@ -346,7 +341,7 @@ class BadApproxWitness:
 
 def check_conditions(
     a: int, d: int, p: int, n0: int, t: int, qt: RatPoly
-) -> ConditionCheck:
+) -> BadApproxWitness:
     """Evaluate the four witness conditions for the given parameters.
 
     ``qt`` must be the integer-primitive denominator of the t-th convergent
@@ -369,48 +364,20 @@ def check_conditions(
     coprime_ok = a % p != 0 if prime_ok else False
     residue = power_tower_residue(a, d, n0, p2)
     c1 = prime_ok and coprime_ok and residue % p == 1 and residue != 1
-
     c2 = prime_ok and pow(d, p - 1, p2) != 1
-
-    qt_value = poly_eval_mod(qt, residue, p2)
     parity_ok = (t % 2 == 0) if d == 3 else True
-    c3 = parity_ok and qt_value == 0
-
-    qt_derivative_at_1 = slope % p
-    c4 = qt_derivative_at_1 != 0
-
-    return ConditionCheck(
-        a=a,
-        d=d,
-        p=p,
-        n0=n0,
-        t=t,
-        verdicts={"c1": c1, "c2": c2, "c3": c3, "c4": c4},
-        residue=residue,
-        qt_value=qt_value,
-        qt_derivative_at_1=qt_derivative_at_1,
-        qt=qt,
-    )
-
-
-def witness_from_check(check: ConditionCheck) -> BadApproxWitness:
-    if not check.passed:
-        raise InvalidParameter(f"conditions not all satisfied: {check.verdicts}")
+    c3 = parity_ok and poly_eval_mod(qt, residue, p2) == 0
+    c4 = slope % p != 0
     return BadApproxWitness(
-        a=check.a,
-        d=check.d,
-        p=check.p,
-        n0=check.n0,
-        t=check.t,
-        residue=check.residue,
-        conditions=dict(check.verdicts),
-        qt=check.qt,
+        a=a, d=d, p=p, n0=n0, t=t, residue=residue,
+        conditions={"c1": c1, "c2": c2, "c3": c3, "c4": c4}, qt=qt,
     )
 
 
-def revalidate_witness(w: BadApproxWitness) -> ConditionCheck:
+def revalidate_witness(w: BadApproxWitness) -> BadApproxWitness:
     """Re-run every condition from scratch, including recomputing q_t from
-    the continued-fraction oracle and comparing it with the stored one."""
+    the continued-fraction oracle, and compare q_t, the residue and the
+    verdicts with the stored ones."""
     qt_fresh = convergent_denominators(w.d, w.t)[w.t]
     if qt_fresh.int_coeffs() != w.qt.int_coeffs():
         raise InvalidParameter(
@@ -418,10 +385,14 @@ def revalidate_witness(w: BadApproxWitness) -> ConditionCheck:
         )
     check = check_conditions(w.a, w.d, w.p, w.n0, w.t, qt_fresh)
     if not check.passed:
-        raise InvalidParameter(f"witness fails revalidation: {check.verdicts}")
+        raise InvalidParameter(f"witness fails revalidation: {check.conditions}")
     if check.residue != w.residue:
         raise InvalidParameter(
             f"stored residue {w.residue} != recomputed {check.residue}"
+        )
+    if check.conditions != w.conditions:
+        raise InvalidParameter(
+            f"stored conditions {w.conditions} != recomputed {check.conditions}"
         )
     return check
 
@@ -431,24 +402,17 @@ def revalidate_witness(w: BadApproxWitness) -> ConditionCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SearchDiagnostics:
-    primes_considered: int = 0
-    primes_rejected_growth: int = 0
-    primes_rejected_divides_a: int = 0
-    admissible_pairs: int = 0
-    evaluations: int = 0
-    scale_skips: int = 0
-    roots_without_c4: int = 0
-
-    def summary(self) -> dict:
-        return dict(self.__dict__)
+# The counters of a search, in the order the NotFound text lists them.
+_SEARCH_COUNTERS = (
+    "primes_considered", "primes_rejected_growth", "primes_rejected_divides_a",
+    "admissible_pairs", "evaluations", "scale_skips", "roots_without_c4",
+)
 
 
 def _search_one_prime(
     a: int, d: int, p: int, n0_bound: int, t_bound: int,
     denominators: list[RatPoly], at_1: list[tuple[int, int, int, int]],
-    diag: SearchDiagnostics,
+    diag: dict[str, int],
 ) -> BadApproxWitness | None:
     """Scan (n0, t) lexicographically for one prime; None if nothing passes.
 
@@ -457,7 +421,7 @@ def _search_one_prime(
     everywhere count as roots without c4."""
     p2 = p * p
     hits, everywhere, usable, scale_skips = _roots(at_1, p, d, t_bound)
-    diag.scale_skips += scale_skips
+    diag["scale_skips"] += scale_skips
     first_t = {root: t for t, root in reversed(hits)}  # the least t per root
 
     residue = a % p2
@@ -465,15 +429,18 @@ def _search_one_prime(
         residue = pow(residue, d, p2)
         if residue % p != 1 or residue == 1:
             continue  # p does not divide a^{d^{n0}} - 1 exactly once
-        diag.admissible_pairs += 1
-        diag.evaluations += usable
+        diag["admissible_pairs"] += 1
+        diag["evaluations"] += usable
         t = first_t.get(residue)
         if t is None:
-            diag.roots_without_c4 += len(everywhere)
+            diag["roots_without_c4"] += len(everywhere)
             continue
-        diag.roots_without_c4 += bisect_left(everywhere, t)
+        diag["roots_without_c4"] += bisect_left(everywhere, t)
         # c1, c2, parity and c4 hold here; check_conditions re-derives c3 in full
-        return witness_from_check(check_conditions(a, d, p, n0, t, denominators[t]))
+        witness = check_conditions(a, d, p, n0, t, denominators[t])
+        if not witness.passed:
+            raise InvalidParameter(f"conditions not all satisfied: {witness.conditions}")
+        return witness
     return None
 
 
@@ -492,22 +459,22 @@ def witness_search(
         raise InvalidParameter("all search bounds must be positive (p_bound >= 3)")
     denominators = convergent_denominators(d, t_bound)
     at_1 = [_at_1(qt) for qt in denominators]
-    diag = SearchDiagnostics()
+    diag = dict.fromkeys(_SEARCH_COUNTERS, 0)
 
     for p in prime_range(3 if d == 2 else 5, p_bound + 1):
-        diag.primes_considered += 1
+        diag["primes_considered"] += 1
         if a % p == 0:
-            diag.primes_rejected_divides_a += 1
+            diag["primes_rejected_divides_a"] += 1
             continue
         if pow(d, p - 1, p * p) == 1:  # condition c2 fails
-            diag.primes_rejected_growth += 1
+            diag["primes_rejected_growth"] += 1
             continue
         witness = _search_one_prime(a, d, p, n0_bound, t_bound, denominators, at_1, diag)
         if witness is not None:
             return witness
     raise NotFound(
         f"no witness for a={a}, d={d} within p<={p_bound}, n0<={n0_bound}, "
-        f"t<={t_bound}; diagnostics: {diag.summary()}"
+        f"t<={t_bound}; diagnostics: {diag}"
     )
 
 
@@ -645,15 +612,25 @@ def _check_orbit_prime(p: int, d: int) -> None:
         raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
 
 
+# Each distinct prime costs an O(p) walk over its orbits: `table --d 2
+# --p-max 10000` takes about 1.5 s on a 2-core Xeon (Python 3.11.7), and as
+# many --primes as there are primes below the bound, each 9973, take about
+# 0.2 s.
+TABLE_PRIME_BOUND = 10_000
+
+
 def orbit_table(
     primes: list[int], t_bound: int, d: int = 2, include_missing: bool = False
 ) -> list[OrbitRow]:
     """For each prime, decompose the 1-units 1+cp (c != 0) mod p^2 into
     orbits of the d-th-powering map and give each orbit the first hit of
     ``enumerate_orbit_hits`` whose residue lies in it: the least t with a
-    root in the orbit, and that root."""
+    root in the orbit, and that root.  A prime above TABLE_PRIME_BOUND is
+    refused before any walk."""
     primes = [int(p) for p in primes]
     for p in primes:
+        if p > TABLE_PRIME_BOUND:
+            raise InvalidParameter(f"table primes must not exceed {TABLE_PRIME_BOUND}, got {p}")
         _check_orbit_prime(p, d)
     at_1 = [_at_1(qt) for qt in convergent_denominators(d, t_bound)]
     rows: list[OrbitRow] = []

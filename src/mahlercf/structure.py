@@ -56,24 +56,14 @@ def _undo_power(p: RatPoly, d: int) -> RatPoly | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassifiedConvergent:
-    """Where a g_d convergent comes from: substitution of an h_d convergent
-    (even index, origin H) or of a u_d convergent (odd index, origin U)."""
-
-    index: int
-    origin: str
-    source_index: int
-    source: Convergent
-
-
 def classify_convergent(
     d: int,
     conv: Convergent,
     h_expansion: CFExpansion,
     u_expansion: CFExpansion,
-) -> ClassifiedConvergent:
-    """Decompose a convergent p_m/q_m of g_d according to its parity.
+) -> Convergent:
+    """Decompose a convergent p_m/q_m of g_d according to its parity and
+    return the convergent it comes from by the substitution x -> x^d.
 
     Even m: q_m must be a polynomial in x^d, (x-1) must divide p_m, and
     (p_m/(x-1), q_m) with the substitution undone must equal an h_d
@@ -101,7 +91,7 @@ def classify_convergent(
         inner_p = _undo_power(reduced_p, d)
         if inner_p is None:
             raise fail("numerator/(x-1) is not a polynomial in x^d")
-        source_exp, origin = h_expansion, "H"
+        source_exp = h_expansion
     else:
         quot, rem = poly_divmod(q_m, ones_polynomial(d))
         if not rem.is_zero():
@@ -112,7 +102,7 @@ def classify_convergent(
         inner_p = _undo_power(p_m, d)
         if inner_p is None:
             raise fail("numerator is not a polynomial in x^d")
-        source_exp, origin = u_expansion, "U"
+        source_exp = u_expansion
 
     target_deg = int(inner_q.degree()) if not inner_q.is_zero() else 0
     source = None
@@ -127,15 +117,16 @@ def classify_convergent(
     # Same fraction up to a scalar: cross-multiplication must be proportional.
     if inner_p * source.q != inner_q * source.p:
         raise fail(f"undone pair does not match source convergent {source.index}")
-    if origin == "H" and _is_multiple(source.q, X_MINUS_1):
+    if m % 2 == 0 and _is_multiple(source.q, X_MINUS_1):
         raise fail("source h-convergent denominator divisible by x-1")
-    if origin == "U" and _is_multiple(source.p, X_MINUS_1):
+    if m % 2 and _is_multiple(source.p, X_MINUS_1):
         raise fail("source u-convergent numerator divisible by x-1")
-    return ClassifiedConvergent(index=m, origin=origin, source_index=source.index, source=source)
+    return source
 
 
-def classify_all(d: int, m_max: int) -> list[ClassifiedConvergent]:
-    """Classify every convergent of g_d up to index m_max."""
+def classify_all(d: int, m_max: int) -> list[Convergent]:
+    """Classify every convergent of g_d up to index m_max: the source
+    convergent of each, from h_d at even m and from u_d at odd m."""
     g_exp, _ = expand_family(d, "G", m_max)
     depth = m_max // 2 + 2
     h_exp, _ = expand_family(d, "H", depth)
@@ -311,10 +302,7 @@ def verify_identity(
             if closed[i] != oracle.beta(i):
                 failures.append({"k": i, "closed": str(closed[i]), "oracle": str(oracle.beta(i))})
     elif name == "theorem1":
-        for cls in classify_all(d, hi):
-            expected = "H" if cls.index % 2 == 0 else "U"
-            if cls.origin != expected:
-                failures.append({"m": cls.index, "origin": cls.origin})
+        classify_all(d, hi)  # raises ClassificationFailure at the first failure
     elif name in ("lemma5", "prop2", "prop_sum3", "prop_bk"):
         if d != 3:
             raise InvalidParameter(f"identity {name} is a d=3 statement")

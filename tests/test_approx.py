@@ -114,7 +114,6 @@ class TestIrrationalityWitness:
         rep = irrationality_witness(2, 4, 3)
         assert [s.exponent_64ths for s in rep.samples] == [192, 192, 192, 192]
         assert rep.samples[0].exponent_decimal() == "3.000"
-        assert all(s.proof_inequality for s in rep.samples)
         assert rep.exponent_at_least(Fraction(3))
         assert not rep.exponent_at_least(Fraction(25, 8))
 

@@ -221,6 +221,19 @@ class TestWitness:
         assert code == 4
         assert err == "invalid input: need p >= 1, got 0\n"
 
+    @pytest.mark.parametrize("conditions", [{"c1": False, "c2": False}, {}], ids=str)
+    def test_replay_with_wrong_conditions_exit_4(self, capsys, tmp_path, conditions):
+        path = tmp_path / "witness.json"
+        run_cli(capsys, ["witness", "--a", "2", "--d", "3", "--save", str(path)])
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(stored, conditions=conditions)))
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert (code, out) == (4, "")
+        assert err == (
+            f"invalid input: stored conditions {conditions} != recomputed "
+            "{'c1': True, 'c2': True, 'c3': True, 'c4': True}\n"
+        )
+
     def test_threads_flag_matches_serial(self, capsys, monkeypatch):
         argv = ["witness", "--a", "2", "--d", "2", "--p-bound", "11", "--n0-bound", "8",
                 "--t-bound", "20"]

@@ -173,14 +173,10 @@ class TestRates:
 class TestFunctionalEquations:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_self_similarity_holds(self, d):
-        report = verify_functional_equations(d, -64)
-        assert report.d == d
-        assert report.verified_floor <= -64
-        assert set(report.identities) == {"f-selfsimilar", "g-selfsimilar"}
+        assert verify_functional_equations(d, -64) is None
 
     def test_minimal_floor(self):
-        report = verify_functional_equations(2, -2)
-        assert report.checked_degrees >= 1
+        assert verify_functional_equations(2, -2) is None
 
     def test_floor_must_cover_one_substitution(self):
         with pytest.raises(InvalidParameter):
@@ -207,4 +203,4 @@ class TestFunctionalEquations:
         with pytest.raises(MismatchAt) as err:
             _compare_series(twice, f, -10)
         assert err.value.degree == -3
-        assert _compare_series(generate(2, "F", -20), f, -10) == 11
+        _compare_series(generate(2, "F", -20), f, -10)  # agrees down to -10

@@ -34,7 +34,6 @@ from mahlercf.padic import (
     prime_range,
     revalidate_witness,
     wieferich_scan,
-    witness_from_check,
     witness_search,
 )
 from mahlercf.polys import RatPoly, poly_eval_mod, poly_normalize_integer
@@ -124,7 +123,7 @@ class TestOrders:
     @staticmethod
     def c2(d, p):
         q2 = convergent_denominators(d, 2)[2]
-        return check_conditions(2, d, p, 1, 2, q2).verdicts["c2"]
+        return check_conditions(2, d, p, 1, 2, q2).conditions["c2"]
 
     def test_gamma_growth_typical(self):
         assert self.c2(2, 3)
@@ -151,7 +150,7 @@ class TestDivisibility:
         # Condition c1 is p || a^{d^{n0}} - 1, decided at modulus p^2.
         def c1(a, d, n0, p):
             qt = convergent_denominators(d, 2)[2]
-            return check_conditions(a, d, p, n0, 2, qt).verdicts["c1"]
+            return check_conditions(a, d, p, n0, 2, qt).conditions["c1"]
 
         # 2^{3^1} - 1 = 7 is exactly divisible by 7
         assert c1(2, 3, 1, 7)
@@ -167,7 +166,7 @@ class TestConditions:
         check = check_conditions(2, 2, 3, 2, 9, q9)
         assert check.passed
         assert check.residue == 7
-        assert check.verdicts == {"c1": True, "c2": True, "c3": True, "c4": True}
+        assert check.conditions == {"c1": True, "c2": True, "c3": True, "c4": True}
 
     def test_pinned_d3_tuple(self):
         q8 = convergent_denominators(3, 8)[8]
@@ -180,12 +179,12 @@ class TestConditions:
         q9 = convergent_denominators(2, 9)[9]
         check = check_conditions(15, 2, 3, 2, 9, q9)
         assert not check.passed
-        assert not check.verdicts["c1"]
+        assert not check.conditions["c1"]
 
     def test_d3_requires_odd_t_rejected(self):
         q7 = convergent_denominators(3, 7)[7]
         check = check_conditions(2, 3, 7, 2, 7, q7)
-        assert not check.verdicts["c3"]
+        assert not check.conditions["c3"]
 
     def test_d3_small_primes_rejected(self):
         q8 = convergent_denominators(3, 8)[8]
@@ -198,7 +197,7 @@ class TestConditions:
         for d in (2, 3):
             q2 = convergent_denominators(d, 2)[2]
             for p in prime_range(5, 20_000):
-                c2 = check_conditions(2, d, p, 1, 2, q2).verdicts["c2"]
+                c2 = check_conditions(2, d, p, 1, 2, q2).conditions["c2"]
                 assert c2 == (n_order(d, p * p) == p * n_order(d, p)), (d, p)
 
     def test_derivative_at_1_matches_the_derivative_polynomial(self):
@@ -262,7 +261,7 @@ class TestWitnessSearch:
             witness_search(2, 5, 10, 5, 10)
 
     # (a, d, p_bound, n0_bound, t_bound) -> the witness's (p, n0, t, residue),
-    # or the SearchDiagnostics fields in order when NotFound is raised; both
+    # or the search counters in order when NotFound is raised; both
     # recorded from the coefficient-by-coefficient root scan that preceded
     # the closed form
     PINNED_SEARCHES = {
@@ -291,7 +290,7 @@ class TestWitnessSearch:
         else:
             with pytest.raises(NotFound) as err:
                 witness_search(*bounds)
-            summary = padic.SearchDiagnostics(*expected).summary()
+            summary = dict(zip(padic._SEARCH_COUNTERS, expected, strict=True))
             assert str(err.value).endswith(f"diagnostics: {summary}")
 
 
@@ -341,11 +340,31 @@ class TestWitnessObjects:
         with pytest.raises(InvalidParameter, match="does not match"):
             revalidate_witness(tampered)
 
-    def test_witness_from_check(self):
+    def test_tampered_conditions_rejected_on_revalidation(self):
+        w = witness_search(2, 2, 11, 8, 20)
+        for conditions in ({"c1": False, "c2": False}, {}):
+            data = {**w.to_json_dict(), "conditions": conditions}
+            tampered = BadApproxWitness.from_json_dict(data)
+            with pytest.raises(InvalidParameter, match="stored conditions"):
+                revalidate_witness(tampered)
+
+    def test_check_conditions_returns_the_witness(self):
         q9 = convergent_denominators(2, 9)[9]
-        check = check_conditions(2, 2, 3, 2, 9, q9)
-        w = witness_from_check(check)
+        w = check_conditions(2, 2, 3, 2, 9, q9)
+        assert isinstance(w, BadApproxWitness)
         assert (w.a, w.d, w.p, w.n0, w.t, w.residue) == (2, 2, 3, 2, 9, 7)
+        assert w.qt is q9
+        assert w.qt_value == poly_eval_mod(q9, 7, 9) == 0
+        assert w.qt_derivative_at_1 == padic._at_1(q9)[1] % 3 != 0
+        # the search and revalidation return the same record
+        assert revalidate_witness(w) == w
+        assert witness_search(2, 2, 3, 2, 9) == w
+
+    def test_failing_search_hit_is_refused(self, monkeypatch):
+        # a root-map hit that the full check rejects is never returned
+        monkeypatch.setattr(padic, "poly_eval_mod", lambda *args: 1)
+        with pytest.raises(InvalidParameter, match="conditions not all satisfied"):
+            witness_search(2, 2, 3, 2, 9)
 
 
 class TestHensel:
@@ -495,6 +514,12 @@ class TestOrbitTable:
     def test_invalid_prime_rejected(self):
         with pytest.raises(InvalidParameter):
             orbit_table([3, 9], 10)
+
+    def test_prime_above_the_bound_is_refused_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(padic, "_orbit_rows", None)  # a walk would raise TypeError
+        assert padic.TABLE_PRIME_BOUND == 10_000
+        with pytest.raises(InvalidParameter, match="must not exceed 10000, got 10007"):
+            orbit_table([3, 10007], 10)
 
 
 class TestOrbitTableOracle:

@@ -1,4 +1,5 @@
-"""Smoke test: every script under scripts/ runs to exit 0 on a small input."""
+"""Smoke tests: every script under scripts/ runs to exit 0 on a small input,
+and the table script refuses a prime past the table bound."""
 
 import os
 import subprocess
@@ -24,15 +25,27 @@ SCRIPT_ARGV = {
 RUNS = sorted(SCRIPT_ARGV)
 
 
-@pytest.mark.parametrize("script, argv", RUNS, ids=[SCRIPT_ARGV[run] for run in RUNS])
-def test_script_runs(script, argv):
+def run_script(script: str, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
     src = str(Path(mahlercf.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script, argv", RUNS, ids=[SCRIPT_ARGV[run] for run in RUNS])
+def test_script_runs(script, argv):
+    proc = run_script(script, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_table_script_refuses_a_prime_above_the_bound():
+    # orbit_table refuses the prime before the O(p) walk over its orbits
+    proc = run_script("reproduce_table.py", ("--primes", "10007"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "InvalidParameter: table primes must not exceed 10000, got 10007" in proc.stderr

@@ -22,31 +22,63 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
+def _nodes_outside_the_unit_tests() -> list[ast.AST]:
+    # Every AST node of the library modules other than __init__, the scripts
+    # and the acceptance criteria.
+    package = Path(mahlercf.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    users = [
+        *(path for path in package.glob("*.py") if path.name != "__init__.py"),
+        *root.glob("scripts/*.py"),
+        root / "tests" / "test_acceptance.py",
+    ]
+    return [
+        node
+        for path in users
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    ]
+
+
 def test_every_export_has_a_caller_outside_the_unit_tests():
     # An export counts as used when a library module other than __init__, a
     # script or the acceptance criteria refers to it by name or attribute.
-    package = Path(mahlercf.__file__).parent
-    root = Path(__file__).resolve().parents[1]
-    init = ast.parse((package / "__init__.py").read_text())
+    init = ast.parse((Path(mahlercf.__file__).parent / "__init__.py").read_text())
     exported = {
         alias.asname or alias.name
         for node in init.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    users = [
-        *(path for path in package.glob("*.py") if path.name != "__init__.py"),
-        *root.glob("scripts/*.py"),
-        root / "tests" / "test_acceptance.py",
-    ]
     referenced = set()
-    for path in users:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    for node in _nodes_outside_the_unit_tests():
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
     assert sorted(exported - referenced) == []
+
+
+def test_every_record_field_is_read_outside_the_unit_tests():
+    # A dataclass field that only the unit tests read is a result nobody
+    # uses; it counts as read when a library module, a script or the
+    # acceptance criteria refers to an attribute of that name.
+    read = {
+        node.attr for node in _nodes_outside_the_unit_tests() if isinstance(node, ast.Attribute)
+    }
+    fields = [
+        f"{path.name}:{cls.name}.{stmt.target.id}"
+        for path in sorted(Path(mahlercf.__file__).parent.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+            for dec in cls.decorator_list
+        )
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert fields
+    assert [field for field in fields if field.rpartition(".")[2] not in read] == []
 
 
 def test_every_error_class_is_constructed_by_the_library():

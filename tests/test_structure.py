@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mahlercf.contfrac import monic_normalize
+from mahlercf.contfrac import expand_family, monic_normalize
 from mahlercf.errors import (
     ClassificationFailure,
     InvalidParameter,
@@ -142,9 +142,16 @@ class TestIntegerForms:
 class TestClassification:
     @pytest.mark.parametrize("d", [2, 3])
     def test_all_convergents_classify_by_parity(self, d):
+        # convergent m of g_d comes from convergent m // 2 of h_d at even m
+        # and of u_d at odd m
+        h_exp, _ = expand_family(d, "H", 14)
+        u_exp, _ = expand_family(d, "U", 14)
         classified = classify_all(d, 24)
-        for item in classified:
-            assert item.origin == ("H" if item.index % 2 == 0 else "U")
+        assert len(classified) == 25
+        for m, source in enumerate(classified):
+            expected = (h_exp if m % 2 == 0 else u_exp).convergents[m // 2]
+            assert source.index == m // 2
+            assert (source.p, source.q) == (expected.p, expected.q), m
 
     def test_classify_single(self, g2_expansion):
         cf, _ = g2_expansion
@@ -153,8 +160,8 @@ class TestClassification:
 
         h_exp = cf_expand(generate(2, "H", -80), 16)
         u_exp = cf_expand(generate(2, "U", -80), 16)
-        item = classify_convergent(2, cf.convergents[4], h_exp, u_exp)
-        assert item.origin == "H"
+        source = classify_convergent(2, cf.convergents[4], h_exp, u_exp)
+        assert source is h_exp.convergents[2]
 
 
 class TestIdentities:
