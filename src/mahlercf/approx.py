@@ -17,9 +17,9 @@ those values, and the irrationality-exponent witnesses for d >= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _Record
 from .errors import IdentityFailure, InvalidParameter
 
 __all__ = [
@@ -54,8 +54,7 @@ def _decimal_render(value: Fraction, digits: int) -> str:
 DECIMAL_DIGITS_CAP = 30  # the most places decimal() renders
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
+class CertifiedValue(_Record):
     """An exact rational `value` with a guaranteed `error_bound`:
     the targeted real number lies in [value - error_bound, value + error_bound].
     """
@@ -64,9 +63,10 @@ class CertifiedValue:
     error_bound: Fraction
     target: str
 
-    def __post_init__(self) -> None:
-        if self.error_bound < 0:
+    def __init__(self, value: Fraction, error_bound: Fraction, target: str) -> None:
+        if error_bound < 0:
             raise InvalidParameter("error_bound must be non-negative")
+        super().__init__(value, error_bound, target)
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self.value - self.error_bound, self.value + self.error_bound)
@@ -167,8 +167,7 @@ def real_cf_prefix(value: CertifiedValue, max_terms: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentSample:
+class ExponentSample(_Record):
     """One partial product r_k(a) = p/denominator viewed as a rational
     approximation of f_d(a), with its certified error and the exponent it
     witnesses: error_upper <= denominator^(-exponent)."""
@@ -183,8 +182,7 @@ class ExponentSample:
         return f"{thousandths // 1000}.{thousandths % 1000:03d}"
 
 
-@dataclass(frozen=True)
-class IrrationalityReport:
+class IrrationalityReport(_Record):
     a: int
     d: int
     k_max: int

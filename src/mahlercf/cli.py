@@ -23,7 +23,6 @@ timestamp field that --no-timestamp suppresses (text output never has one).
 from __future__ import annotations
 
 import argparse
-import datetime
 import itertools
 import json
 import re
@@ -114,7 +113,8 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    from datetime import datetime, timezone  # loaded only when a timestamp is printed
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _emit_json(payload: dict, args: argparse.Namespace, rows: Iterable[dict] | None = None) -> None:

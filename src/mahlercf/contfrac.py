@@ -26,10 +26,10 @@ divides only down to F_i: the rate is exact unless u - p_i/q_i vanishes there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import _Record
 from .errors import (
     IdentityFailure,
     InsufficientPrecision,
@@ -40,8 +40,7 @@ from .laurent import TruncatedLaurentSeries, generate, rate_of_approximation
 from .polys import RatPoly, poly_divmod
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(_Record):
     """One convergent p/q, sign-normalized so that q's leading coefficient is
     positive; ``rate`` is the degree of the next partial quotient when that
     quotient is known, else None."""

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
 
+from ._record import _Record
 from .errors import (
     HypothesisFailed,
     InvalidParameter,
@@ -271,8 +271,7 @@ def _roots(
 _WITNESS_INTS = ("a", "d", "p", "n0", "t", "residue")
 
 
-@dataclass(frozen=True)
-class BadApproxWitness:
+class BadApproxWitness(_Record):
     """A witness tuple with the verdicts c1..c4 of its four conditions; a
     full certificate that f_d(a) is not badly approximable when ``passed``."""
 
@@ -317,8 +316,8 @@ class BadApproxWitness:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BadApproxWitness":
         """Parse the JSON form; InvalidParameter unless it is an object with
-        integers a, d, p, n0, t, residue, a conditions object and a nonzero
-        qt coefficient list."""
+        integers a, d, p, n0, t, residue, a conditions object of booleans and
+        a nonzero qt coefficient list."""
         if not isinstance(data, dict):
             raise InvalidParameter("witness must be a JSON object")
         missing = [k for k in (*_WITNESS_INTS, "conditions", "qt") if k not in data]
@@ -329,12 +328,15 @@ class BadApproxWitness:
             raise InvalidParameter(f"witness fields {not_ints} must be integers")
         if not isinstance(data["conditions"], dict) or not isinstance(data["qt"], str):
             raise InvalidParameter("witness conditions must be an object and qt a string")
+        not_bools = [k for k, v in data["conditions"].items() if type(v) is not bool]
+        if not_bools:
+            raise InvalidParameter(f"witness conditions {not_bools} must be booleans")
         qt_poly = RatPoly.from_text(data["qt"])
         if qt_poly.is_zero():
             raise InvalidParameter("witness qt is the zero polynomial")
         return cls(
             **{k: data[k] for k in _WITNESS_INTS},
-            conditions={k: bool(v) for k, v in data["conditions"].items()},
+            conditions=dict(data["conditions"]),
             qt=poly_normalize_integer(qt_poly),
         )
 
@@ -483,8 +485,7 @@ def witness_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HenselDemo:
+class HenselDemo(_Record):
     """Evidence that p^m divides q_t(a^{d^n}) for an explicitly found n."""
 
     m: int
@@ -575,8 +576,7 @@ def hensel_divisibility_demo(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitRow:
+class OrbitRow(_Record):
     """One orbit of the nontrivial 1-units mod p^2 under x -> x^d, kept as its
     least member ``start``.
 

@@ -10,9 +10,9 @@ well-approximability witnesses for d >= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _Record
 from .errors import (
     ClassificationFailure,
     InvalidParameter,
@@ -142,8 +142,7 @@ def classify_all(d: int, m_max: int) -> list[Convergent]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaSequence:
+class BetaSequence(_Record):
     """Beta parameters of the two-term monic recurrence
 
         qhat_{2k+1} = (1+x+...+x^{d-1}) qhat_{2k}   + beta_{2k+1} qhat_{2k-1}
@@ -244,8 +243,7 @@ def beta_closed_form(n: int) -> dict[int, Fraction]:
 IDENTITY_NAMES = ("funceq", "lemma5", "prop2", "prop_sum3", "prop_bk", "theorem1", "bzz")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     identity: str
     d: int
     k_range: tuple[int, int]
@@ -359,8 +357,7 @@ def _verify_d3_identity(name: str, lo: int, hi: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WellApproxReport:
+class WellApproxReport(_Record):
     d: int
     k_max: int
     rates: list[int]

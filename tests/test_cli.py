@@ -221,7 +221,17 @@ class TestWitness:
         assert code == 4
         assert err == "invalid input: need p >= 1, got 0\n"
 
-    @pytest.mark.parametrize("conditions", [{"c1": False, "c2": False}, {}], ids=str)
+    @pytest.mark.parametrize(
+        "conditions",
+        [
+            {"c1": False, "c2": False},
+            {},
+            # verdicts that are not JSON booleans are refused, not coerced
+            {"c1": "false", "c2": True, "c3": True, "c4": True},
+            {"c1": 1, "c2": 1, "c3": 1, "c4": 1},
+        ],
+        ids=str,
+    )
     def test_replay_with_wrong_conditions_exit_4(self, capsys, tmp_path, conditions):
         path = tmp_path / "witness.json"
         run_cli(capsys, ["witness", "--a", "2", "--d", "3", "--save", str(path)])
@@ -229,10 +239,14 @@ class TestWitness:
         path.write_text(json.dumps(dict(stored, conditions=conditions)))
         code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
         assert (code, out) == (4, "")
-        assert err == (
-            f"invalid input: stored conditions {conditions} != recomputed "
-            "{'c1': True, 'c2': True, 'c3': True, 'c4': True}\n"
-        )
+        not_bools = [key for key, verdict in conditions.items() if type(verdict) is not bool]
+        if not_bools:
+            assert err == f"invalid input: witness conditions {not_bools} must be booleans\n"
+        else:
+            assert err == (
+                f"invalid input: stored conditions {conditions} != recomputed "
+                "{'c1': True, 'c2': True, 'c3': True, 'c4': True}\n"
+            )
 
     def test_threads_flag_matches_serial(self, capsys, monkeypatch):
         argv = ["witness", "--a", "2", "--d", "2", "--p-bound", "11", "--n0-bound", "8",
@@ -621,18 +635,47 @@ class TestFuzz:
 
 
 class TestImportPath:
-    @pytest.mark.parametrize("module", ["mahlercf.cli", "mahlercf"])
-    def test_import_leaves_sympy_unloaded(self, module):
+    @staticmethod
+    def _python(*args: str) -> subprocess.CompletedProcess:
+        # a fresh interpreter that imports the package from this source tree
         src = str(Path(mahlercf.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
+        return proc
+
+    @pytest.mark.parametrize("module", ["mahlercf.cli", "mahlercf"])
+    def test_import_leaves_sympy_unloaded(self, module):
+        proc = self._python(
+            "-c",
+            f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))",
+        )
         assert proc.stdout == "[]\n"
+
+    def _imported(self, *args: str) -> set[str]:
+        # every module a fresh interpreter imports, as -X importtime lists them
+        proc = self._python("-X", "importtime", *args)
+        return {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
+    @pytest.mark.parametrize(
+        "args",
+        [("-c", "import mahlercf.cli"),
+         ("-m", "mahlercf.cli", "cf", "--d", "2", "--n", "5", "--no-timestamp")],
+        ids=["import", "cf-no-timestamp"],
+    )
+    def test_cold_start_loads_no_dataclasses_inspect_or_datetime(self, args):
+        # judged against a bare interpreter, so that a module that site
+        # imports (through a .pth file, say) does not count against the package
+        added = self._imported(*args) - self._imported("-c", "pass")
+        assert "mahlercf.padic" in added
+        assert added & {"dataclasses", "inspect", "datetime"} == set()
 
 
 @pytest.mark.skipif(shutil.which("mahlercf") is None, reason="script not installed")

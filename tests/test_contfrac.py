@@ -1,6 +1,5 @@
 """Continued-fraction expansion: certification, convergent laws, monic quantities."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -360,7 +359,8 @@ class TestTypedChecks:
 
     def test_rate_differs_from_next_degree(self):
         cf, series = expand_family(2, "G", 6)
-        cf.convergents[3] = dataclasses.replace(cf.convergents[3], rate=2)
+        c = cf.convergents[3]
+        cf.convergents[3] = Convergent(index=c.index, p=c.p, q=c.q, rate=2)
         with pytest.raises(RateViolation, match="convergent 3: measured rate 1"):
             convergent_soundness(series, cf)
 
@@ -369,7 +369,8 @@ class TestTypedChecks:
         # above the top term of g_3 - p_2/q_2, so the truncated difference vanishes
         cf, series = expand_family(3, "G", 6)
         assert cf.convergents[2].rate == 2
-        cf.convergents[2] = dataclasses.replace(cf.convergents[2], rate=0)
+        c = cf.convergents[2]
+        cf.convergents[2] = Convergent(index=c.index, p=c.p, q=c.q, rate=0)
         with pytest.raises(RateViolation, match="convergent 2: measured rate 2 "):
             convergent_soundness(series, cf)
 
