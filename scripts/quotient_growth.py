@@ -7,7 +7,7 @@ import argparse
 from fractions import Fraction
 
 from mahlercf.approx import irrationality_witness
-from mahlercf.structure import well_approx_report
+from mahlercf.structure import well_approx_rate, well_approx_report
 
 
 def main() -> int:
@@ -22,8 +22,7 @@ def main() -> int:
     report = well_approx_report(args.d, args.k_max)
     print(f"approximation rates of r_k for d={args.d}, k=0..{args.k_max}:")
     for k, rate in enumerate(report.rates):
-        formula = args.d ** (k + 1) - 2 * (args.d ** (k + 1) - 1) // (args.d - 1)
-        print(f"  k={k}: rate {rate} (closed form {formula})")
+        print(f"  k={k}: rate {rate} (closed form {well_approx_rate(args.d, k)})")
     print(f"first partial quotient of degree >= {args.d}: index "
           f"{report.first_large_quotient_index}, degree "
           f"{report.first_large_quotient_degree}")

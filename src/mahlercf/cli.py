@@ -53,7 +53,7 @@ from .padic import (
     revalidate_witness,
     witness_search,
 )
-from .structure import IDENTITY_NAMES, beta_sequence, verify_identity
+from .structure import IDENTITY_D, IDENTITY_NAMES, beta_sequence, verify_identity
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -189,20 +189,15 @@ def _cmd_cf(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     name = args.identity
     if name == "bzz":
-        if args.d is not None and args.d != 2:
-            raise InvalidParameter("identity bzz is a d=2 statement")
         k_range = (2, args.n if args.n is not None else 200)
-        d = 2
     elif name == "theorem1":
         k_range = args.m if args.m is not None else (0, 100)
-        d = args.d if args.d is not None else 2
     elif name == "funceq":
         depth = args.floor if args.floor is not None else 200
         k_range = (0, abs(depth))
-        d = args.d if args.d is not None else 2
     else:
         k_range = args.k if args.k is not None else (0, 30)
-        d = args.d if args.d is not None else 3
+    d = args.d if args.d is not None else IDENTITY_D.get(name, 2)
     report = verify_identity(name, d, k_range)
     if args.output == "json":
         _emit_json(report.to_json_dict(), args)

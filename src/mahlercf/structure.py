@@ -36,13 +36,6 @@ def ones_polynomial(d: int) -> RatPoly:
 X_MINUS_1 = RatPoly.from_ascending([-1, 1])
 
 
-def _is_multiple(numerator: RatPoly, divisor: RatPoly) -> bool:
-    if numerator.is_zero():
-        return True
-    _, rem = poly_divmod(numerator, divisor)
-    return rem.is_zero()
-
-
 def _undo_power(p: RatPoly, d: int) -> RatPoly | None:
     """Inverse of substituting x -> x^d, or None if p is not a polynomial in x^d."""
     ints = p.int_coeffs()
@@ -56,6 +49,9 @@ def _undo_power(p: RatPoly, d: int) -> RatPoly | None:
 # ---------------------------------------------------------------------------
 
 
+_SIDES = ("numerator", "denominator")
+
+
 def classify_convergent(
     d: int,
     conv: Convergent,
@@ -65,51 +61,37 @@ def classify_convergent(
     """Decompose a convergent p_m/q_m of g_d according to its parity and
     return the convergent it comes from by the substitution x -> x^d.
 
-    Even m: q_m must be a polynomial in x^d, (x-1) must divide p_m, and
-    (p_m/(x-1), q_m) with the substitution undone must equal an h_d
-    convergent whose denominator is coprime to x-1.
+    Even m: p_m = (x-1) P(x^d) and q_m = Q(x^d), and P/Q must be the h_d
+    convergent of degree deg Q, with a denominator coprime to x-1.
 
-    Odd m: q_m must be divisible by 1+x+...+x^{d-1} with a quotient that is
-    a polynomial in x^d, p_m a polynomial in x^d, and the undone pair must
-    equal a u_d convergent whose numerator is coprime to x-1.
+    Odd m: p_m = P(x^d) and q_m = (1+x+...+x^{d-1}) Q(x^d), and P/Q must be
+    the u_d convergent of degree deg Q, with a numerator coprime to x-1.
 
     Raises ClassificationFailure(m) when any step fails.
     """
     m = conv.index
-    p_m, q_m = conv.p, conv.q
 
     def fail(reason: str) -> ClassificationFailure:
         return ClassificationFailure(m, f"convergent {m} of g_{d}: {reason}")
 
     if m % 2 == 0:
-        inner_q = _undo_power(q_m, d)
-        if inner_q is None:
-            raise fail("denominator is not a polynomial in x^d")
-        if not _is_multiple(p_m, X_MINUS_1):
-            raise fail("numerator is not divisible by x-1")
-        reduced_p, _ = poly_divmod(p_m, X_MINUS_1)
-        inner_p = _undo_power(reduced_p, d)
-        if inner_p is None:
-            raise fail("numerator/(x-1) is not a polynomial in x^d")
-        source_exp = h_expansion
+        factors, source_exp, coprime = (X_MINUS_1, None), h_expansion, 1
     else:
-        quot, rem = poly_divmod(q_m, ones_polynomial(d))
-        if not rem.is_zero():
-            raise fail("denominator is not divisible by 1+x+...+x^{d-1}")
-        inner_q = _undo_power(quot, d)
-        if inner_q is None:
-            raise fail("denominator quotient is not a polynomial in x^d")
-        inner_p = _undo_power(p_m, d)
-        if inner_p is None:
-            raise fail("numerator is not a polynomial in x^d")
-        source_exp = u_expansion
+        factors, source_exp, coprime = (None, ones_polynomial(d)), u_expansion, 0
+    inner = []
+    for side, poly, factor in zip(_SIDES, (conv.p, conv.q), factors):
+        if factor is not None:
+            poly, rem = poly_divmod(poly, factor)
+            if not rem.is_zero():
+                raise fail(f"{side} is not divisible by {factor}")
+        undone = _undo_power(poly, d)
+        if undone is None:
+            raise fail(f"{side} is not of the form ({factor or 1}) P(x^d)")
+        inner.append(undone)
+    inner_p, inner_q = inner
 
-    target_deg = int(inner_q.degree()) if not inner_q.is_zero() else 0
-    source = None
-    for cand in source_exp.convergents:
-        if int(cand.q.degree()) == target_deg:
-            source = cand
-            break
+    target_deg = inner_q.degree()
+    source = next((c for c in source_exp.convergents if c.q.degree() == target_deg), None)
     if source is None:
         raise fail(
             f"no source convergent of degree {target_deg} within the supplied expansion"
@@ -117,10 +99,9 @@ def classify_convergent(
     # Same fraction up to a scalar: cross-multiplication must be proportional.
     if inner_p * source.q != inner_q * source.p:
         raise fail(f"undone pair does not match source convergent {source.index}")
-    if m % 2 == 0 and _is_multiple(source.q, X_MINUS_1):
-        raise fail("source h-convergent denominator divisible by x-1")
-    if m % 2 and _is_multiple(source.p, X_MINUS_1):
-        raise fail("source u-convergent numerator divisible by x-1")
+    # x-1 divides a polynomial exactly when its coefficients sum to 0
+    if sum((source.p, source.q)[coprime].int_coeffs().values()) == 0:
+        raise fail(f"source {_SIDES[coprime]} is divisible by x-1")
     return source
 
 
@@ -169,16 +150,14 @@ class BetaSequence(_Record):
         return self.monic.beta(n)
 
     def a_coeff(self, m: int) -> Fraction:
-        if self.d != 3:
-            raise InvalidParameter("sub-leading coefficients are a d=3 construction")
         return self._cube_coeff(m, 1)
 
     def b_coeff(self, m: int) -> Fraction:
-        if self.d != 3:
-            raise InvalidParameter("sub-sub-leading coefficients are a d=3 construction")
         return self._cube_coeff(m, 2)
 
     def _cube_coeff(self, m: int, drop: int) -> Fraction:
+        if self.d != 3:
+            raise InvalidParameter("the cube-form coefficients are a d=3 construction")
         # The rigid shape makes s monic of degree k, and degree 3j of either
         # cube form carries s_j alone, so no division by x^2+x+1 is needed;
         # one coefficient of qhat_m = q_m / rho_m is read off the raw q_m.
@@ -242,6 +221,19 @@ def beta_closed_form(n: int) -> dict[int, Fraction]:
 
 IDENTITY_NAMES = ("funceq", "lemma5", "prop2", "prop_sum3", "prop_bk", "theorem1", "bzz")
 
+# The identities that hold for one d only; the CLI defaults --d to it.
+IDENTITY_D = {"bzz": 2, "lemma5": 3, "prop2": 3, "prop_sum3": 3, "prop_bk": 3}
+
+# (lhs, rhs) of block k of each d=3 beta identity, from the betas b of g_3.
+_D3_BLOCKS = {
+    "prop2": lambda b, k: (b(6 * k + 6) * b(6 * k + 4) * b(6 * k + 2), b(2 * k + 2)),
+    "prop_sum3": lambda b, k: (sum(b(6 * k + i) for i in range(1, 7)), Fraction(3)),
+    "prop_bk": lambda b, k: (
+        sum(b(6 * k + i) * b(6 * k + j) for i in range(1, 7) for j in range(i + 2, 7)),
+        3 + b(6 * k) * b(6 * k + 1),
+    ),
+}
+
 
 class IdentityReport(_Record):
     identity: str
@@ -280,6 +272,8 @@ def verify_identity(
     Returns a report with status "pass"/"fail" and the failing k values.
     """
     lo, hi = k_range
+    if name in IDENTITY_D and d != IDENTITY_D[name]:
+        raise InvalidParameter(f"identity {name} is a d={IDENTITY_D[name]} statement")
     if lo > hi:
         raise InvalidParameter(f"empty range {k_range}")
     failures: list = []
@@ -291,8 +285,6 @@ def verify_identity(
         except MismatchAt as exc:
             failures.append({"degree": exc.degree})
     elif name == "bzz":
-        if d != 2:
-            raise InvalidParameter("the closed beta recurrence is a d=2 statement")
         n = max(hi, 4)
         oracle = beta_sequence(2, n)
         closed = beta_closed_form(n)
@@ -301,10 +293,10 @@ def verify_identity(
                 failures.append({"k": i, "closed": str(closed[i]), "oracle": str(oracle.beta(i))})
     elif name == "theorem1":
         classify_all(d, hi)  # raises ClassificationFailure at the first failure
-    elif name in ("lemma5", "prop2", "prop_sum3", "prop_bk"):
-        if d != 3:
-            raise InvalidParameter(f"identity {name} is a d=3 statement")
-        failures = _verify_d3_identity(name, lo, hi)
+    elif name == "lemma5":
+        failures = _verify_lemma5(lo, hi)
+    elif name in _D3_BLOCKS:
+        failures = _verify_d3_identity(_D3_BLOCKS[name], lo, hi)
     else:
         raise InvalidParameter(f"unknown identity {name!r} (choose from {IDENTITY_NAMES})")
 
@@ -312,41 +304,29 @@ def verify_identity(
     return IdentityReport(identity=name, d=d, k_range=(lo, hi), status=status, failures=failures)
 
 
-def _verify_d3_identity(name: str, lo: int, hi: int) -> list:
+def _verify_lemma5(lo: int, hi: int) -> list:
     failures: list = []
-    if name == "lemma5":
-        depth = 6 * hi + 2
-        seq = beta_sequence(3, depth)
-        cf = seq.monic
-        for k in range(max(lo, 1), hi + 1):
-            rho6, rho2 = cf.leading_coeff(6 * k), cf.leading_coeff(2 * k)
-            q6 = cf.monic_denominator(6 * k)
-            q2 = cf.monic_denominator(2 * k)
-            p6 = cf.raw_p[6 * k] * (1 / rho6)
-            p2 = cf.raw_p[2 * k] * (1 / rho2)
-            if q6 != poly_substitute_power(q2, 3):
-                failures.append({"k": k, "part": "denominator"})
-                continue
-            expected_p = RatPoly.monomial(3) * X_MINUS_1 * poly_substitute_power(p2, 3)
-            if p6 != expected_p:
-                failures.append({"k": k, "part": "numerator"})
-        return failures
+    cf = beta_sequence(3, 6 * hi + 2).monic
+    for k in range(max(lo, 1), hi + 1):
+        rho6, rho2 = cf.leading_coeff(6 * k), cf.leading_coeff(2 * k)
+        q6 = cf.monic_denominator(6 * k)
+        q2 = cf.monic_denominator(2 * k)
+        p6 = cf.raw_p[6 * k] * (1 / rho6)
+        p2 = cf.raw_p[2 * k] * (1 / rho2)
+        if q6 != poly_substitute_power(q2, 3):
+            failures.append({"k": k, "part": "denominator"})
+            continue
+        expected_p = RatPoly.monomial(3) * X_MINUS_1 * poly_substitute_power(p2, 3)
+        if p6 != expected_p:
+            failures.append({"k": k, "part": "numerator"})
+    return failures
 
-    depth = 6 * hi + 6
-    seq = beta_sequence(3, depth)
+
+def _verify_d3_identity(block, lo: int, hi: int) -> list:
+    failures: list = []
+    seq = beta_sequence(3, 6 * hi + 6)
     for k in range(max(lo, 0), hi + 1):
-        if name == "prop2":
-            lhs = seq.beta(6 * k + 6) * seq.beta(6 * k + 4) * seq.beta(6 * k + 2)
-            rhs = seq.beta(2 * k + 2)
-        elif name == "prop_sum3":
-            lhs = sum(seq.beta(6 * k + i) for i in range(1, 7))
-            rhs = Fraction(3)
-        else:  # prop_bk
-            lhs = Fraction(0)
-            for i in range(1, 7):
-                for j in range(i + 2, 7):
-                    lhs += seq.beta(6 * k + i) * seq.beta(6 * k + j)
-            rhs = 3 + seq.beta(6 * k) * seq.beta(6 * k + 1)
+        lhs, rhs = block(seq.beta, k)
         if lhs != rhs:
             failures.append({"k": k, "lhs": str(lhs), "rhs": str(rhs)})
     return failures
@@ -387,7 +367,6 @@ def well_approx_report(d: int, k_max: int) -> WellApproxReport:
         raise InvalidParameter(f"need k_max >= 1, got {k_max}")
     f = generate(d, "F", -(d ** (k_max + 1) + 8))
     rates: list[int] = []
-    prev = None
     for k in range(0, k_max + 1):
         num, den = partial_product(d, k)
         measured = rate_of_approximation(f, num, den)
@@ -396,18 +375,13 @@ def well_approx_report(d: int, k_max: int) -> WellApproxReport:
             raise RateViolation(
                 f"r_{k} against f_{d}: measured rate {measured}, predicted {predicted}"
             )
-        if prev is not None and measured <= prev:
+        if rates and measured <= rates[-1]:
             raise RateViolation(f"rates not strictly increasing at k={k}")
         rates.append(measured)
-        prev = measured
 
-    cf, _ = expand_family(d, "G", 40)
-    first_idx = first_deg = -1
-    for i, a in enumerate(cf.partial_quotients):
-        if i >= 1 and int(a.degree()) >= d:
-            first_idx, first_deg = i, int(a.degree())
-            break
-    if first_idx < 0:
+    quotients = expand_family(d, "G", 40)[0].partial_quotients
+    first = next((i for i in range(1, len(quotients)) if quotients[i].degree() >= d), None)
+    if first is None:
         raise RateViolation(
             f"no partial quotient of degree >= {d} within depth 40"
         )
@@ -415,7 +389,7 @@ def well_approx_report(d: int, k_max: int) -> WellApproxReport:
         d=d,
         k_max=k_max,
         rates=rates,
-        first_large_quotient_index=first_idx,
-        first_large_quotient_degree=first_deg,
+        first_large_quotient_index=first,
+        first_large_quotient_degree=int(quotients[first].degree()),
     )
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import mahlercf
 from mahlercf.cli import TABLE_PRIME_BOUND, main
+from mahlercf.contfrac import CFExpansion
 
 
 def run_cli(capsys, argv):
@@ -137,6 +138,18 @@ class TestVerify:
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--identity", "nope"])
         assert code == 4
+
+    def test_failed_identity_exits_1_listing_each_failure(self, capsys, monkeypatch):
+        beta = CFExpansion.beta
+        monkeypatch.setattr(
+            CFExpansion, "beta", lambda self, n: beta(self, n) + (1 if n == 14 else 0)
+        )
+        code, out, err = run_cli(capsys, ["verify", "--identity", "prop2", "--k", "0..4"])
+        assert (code, err) == (1, "")
+        assert out == (
+            "identity prop2 (d=3, range (0, 4)): fail\n"
+            "  failure: {'k': 2, 'lhs': '-13/7', 'rhs': '-2'}\n"
+        )
 
 
 class TestWitness:
@@ -676,6 +689,41 @@ class TestImportPath:
         added = self._imported(*args) - self._imported("-c", "pass")
         assert "mahlercf.padic" in added
         assert added & {"dataclasses", "inspect", "datetime"} == set()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output ends is an i/o failure:
+    exit 4 with one stderr line and no traceback (docs/interface.md)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--d", "2", "--p-max", "2000", "--include-missing"],
+            ["table", "--d", "2", "--p-max", "2000", "--include-missing", "--output", "json"],
+            ["table", "--d", "2", "--p-max", "2000", "--include-missing", "--output", "csv"],
+            ["cf", "--d", "2", "--n", "200", "--output", "json"],
+        ],
+        ids=["table-text", "table-json", "table-csv", "cf-json"],
+    )
+    def test_reader_closing_after_one_line_exits_4(self, argv):
+        # each output is several times the size of a pipe buffer, so the
+        # writer is still writing when the reader goes
+        src = str(Path(mahlercf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mahlercf.cli", *argv, "--no-timestamp"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        finally:
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert code == 4
+        assert err == "i/o error: [Errno 32] Broken pipe\n"  # so no traceback
 
 
 @pytest.mark.skipif(shutil.which("mahlercf") is None, reason="script not installed")

@@ -1,0 +1,47 @@
+"""Every `verify` request of the benchmark menus reproduces its recorded
+output: the exit code and the SHA-256 of the ``--no-timestamp`` stdout in
+perfbench/references.json, judged by the benchmark's own ``checks.failure``.
+
+scripts/check_references.py checks all the menu requests; this is the part
+of that check that runs the structure layer's identity checks."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mahlercf
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import checks  # noqa: E402
+from workloads import WORKLOADS, menu  # noqa: E402
+
+REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
+VERIFY_REQUESTS = [r for w in WORKLOADS for r in menu(w) if r.subcommand == "verify"]
+
+
+def test_the_menus_hold_every_verify_request():
+    # 30 in cf-expand (bzz, theorem1 and the four d = 3 identities) and the
+    # 4 funceq requests of cf-certify
+    assert len(VERIFY_REQUESTS) == 34
+    assert {r.argv[2] for r in VERIFY_REQUESTS} == {
+        "bzz", "theorem1", "lemma5", "prop2", "prop_sum3", "prop_bk", "funceq"
+    }
+
+
+@pytest.mark.parametrize("request_", VERIFY_REQUESTS, ids=[r.key for r in VERIFY_REQUESTS])
+def test_verify_request_matches_its_reference(request_, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(mahlercf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mahlercf.cli", *request_.argv, "--no-timestamp"],
+        capture_output=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    reference = REFERENCES[request_.key]
+    assert not reference["seed_fails"]
+    assert checks.failure(request_, proc.returncode, proc.stdout, proc.stderr, reference) is None

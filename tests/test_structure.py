@@ -1,10 +1,11 @@
 """Quotient shape, beta extraction, classification, named identities."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from mahlercf.contfrac import expand_family, monic_normalize
+from mahlercf.contfrac import CFExpansion, Convergent, expand_family, monic_normalize
 from mahlercf.errors import (
     ClassificationFailure,
     InvalidParameter,
@@ -164,6 +165,90 @@ class TestClassification:
         assert source is h_exp.convergents[2]
 
 
+class TestClassificationFailures:
+    """Each way a convergent can fail to classify raises ClassificationFailure
+    naming its index, for both parities."""
+
+    CASES = [(d, m) for d in (2, 3) for m in (6, 7)]
+
+    @staticmethod
+    def _sources(d, depth=10):
+        return expand_family(d, "H", depth)[0], expand_family(d, "U", depth)[0]
+
+    @staticmethod
+    def _convergent(d, m):
+        cf, _ = expand_family(d, "G", 12)
+        return cf.convergents[m]
+
+    def _reason(self, d, conv, h_exp, u_exp) -> str:
+        with pytest.raises(ClassificationFailure) as err:
+            classify_convergent(d, conv, h_exp, u_exp)
+        assert err.value.index == conv.index
+        prefix = f"convergent {conv.index} of g_{d}: "
+        assert str(err.value).startswith(prefix)
+        return str(err.value)[len(prefix):]
+
+    @pytest.mark.parametrize("d, m", CASES)
+    def test_untampered_convergent_classifies(self, d, m):
+        h_exp, u_exp = self._sources(d)
+        source = classify_convergent(d, self._convergent(d, m), h_exp, u_exp)
+        assert source.index == m // 2
+
+    @pytest.mark.parametrize("d, m", CASES)
+    def test_numerator_off_shape(self, d, m):
+        # p_m + x is neither divisible by x-1 (even m) nor a polynomial in x^d
+        conv = self._convergent(d, m)
+        tampered = Convergent(index=m, p=conv.p + RatPoly.x(), q=conv.q, rate=conv.rate)
+        assert self._reason(d, tampered, *self._sources(d)).startswith("numerator ")
+
+    @pytest.mark.parametrize("d, m", CASES)
+    def test_denominator_off_shape(self, d, m):
+        # q_m + x is neither a polynomial in x^d (even m) nor divisible by
+        # 1+x+...+x^{d-1} (odd m)
+        conv = self._convergent(d, m)
+        tampered = Convergent(index=m, p=conv.p, q=conv.q + RatPoly.x(), rate=conv.rate)
+        assert self._reason(d, tampered, *self._sources(d)).startswith("denominator ")
+
+    @pytest.mark.parametrize("d, m", CASES)
+    def test_zero_denominator(self, d, m):
+        conv = self._convergent(d, m)
+        self._reason(d, Convergent(index=m, p=conv.p, q=RatPoly.zero(), rate=conv.rate),
+                     *self._sources(d))
+
+    @pytest.mark.parametrize("d, m", CASES)
+    def test_source_expansion_too_short(self, d, m):
+        reason = self._reason(d, self._convergent(d, m), *self._sources(d, depth=1))
+        assert "no source convergent of degree 3" in reason
+
+    @pytest.mark.parametrize("d, m", CASES)
+    def test_pair_does_not_match_the_source(self, d, m):
+        # p_m is (x-1) P(x^d) at even m and P(x^d) at odd m; the shift keeps
+        # that shape and adds x to P
+        conv = self._convergent(d, m)
+        shift = (RatPoly.from_text("-1, 1") if m % 2 == 0 else 1) * RatPoly.monomial(d)
+        tampered = Convergent(index=m, p=conv.p + shift, q=conv.q, rate=conv.rate)
+        assert "does not match source convergent 3" in self._reason(d, tampered, *self._sources(d))
+
+    @pytest.mark.parametrize("d, m", CASES)
+    def test_source_not_coprime_to_x_minus_1(self, d, m):
+        # An even convergent ((x-1)·1, x^d - 1) undoes to (1, x-1), an odd one
+        # (x^d - 1, (1+...+x^{d-1}) x^d) to (x-1, x); the matching source pair
+        # then has the side that must be coprime to x-1 divisible by it.
+        x_minus_1 = RatPoly.from_text("-1, 1")
+        x_d_minus_1 = RatPoly.monomial(d) - 1
+        if m % 2 == 0:
+            conv = Convergent(index=m, p=x_minus_1, q=x_d_minus_1, rate=1)
+            source = Convergent(index=1, p=RatPoly.one(), q=x_minus_1, rate=1)
+        else:
+            conv = Convergent(index=m, p=x_d_minus_1, q=ones_polynomial(d) * RatPoly.monomial(d),
+                              rate=1)
+            source = Convergent(index=1, p=x_minus_1, q=RatPoly.x(), rate=1)
+        stub = SimpleNamespace(convergents=[source])
+        reason = self._reason(d, conv, stub, stub)
+        assert "divisible by x-1" in reason
+        assert ("denominator" if m % 2 == 0 else "numerator") in reason
+
+
 class TestIdentities:
     def test_identity_vocabulary_frozen(self):
         assert IDENTITY_NAMES == (
@@ -206,6 +291,66 @@ class TestIdentities:
     def test_bzz_requires_d2(self):
         with pytest.raises(InvalidParameter):
             verify_identity("bzz", 3, (2, 10))
+
+
+def _perturb_beta(monkeypatch, index: int) -> None:
+    # every identity reads its betas through CFExpansion.beta
+    beta = CFExpansion.beta
+    monkeypatch.setattr(
+        CFExpansion, "beta", lambda self, n: beta(self, n) + (1 if n == index else 0)
+    )
+
+
+class TestIdentityFailureReports:
+    """The exact report of each identity when one input is perturbed."""
+
+    @pytest.mark.parametrize(
+        "name, d, k_range, failures",
+        [
+            ("prop2", 3, (0, 4), [{"k": 2, "lhs": "-13/7", "rhs": "-2"}]),
+            # beta_14 is also the right side at k = 6
+            ("prop2", 3, (0, 6), [{"k": 2, "lhs": "-13/7", "rhs": "-2"},
+                                  {"k": 6, "lhs": "-14", "rhs": "-13"}]),
+            ("prop_sum3", 3, (0, 4), [{"k": 2, "lhs": "4", "rhs": "3"}]),
+            ("prop_bk", 3, (0, 4), [{"k": 2, "lhs": "29/14", "rhs": "1"}]),
+            ("bzz", 2, (2, 30), [{"k": 14, "closed": "-1", "oracle": "0"}]),
+        ],
+    )
+    def test_perturbed_beta_report(self, monkeypatch, name, d, k_range, failures):
+        _perturb_beta(monkeypatch, 14)
+        assert verify_identity(name, d, k_range).to_json_dict() == {
+            "identity": name,
+            "d": d,
+            "range": list(k_range),
+            "status": "fail",
+            "failures": failures,
+        }
+
+    def test_lemma5_denominator_failure(self, monkeypatch):
+        # lemma5 reads no betas; perturb qhat_12 = qhat_{6k} at k = 2
+        denominator = CFExpansion.monic_denominator
+        monkeypatch.setattr(
+            CFExpansion,
+            "monic_denominator",
+            lambda self, n: denominator(self, n) + (1 if n == 12 else 0),
+        )
+        report = verify_identity("lemma5", 3, (0, 4))
+        assert report.to_json_dict()["failures"] == [{"k": 2, "part": "denominator"}]
+        assert report.status == "fail"
+
+    def test_lemma5_numerator_failure(self, monkeypatch):
+        # perturb the raw numerator p_18 = p_{6k} at k = 3
+        raw_p = CFExpansion.raw_p.func
+
+        def perturbed(self):
+            chain = list(raw_p(self))
+            chain[18] = chain[18] + 1
+            return tuple(chain)
+
+        monkeypatch.setattr(CFExpansion, "raw_p", property(perturbed))
+        report = verify_identity("lemma5", 3, (0, 4))
+        assert report.to_json_dict()["failures"] == [{"k": 3, "part": "numerator"}]
+        assert report.status == "fail"
 
 
 class TestWellApproximation:
