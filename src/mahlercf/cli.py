@@ -23,7 +23,6 @@ timestamp field that --no-timestamp suppresses (text output never has one).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -31,7 +30,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .approx import eval_mahler, real_cf_prefix
-from .contfrac import convergent_soundness, expand_family
+from .contfrac import CFExpansion, convergent_soundness, expand_family
 from .errors import (
     InsufficientPrecision,
     InvalidParameter,
@@ -53,6 +52,7 @@ from .padic import (
     revalidate_witness,
     witness_search,
 )
+from .polys import RatPoly, _ratio_text
 from .structure import IDENTITY_D, IDENTITY_NAMES, beta_sequence, verify_identity
 
 EXIT_OK = 0
@@ -117,11 +117,21 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _write_items(items: Iterable[str]) -> None:
+    """Write a list as json.dumps(indent=2) lays it out as the value of a
+    top-level key, each item being the text of one element laid out there."""
+    empty = True
+    for item in items:
+        sys.stdout.write(("[\n    " if empty else ",\n    ") + item)
+        empty = False
+    sys.stdout.write("[]" if empty else "\n  ]")
+
+
 def _emit_json(payload: dict, args: argparse.Namespace, rows: Iterable[dict] | None = None) -> None:
     """Write json.dumps(payload, indent=2) and a newline, the payload ending
     with `rows` as "rows", if given, and then "generated_at" unless
-    --no-timestamp.  Rows are encoded one at a time and the rest in batches
-    of encoder chunks, so that a large payload is never held as one string."""
+    --no-timestamp.  Rows are encoded and written one at a time, so that a
+    large table is never held as one string."""
     payload = dict(payload)
     if rows is not None:
         payload["rows"] = []
@@ -129,20 +139,50 @@ def _emit_json(payload: dict, args: argparse.Namespace, rows: Iterable[dict] | N
         payload["generated_at"] = _timestamp()
     encoder = json.JSONEncoder(indent=2)
     if rows is None:
-        chunks = encoder.iterencode(payload)
-        while batch := "".join(itertools.islice(chunks, 1 << 16)):
-            sys.stdout.write(batch)
+        sys.stdout.write(encoder.encode(payload))
     else:
         # without its rows the payload is small; each row fills its empty list
         head, tail = encoder.encode(payload).split('"rows": []', 1)
-        sys.stdout.write(head + '"rows": [')
-        empty = True
-        for row in rows:
-            text = encoder.encode(row).replace("\n", "\n    ")
-            sys.stdout.write(("\n    " if empty else ",\n    ") + text)
-            empty = False
-        sys.stdout.write(("]" if empty else "\n  ]") + tail)
+        sys.stdout.write(head + '"rows": ')
+        _write_items(encoder.encode(row).replace("\n", "\n    ") for row in rows)
+        sys.stdout.write(tail)
     sys.stdout.write("\n")
+
+
+def _poly_json(poly: RatPoly, indent: str) -> str:
+    """poly as the object {"coeffs": {degree: reduced fraction string}} that
+    json.dumps(indent=2) lays out at `indent`, with one gcd per coefficient."""
+    num, den = poly.scale.numerator, poly.scale.denominator
+    inner = indent + "    "
+    terms = sorted(poly.int_coeffs().items())
+    body = f",\n{inner}".join(f'"{deg}": "{_ratio_text(num * c, den)}"' for deg, c in terms)
+    coeffs = f"{{\n{inner}{body}\n{indent}  }}" if body else "{}"
+    return f'{{\n{indent}  "coeffs": {coeffs}\n{indent}}}'
+
+
+def _write_cf_json(cf: CFExpansion, args: argparse.Namespace) -> None:
+    """Write the `cf` document ("a", "convergents", "betas" for --kind G, then
+    "generated_at" unless --no-timestamp) in the bytes of json.dumps(payload,
+    indent=2) and a newline, one convergent at a time, building no payload."""
+    fields = {
+        "a": (_poly_json(a, "    ") for a in cf.partial_quotients),
+        "convergents": (
+            f'{{\n      "n": {c.index},\n      "p": {_poly_json(c.p, "      ")},\n'
+            f'      "q": {_poly_json(c.q, "      ")},\n'
+            f'      "rate": {"null" if c.rate is None else c.rate}\n    }}'
+            for c in cf.convergents
+        ),
+    }
+    if args.kind == "G":
+        fields["betas"] = (f'"{cf.beta(n)}"' for n in range(2, cf.last_index + 1))
+    opening = "{\n"
+    for key, items in fields.items():
+        sys.stdout.write(f'{opening}  "{key}": ')
+        _write_items(items)
+        opening = ",\n"
+    if not args.no_timestamp:
+        sys.stdout.write(f',\n  "generated_at": {json.dumps(_timestamp())}')
+    sys.stdout.write("\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +210,7 @@ def _cmd_cf(args: argparse.Namespace) -> int:
         convergent_soundness(series, cf)
 
     if args.output == "json":
-        _emit_json(cf.to_json_dict(betas=args.kind == "G"), args)
+        _write_cf_json(cf, args)
         return EXIT_OK
 
     print(f"continued fraction of {args.kind.lower()}_{args.d}, {args.n} quotients")

@@ -50,14 +50,6 @@ class Convergent(_Record):
     q: RatPoly
     rate: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.index,
-            "p": self.p.to_json_dict(),
-            "q": self.q.to_json_dict(),
-            "rate": self.rate,
-        }
-
 
 class CFExpansion:
     """Partial quotients a_0..a_M and their convergent chains.
@@ -83,8 +75,10 @@ class CFExpansion:
     and the monic recurrence qhat_{n+1} = ahat_{n+1} qhat_n + beta_{n+1}
     qhat_{n-1} holds exactly, with the seed conventions qhat_{-1} = 0,
     qhat_0 = 1 and hence beta_1 = 0: it is the raw recurrence that built
-    the chain, divided by rho_{n+1}.  Each value is computed when read;
-    nothing is stored and nothing re-verified.
+    the chain, divided by rho_{n+1}.  As deg a_{n+1} >= 1, rho_{n+1} =
+    lc(a_{n+1}) rho_n, so ahat_{n+1} and qhat_n are ``monic()`` of the stored
+    a_{n+1} and q_n.  Each value is computed when read; nothing is stored and
+    nothing re-verified.
     """
 
     def __init__(self, partial_quotients: list[RatPoly]):
@@ -150,23 +144,14 @@ class CFExpansion:
     def monic_quotient(self, n: int) -> RatPoly:
         if not 1 <= n <= self.last_index:
             raise InvalidParameter(f"monic quotient {n} not available")
-        return self.partial_quotients[n] * (self.leading_coeff(n - 1) / self.leading_coeff(n))
+        return self.partial_quotients[n].monic()
 
     def monic_denominator(self, n: int) -> RatPoly:
         if not -1 <= n <= self.last_index:
             raise InvalidParameter(f"monic denominator {n} not available")
         if n == -1:
             return RatPoly.zero()
-        return self.raw_q[n] * (1 / self.leading_coeff(n))
-
-    def to_json_dict(self, betas: bool = False) -> dict:
-        data = {
-            "a": [a.to_json_dict() for a in self.partial_quotients],
-            "convergents": [c.to_json_dict() for c in self.convergents],
-        }
-        if betas:
-            data["betas"] = [str(self.beta(n)) for n in range(2, self.last_index + 1)]
-        return data
+        return self.raw_q[n].monic()
 
 
 def _check_count(n: int) -> None:

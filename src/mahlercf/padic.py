@@ -341,6 +341,11 @@ class BadApproxWitness(_Record):
         )
 
 
+# check_conditions walks n0 powerings, so n0 is bounded, and so is the
+# search's n0 bound, so that every witness found can be replayed.
+N0_BOUND = 10**6
+
+
 def check_conditions(
     a: int, d: int, p: int, n0: int, t: int, qt: RatPoly
 ) -> BadApproxWitness:
@@ -353,6 +358,8 @@ def check_conditions(
         raise InvalidParameter(f"certificates exist for d in {{2, 3}}, got {d}")
     if n0 < 1 or t < 1:
         raise InvalidParameter("need n0 >= 1 and t >= 1")
+    if n0 > N0_BOUND:
+        raise InvalidParameter(f"n0 must not exceed {N0_BOUND}, got {n0}")
     if p < 1:
         raise InvalidParameter(f"need p >= 1, got {p}")
     _, slope, num, den = _at_1(qt)
@@ -459,6 +466,8 @@ def witness_search(
         raise InvalidParameter(f"need a >= 2 and d in {{2, 3}}, got a={a}, d={d}")
     if p_bound < 3 or n0_bound < 1 or t_bound < 1:
         raise InvalidParameter("all search bounds must be positive (p_bound >= 3)")
+    if n0_bound > N0_BOUND:
+        raise InvalidParameter(f"n0 bound must not exceed {N0_BOUND}, got {n0_bound}")
     denominators = convergent_denominators(d, t_bound)
     at_1 = [_at_1(qt) for qt in denominators]
     diag = dict.fromkeys(_SEARCH_COUNTERS, 0)

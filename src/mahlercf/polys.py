@@ -222,11 +222,6 @@ class RatPoly(_ScaledIntMap):
 
     # -- rendering ----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        num, den = self._scale.numerator, self._scale.denominator
-        coeffs = {str(deg): _ratio_text(num * c, den) for deg, c in sorted(self._ints.items())}
-        return {"coeffs": coeffs}
-
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"
 

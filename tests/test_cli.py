@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import mahlercf
 from mahlercf.cli import TABLE_PRIME_BOUND, main
+from mahlercf.padic import N0_BOUND
 from mahlercf.contfrac import CFExpansion
 
 
@@ -281,6 +282,31 @@ class TestWitness:
         assert (code, out) == (4, "")
         assert err == "invalid input: certificates exist for d in {2, 3}, got 4\n"
 
+    def test_n0_bound_past_the_limit_exits_4(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["witness", "--a", "2", "--d", "2", "--n0-bound", str(N0_BOUND + 1)]
+        )
+        assert (code, out) == (4, "")
+        assert err == f"invalid input: n0 bound must not exceed {N0_BOUND}, got {N0_BOUND + 1}\n"
+        # the bound itself is a valid search bound
+        code, out, _ = run_cli(
+            capsys, ["witness", "--a", "2", "--d", "2", "--p-bound", "3",
+                     "--n0-bound", str(N0_BOUND), "--t-bound", "18"]
+        )
+        assert code == 0
+        assert "p=3, n0=1, t=18" in out
+
+    def test_replay_with_n0_past_the_bound_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        run_cli(capsys, ["witness", "--a", "2", "--d", "3", "--save", str(path)])
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(stored, n0=10**9)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == f"invalid input: n0 must not exceed {N0_BOUND}, got {10**9}\n"
+
     def test_missing_replay_file_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["witness", "--replay", str(tmp_path / "absent.json")]
@@ -466,6 +492,17 @@ class TestDemoHensel:
         assert (code, out) == (4, "")
         assert err == "invalid input: certificates exist for d in {2, 3}, got 4\n"
 
+    def test_n0_past_the_bound_exits_4_quickly(self, capsys):
+        # each check walks n0 powerings, so n0 = 10^9 would run for minutes
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "3", "--p", "7", "--n0", str(10**9), "--t", "8"],
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == f"invalid input: n0 must not exceed {N0_BOUND}, got {10**9}\n"
+
     def test_failing_conditions_exit_1(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -511,11 +548,11 @@ class TestOutputDeterminism:
         assert "generated_at" in json.loads(out)
 
     @pytest.mark.parametrize("argv", [
-        ["cf", "--d", "2", "--n", "200"],
         ["table", "--d", "2", "--p-max", "600", "--include-missing"],
     ])
     def test_json_is_written_in_batches_as_one_dumps(self, capsys, monkeypatch, argv):
-        # the payloads span more than one batch of encoder chunks
+        # the payloads span more than one batch of encoder chunks; cf JSON,
+        # written from the chains, is tested in test_cf_json_oracle.py
         import mahlercf.cli as cli
 
         payloads = []

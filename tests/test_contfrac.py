@@ -1,9 +1,12 @@
 """Continued-fraction expansion: certification, convergent laws, monic quantities."""
 
+import argparse
+import json
 from fractions import Fraction
 
 import pytest
 
+from mahlercf.cli import _write_cf_json
 from mahlercf.contfrac import (
     CFExpansion,
     Convergent,
@@ -304,7 +307,7 @@ class TestMonicView:
             with pytest.raises(InvalidParameter, match=f"^monic quotient {n} not available$"):
                 monic.monic_quotient(n)
 
-    def test_numerators_are_built_only_when_read(self, monkeypatch):
+    def test_numerators_are_built_only_when_read(self, monkeypatch, capsys):
         import mahlercf.padic as padic
         import mahlercf.structure as structure
 
@@ -323,12 +326,13 @@ class TestMonicView:
         assert len(built) == 2
         for cf in built:
             assert not {"raw_p", "convergents"} & set(vars(cf))
-        seq.monic.to_json_dict(betas=True)
+        _write_cf_json(seq.monic, argparse.Namespace(kind="G", no_timestamp=True))
         assert {"raw_p", "convergents"} <= set(vars(seq.monic))
 
-    def test_json_schema(self, g2_expansion):
+    def test_json_schema(self, g2_expansion, capsys):
         cf, _ = g2_expansion
-        data = cf.to_json_dict(betas=True)
+        _write_cf_json(cf, argparse.Namespace(kind="G", no_timestamp=True))
+        data = json.loads(capsys.readouterr().out)
         assert set(data) == {"a", "convergents", "betas"}
         assert data["betas"][0] == "2"
         first = data["convergents"][0]

@@ -8,6 +8,7 @@ operation must give the same ``Fraction`` coefficients, floors and strings
 as the reference.
 """
 
+import json
 from fractions import Fraction
 from typing import Mapping
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlercf.cli import _poly_json
 from mahlercf.laurent import TruncatedLaurentSeries
 from mahlercf.polys import RatPoly, _render_terms, poly_divmod, poly_substitute_power
 
@@ -107,7 +109,10 @@ def poly_str(coeffs):
 
 
 def poly_json(coeffs):
-    return {"coeffs": {str(deg): str(c) for deg, c in sorted(coeffs.items())}}
+    """A polynomial's object in cf --output json, as json.dumps lays it out
+    at the top level."""
+    return json.dumps({"coeffs": {str(deg): str(c) for deg, c in sorted(coeffs.items())}},
+                      indent=2)
 
 
 def series_str(coeffs, floor):
@@ -165,7 +170,7 @@ scalars = st.one_of(coefficients, st.integers(min_value=-10**6, max_value=10**6)
 def same_poly(poly: RatPoly, coeffs: dict) -> None:
     assert poly.coeffs == coeffs
     assert str(poly) == poly_str(coeffs)
-    assert poly.to_json_dict() == poly_json(coeffs)
+    assert _poly_json(poly, "") == poly_json(coeffs)
     assert poly == RatPoly(coeffs)
 
 
@@ -279,7 +284,7 @@ class TestRendering:
             return original(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-        text, data = str(poly), poly.to_json_dict()
+        text, data = str(poly), _poly_json(poly, "")
         monkeypatch.undo()
         assert built == []
         assert text == _render(poly.coeffs)

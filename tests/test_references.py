@@ -1,9 +1,11 @@
-"""Every `verify` request of the benchmark menus reproduces its recorded
-output: the exit code and the SHA-256 of the ``--no-timestamp`` stdout in
-perfbench/references.json, judged by the benchmark's own ``checks.failure``.
+"""Every `verify` request and every `cf ... --output json` request of the
+benchmark menus reproduces its recorded output: the exit code and the SHA-256
+of the ``--no-timestamp`` stdout in perfbench/references.json, judged by the
+benchmark's own ``checks.failure``.
 
 scripts/check_references.py checks all the menu requests; this is the part
-of that check that runs the structure layer's identity checks."""
+of that check that runs the structure layer's identity checks and the
+writer of the cf JSON document."""
 
 import json
 import os
@@ -23,6 +25,8 @@ from workloads import WORKLOADS, menu  # noqa: E402
 
 REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
 VERIFY_REQUESTS = [r for w in WORKLOADS for r in menu(w) if r.subcommand == "verify"]
+CF_JSON_REQUESTS = [r for w in WORKLOADS for r in menu(w)
+                    if r.subcommand == "cf" and r.argv[-2:] == ("--output", "json")]
 
 
 def test_the_menus_hold_every_verify_request():
@@ -34,8 +38,24 @@ def test_the_menus_hold_every_verify_request():
     }
 
 
+def test_the_menus_hold_every_cf_json_request():
+    # 28 G expansions in cf-expand (d = 2, 3 at 14 sizes) and the 8 H and U
+    # expansions of cf-certify
+    counts = {w: sum(r in CF_JSON_REQUESTS for r in menu(w)) for w in WORKLOADS}
+    assert counts == {"cf-expand": 28, "cf-certify": 8, "value-certs": 0}
+
+
 @pytest.mark.parametrize("request_", VERIFY_REQUESTS, ids=[r.key for r in VERIFY_REQUESTS])
 def test_verify_request_matches_its_reference(request_, tmp_path):
+    _matches_its_reference(request_, tmp_path)
+
+
+@pytest.mark.parametrize("request_", CF_JSON_REQUESTS, ids=[r.key for r in CF_JSON_REQUESTS])
+def test_cf_json_request_matches_its_reference(request_, tmp_path):
+    _matches_its_reference(request_, tmp_path)
+
+
+def _matches_its_reference(request_, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(mahlercf.__file__).resolve().parents[1])
     proc = subprocess.run(
