@@ -26,7 +26,7 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .approx import eval_mahler, real_cf_prefix
@@ -127,26 +127,22 @@ def _write_items(items: Iterable[str]) -> None:
     sys.stdout.write("[]" if empty else "\n  ]")
 
 
-def _emit_json(payload: dict, args: argparse.Namespace, rows: Iterable[dict] | None = None) -> None:
-    """Write json.dumps(payload, indent=2) and a newline, the payload ending
-    with `rows` as "rows", if given, and then "generated_at" unless
-    --no-timestamp.  Rows are encoded and written one at a time, so that a
-    large table is never held as one string."""
-    payload = dict(payload)
-    if rows is not None:
-        payload["rows"] = []
-    if not getattr(args, "no_timestamp", False):
-        payload["generated_at"] = _timestamp()
-    encoder = json.JSONEncoder(indent=2)
-    if rows is None:
-        sys.stdout.write(encoder.encode(payload))
-    else:
-        # without its rows the payload is small; each row fills its empty list
-        head, tail = encoder.encode(payload).split('"rows": []', 1)
-        sys.stdout.write(head + '"rows": ')
-        _write_items(encoder.encode(row).replace("\n", "\n    ") for row in rows)
-        sys.stdout.write(tail)
-    sys.stdout.write("\n")
+def _emit_json(fields: dict, args: argparse.Namespace) -> None:
+    """Write json.dumps(fields, indent=2) and a newline, with "generated_at"
+    last unless --no-timestamp.  A field whose value is an iterator is a list
+    given as the texts of its items (see _write_items), written one at a
+    time, so that a large list is never held as one string."""
+    if not args.no_timestamp:
+        fields = {**fields, "generated_at": _timestamp()}
+    opening = "{"
+    for key, value in fields.items():
+        sys.stdout.write(f"{opening}\n  {json.dumps(key)}: ")
+        if isinstance(value, Iterator):
+            _write_items(value)
+        else:
+            sys.stdout.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        opening = ","
+    sys.stdout.write("\n}\n")
 
 
 def _poly_json(poly: RatPoly, indent: str) -> str:
@@ -161,9 +157,8 @@ def _poly_json(poly: RatPoly, indent: str) -> str:
 
 
 def _write_cf_json(cf: CFExpansion, args: argparse.Namespace) -> None:
-    """Write the `cf` document ("a", "convergents", "betas" for --kind G, then
-    "generated_at" unless --no-timestamp) in the bytes of json.dumps(payload,
-    indent=2) and a newline, one convergent at a time, building no payload."""
+    """Write the `cf` document ("a", "convergents", "betas" for --kind G)
+    through _emit_json, one convergent at a time, building no payload."""
     fields = {
         "a": (_poly_json(a, "    ") for a in cf.partial_quotients),
         "convergents": (
@@ -175,14 +170,7 @@ def _write_cf_json(cf: CFExpansion, args: argparse.Namespace) -> None:
     }
     if args.kind == "G":
         fields["betas"] = (f'"{cf.beta(n)}"' for n in range(2, cf.last_index + 1))
-    opening = "{\n"
-    for key, items in fields.items():
-        sys.stdout.write(f'{opening}  "{key}": ')
-        _write_items(items)
-        opening = ",\n"
-    if not args.no_timestamp:
-        sys.stdout.write(f',\n  "generated_at": {json.dumps(_timestamp())}')
-    sys.stdout.write("\n}\n")
+    _emit_json(fields, args)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +250,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
     if args.a is None or args.d is None:
         raise InvalidParameter("witness requires --a and --d (or --replay FILE)")
-    for bound_name in ("p_bound", "n0_bound", "t_bound"):
-        if getattr(args, bound_name) < 1:
-            raise InvalidParameter(f"--{bound_name.replace('_', '-')} must be positive")
     # --threads and MAHLERCF_THREADS cap the worker count; the search runs
     # serially, which meets any cap.
     try:
@@ -311,9 +296,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise InvalidParameter("--t-bound must be positive")
     rows = orbit_table(primes, args.t_bound, d=args.d, include_missing=args.include_missing)
     if args.output == "json":
-        _emit_json({"d": args.d, "t_bound": args.t_bound}, args, (
-            {"p": r.p, "t": r.t, "residue": r.residue, "orbit": list(r.orbit),
-             "a_classes": list(r.a_classes)} for r in rows))
+        rows_json = (json.dumps({"p": r.p, "t": r.t, "residue": r.residue, "orbit": list(r.orbit),
+                                 "a_classes": list(r.a_classes)}, indent=2).replace("\n", "\n    ")
+                     for r in rows)
+        _emit_json({"d": args.d, "t_bound": args.t_bound, "rows": rows_json}, args)
     elif args.output == "csv":
         if not args.no_timestamp:
             print(f"# generated_at: {_timestamp()}")
@@ -326,9 +312,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    value = eval_mahler(args.a, args.d, args.eps, args.which)
     if args.cf_terms < 0:
         raise InvalidParameter("max_terms must be non-negative")
+    value = eval_mahler(args.a, args.d, args.eps, args.which)
     # Render the value before the prefix walk, so that a value too long to
     # render fails at once; print nothing until both are done.
     if args.output == "json":

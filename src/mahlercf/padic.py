@@ -29,9 +29,9 @@ q_t'(1) mod p.  Under c4, q_t'(1) is a unit, so the congruence fixes c
 mod p: the one 1-unit root is 1 + cp with c = -(q_t(1)/p) * q_t'(1)^{-1},
 present when p divides q_t(1) and nontrivial when c != 0.  Without c4, q_t
 vanishes at every 1-unit or at none.  ``_roots`` solves this once per prime
-for the search, ``enumerate_orbit_hits`` and ``orbit_table``; the table maps
-each root 1 + cp to its orbit under x -> x^d, which is the orbit of c under
-c -> dc mod p, as (1 + cp)^d = 1 + dcp (mod p^2).  ``check_conditions``
+for the search, ``enumerate_orbit_hits`` and ``orbit_table``; the search and
+the table follow 1 + cp under x -> x^d as c under c -> dc mod p (``_orbit``),
+since (1 + cp)^d = 1 + dcp (mod p^2).  ``check_conditions``
 evaluates q_t at the residue in full, as the independent check of each
 witness returned.
 """
@@ -263,6 +263,16 @@ def _roots(
     return hits, everywhere, usable, scale_skips
 
 
+def _orbit(c: int, d: int, p: int) -> Iterator[int]:
+    """c, dc, d^2 c, ... mod p once round the cycle: the 1-units 1 + cp that
+    x -> x^d visits mod p^2 (see the module docstring)."""
+    x = c
+    while True:
+        yield x
+        if (x := x * d % p) == c:
+            return
+
+
 # ---------------------------------------------------------------------------
 # the four-condition certificate
 # ---------------------------------------------------------------------------
@@ -411,6 +421,13 @@ def revalidate_witness(w: BadApproxWitness) -> BadApproxWitness:
 # ---------------------------------------------------------------------------
 
 
+# Each distinct prime costs an O(p) orbit walk in the table and the search.
+# On a 2-core Xeon (Python 3.11.7), `table --d 2 --p-max 10000` takes about
+# 1.5 s, and a search to p_bound 10000 at most about 0.7 s, for a = 1 mod
+# every odd prime below the bound, whose every orbit is walked in full.
+TABLE_PRIME_BOUND = 10_000
+
+
 # The counters of a search, in the order the NotFound text lists them.
 _SEARCH_COUNTERS = (
     "primes_considered", "primes_rejected_growth", "primes_rejected_divides_a",
@@ -425,32 +442,35 @@ def _search_one_prime(
 ) -> BadApproxWitness | None:
     """Scan (n0, t) lexicographically for one prime; None if nothing passes.
 
-    Each admissible residue is looked up in the root map of ``_roots``: the
-    least t it is the root of.  The t before it whose q_t vanishes
-    everywhere count as roots without c4."""
+    a^{d^n} = 1 (mod p) from the least n with ord_p(a) | d^n on, an n below
+    p.bit_length() if any; the residue is then 1 + cp, c walking ``_orbit``,
+    and each c is looked up in the root map of ``_roots``: the least t it is
+    the root of.  The t before it whose q_t vanishes everywhere count as
+    roots without c4."""
     p2 = p * p
     hits, everywhere, usable, scale_skips = _roots(at_1, p, d, t_bound)
     diag["scale_skips"] += scale_skips
-    first_t = {root: t for t, root in reversed(hits)}  # the least t per root
+    first_t = {root // p: t for t, root in reversed(hits)}  # the least t per c
 
-    residue = a % p2
-    for n0 in range(1, n0_bound + 1):
-        residue = pow(residue, d, p2)
-        if residue % p != 1 or residue == 1:
-            continue  # p does not divide a^{d^{n0}} - 1 exactly once
-        diag["admissible_pairs"] += 1
-        diag["evaluations"] += usable
-        t = first_t.get(residue)
-        if t is None:
-            diag["roots_without_c4"] += len(everywhere)
-            continue
-        diag["roots_without_c4"] += bisect_left(everywhere, t)
-        # c1, c2, parity and c4 hold here; check_conditions re-derives c3 in full
-        witness = check_conditions(a, d, p, n0, t, denominators[t])
-        if not witness.passed:
-            raise InvalidParameter(f"conditions not all satisfied: {witness.conditions}")
-        return witness
-    return None
+    n1, residue = 1, pow(a, d, p2)
+    while residue % p != 1 and n1 < min(n0_bound, p.bit_length()):
+        n1, residue = n1 + 1, pow(residue, d, p2)
+    if residue % p != 1 or residue == 1:
+        return None  # no n0 is admissible; c = 0 is fixed under c -> dc
+    orbit = zip(range(n1, n0_bound + 1), _orbit(residue // p, d, p))
+    n0, c = next(((n0, c) for n0, c in orbit if c in first_t), (n0_bound, None))
+    t = first_t.get(c, t_bound + 1)  # past every t when no c is a root
+    pairs = n0 - n1 + 1  # every n0 from n1 on is admissible
+    diag["admissible_pairs"] += pairs
+    diag["evaluations"] += usable * pairs
+    diag["roots_without_c4"] += len(everywhere) * (pairs - 1) + bisect_left(everywhere, t)
+    if t > t_bound:
+        return None
+    # c1, c2, parity and c4 hold here; check_conditions re-derives c3 in full
+    witness = check_conditions(a, d, p, n0, t, denominators[t])
+    if not witness.passed:
+        raise InvalidParameter(f"conditions not all satisfied: {witness.conditions}")
+    return witness
 
 
 def witness_search(
@@ -468,6 +488,8 @@ def witness_search(
         raise InvalidParameter("all search bounds must be positive (p_bound >= 3)")
     if n0_bound > N0_BOUND:
         raise InvalidParameter(f"n0 bound must not exceed {N0_BOUND}, got {n0_bound}")
+    if p_bound > TABLE_PRIME_BOUND:
+        raise InvalidParameter(f"p bound must not exceed {TABLE_PRIME_BOUND}, got {p_bound}")
     denominators = convergent_denominators(d, t_bound)
     at_1 = [_at_1(qt) for qt in denominators]
     diag = dict.fromkeys(_SEARCH_COUNTERS, 0)
@@ -601,13 +623,8 @@ class OrbitRow(_Record):
 
     @property
     def orbit(self) -> tuple[int, ...]:
-        """The members 1 + cp, walked as c -> dc mod p from ``start`` back to it."""
-        p, first = self.p, self.start // self.p
-        members, c = [self.start], first * self.d % p
-        while c != first:
-            members.append(1 + c * p)
-            c = c * self.d % p
-        return tuple(sorted(members))
+        """The members 1 + cp, with c on the ``_orbit`` of ``start``."""
+        return tuple(sorted(1 + c * self.p for c in _orbit(self.start // self.p, self.d, self.p)))
 
     @property
     def a_classes(self) -> tuple[int, ...]:
@@ -619,13 +636,6 @@ class OrbitRow(_Record):
 def _check_orbit_prime(p: int, d: int) -> None:
     if not is_prime(p) or p == 2 or (d == 3 and p < 5):
         raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
-
-
-# Each distinct prime costs an O(p) walk over its orbits: `table --d 2
-# --p-max 10000` takes about 1.5 s on a 2-core Xeon (Python 3.11.7), and as
-# many --primes as there are primes below the bound, each 9973, take about
-# 0.2 s.
-TABLE_PRIME_BOUND = 10_000
 
 
 def orbit_table(
@@ -662,10 +672,8 @@ def _orbit_rows(
         if least[start]:
             continue
         starts.append(start)
-        c = start
-        while not least[c]:
+        for c in _orbit(start, d, p):
             least[c] = start
-            c = c * d % p
     hits = _roots(at_1, p, d, t_bound)[0]
     first = {least[root // p]: (t, root) for t, root in reversed(hits)}
     rows = []

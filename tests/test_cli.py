@@ -296,6 +296,30 @@ class TestWitness:
         assert code == 0
         assert "p=3, n0=1, t=18" in out
 
+    def test_search_to_both_bounds_exits_1_quickly(self, capsys):
+        # about 1228 primes, each walking at most one orbit of c -> 2c mod p;
+        # the end-to-end run takes 0.09 s on a 2-core Xeon (Python 3.11.7)
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, ["witness", "--a", "2", "--d", "2",
+                                        "--p-bound", str(TABLE_PRIME_BOUND),
+                                        "--n0-bound", str(N0_BOUND), "--t-bound", "1"])
+        assert time.process_time() - start < 0.3
+        assert code == 1
+        assert "'primes_considered': 1228," in out
+
+    def test_p_bound_past_the_limit_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, ["witness", "--a", "2", "--d", "2",
+                                          "--p-bound", str(TABLE_PRIME_BOUND + 1)])
+        assert (code, out) == (4, "")
+        assert err == (f"invalid input: p bound must not exceed {TABLE_PRIME_BOUND}, "
+                       f"got {TABLE_PRIME_BOUND + 1}\n")
+
+    @pytest.mark.parametrize("flag", ["--p-bound", "--n0-bound", "--t-bound"])
+    def test_nonpositive_bounds_exit_4_with_the_library_message(self, capsys, flag):
+        code, out, err = run_cli(capsys, ["witness", "--a", "2", "--d", "2", flag, "0"])
+        assert (code, out) == (4, "")
+        assert err == "invalid input: all search bounds must be positive (p_bound >= 3)\n"
+
     def test_replay_with_n0_past_the_bound_exits_4(self, capsys, tmp_path):
         path = tmp_path / "witness.json"
         run_cli(capsys, ["witness", "--a", "2", "--d", "3", "--save", str(path)])
@@ -422,6 +446,17 @@ class TestEval:
         code, out, err = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", eps,
                                           "--cf-terms", "-1", "--output", output])
         assert (code, out) == (4, "")
+        assert err == "invalid input: max_terms must be non-negative\n"
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_negative_cf_terms_exit_4_before_evaluating(self, capsys, monkeypatch, output):
+        import mahlercf.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "eval_mahler", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", "1e-100000",
+                                          "--cf-terms", "-1", "--output", output])
+        assert (code, out, calls) == (4, "", [])
         assert err == "invalid input: max_terms must be non-negative\n"
 
     @pytest.mark.parametrize("eps", ["1e-30", "1/3"])
@@ -558,15 +593,11 @@ class TestOutputDeterminism:
         payloads = []
         emit = cli._emit_json
 
-        def record(payload, args, rows=None):
-            # table rows are streamed; the payload they stand for ends with them
-            if rows is not None:
-                rows = list(rows)
-                payloads.append({**payload, "rows": rows})
-                emit(payload, args, iter(rows))
-            else:
-                payloads.append(payload)
-                emit(payload, args)
+        def record(fields, args):
+            # table rows are streamed as the texts of their items
+            texts = list(fields["rows"])
+            payloads.append({**fields, "rows": [json.loads(text) for text in texts]})
+            emit({**fields, "rows": iter(texts)}, args)
 
         monkeypatch.setattr(cli, "_emit_json", record)
         code, out, _ = run_cli(capsys, [*argv, "--output", "json", "--no-timestamp"])
@@ -586,9 +617,11 @@ class TestStreamedRows:
         import mahlercf.cli as cli
 
         monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
-        cli._emit_json({"d": 2, "t_bound": 7}, argparse.Namespace(no_timestamp=no_timestamp),
-                       iter(rows))
-        payload = {"d": 2, "t_bound": 7, "rows": rows}
+        args = argparse.Namespace(no_timestamp=no_timestamp)
+        # an iterator field is streamed wherever it stands among the fields
+        texts = (json.dumps(row, indent=2).replace("\n", "\n    ") for row in rows)
+        cli._emit_json({"d": 2, "rows": texts, "t_bound": {"t": [7]}}, args)
+        payload = {"d": 2, "rows": rows, "t_bound": {"t": [7]}}
         if not no_timestamp:
             payload["generated_at"] = "2000-01-01T00:00:00Z"
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import time
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -293,6 +295,96 @@ class TestWitnessSearch:
             summary = dict(zip(padic._SEARCH_COUNTERS, expected, strict=True))
             assert str(err.value).endswith(f"diagnostics: {summary}")
 
+    def test_a_search_that_walks_every_orbit_in_full_is_quick(self):
+        # a = 1 mod every odd prime below the bound but not mod its square,
+        # so each prime walks its whole orbit of c -> 2c; about 0.6 s of CPU
+        # on a 2-core Xeon (Python 3.11.7)
+        a = 1 + math.prod(prime_range(3, padic.TABLE_PRIME_BOUND))
+        start = time.process_time()
+        with pytest.raises(NotFound, match="'primes_considered': 1228,"):
+            witness_search(a, 2, padic.TABLE_PRIME_BOUND, padic.N0_BOUND, 1)
+        assert time.process_time() - start < 2
+
+    def test_p_bound_past_the_table_bound_is_refused_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(padic, "_search_one_prime", None)  # a walk would raise TypeError
+        with pytest.raises(InvalidParameter, match="p bound must not exceed 10000, got 10001"):
+            witness_search(2, 2, 10_001, 1, 1)
+
+
+def walk_search(a, d, p_bound, n0_bound, t_bound):
+    """The search as it was before it followed the orbit: every n0 up to the
+    bound powered out in turn, and each admissible residue looked up in the
+    root map.  Returns the witness tuple, or the NotFound text."""
+    denominators = convergent_denominators(d, t_bound)
+    at_1 = [padic._at_1(qt) for qt in denominators]
+    diag = dict.fromkeys(padic._SEARCH_COUNTERS, 0)
+    for p in prime_range(3 if d == 2 else 5, p_bound + 1):
+        diag["primes_considered"] += 1
+        if a % p == 0:
+            diag["primes_rejected_divides_a"] += 1
+            continue
+        p2 = p * p
+        if pow(d, p - 1, p2) == 1:
+            diag["primes_rejected_growth"] += 1
+            continue
+        hits, everywhere, usable, scale_skips = padic._roots(at_1, p, d, t_bound)
+        diag["scale_skips"] += scale_skips
+        first_t = {root: t for t, root in reversed(hits)}
+        residue = a % p2
+        for n0 in range(1, n0_bound + 1):
+            residue = pow(residue, d, p2)
+            if residue % p != 1 or residue == 1:
+                continue
+            diag["admissible_pairs"] += 1
+            diag["evaluations"] += usable
+            t = first_t.get(residue)
+            if t is None:
+                diag["roots_without_c4"] += len(everywhere)
+                continue
+            diag["roots_without_c4"] += bisect_left(everywhere, t)
+            return (a, d, p, n0, t, residue)
+    return (f"no witness for a={a}, d={d} within p<={p_bound}, n0<={n0_bound}, "
+            f"t<={t_bound}; diagnostics: {diag}")
+
+
+class TestSearchOracle:
+    """witness_search, which follows each prime's orbit of c -> dc, against
+    the n0-by-n0 walk it replaced."""
+
+    @settings(max_examples=150)
+    @given(
+        a=st.one_of(st.integers(2, 400),
+                    # a = 1 mod 3, 5, 7, 11 and 13, so the orbits start at n0 = 1
+                    st.integers(1, 400).map(lambda k: 1 + 15015 * k)),
+        d=st.sampled_from([2, 3]),
+        p_bound=st.integers(3, 300),
+        n0_bound=st.integers(1, 300),
+        t_bound=st.integers(1, 60),
+    )
+    def test_same_witness_or_same_diagnostics(self, a, d, p_bound, n0_bound, t_bound):
+        expected = walk_search(a, d, p_bound, n0_bound, t_bound)
+        try:
+            w = witness_search(a, d, p_bound, n0_bound, t_bound)
+        except NotFound as exc:
+            assert str(exc) == expected
+        else:
+            assert (w.a, w.d, w.p, w.n0, w.t, w.residue) == expected
+            assert w.passed
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_orbit_below_200_is_the_old_walk(self, d):
+        # the loop OrbitRow.orbit ran before it read padic._orbit
+        for p in prime_range(3 if d == 2 else 5, 200):
+            members = set()
+            for row in orbit_table([p], 1, d=d, include_missing=True):
+                first = row.start // p
+                walked, c = [row.start], first * d % p
+                while c != first:
+                    walked.append(1 + c * p)
+                    c = c * d % p
+                assert row.orbit == tuple(sorted(walked)), (p, row.start)
+                members.update(walked)
+            assert members == set(range(1 + p, p * p, p)), p
 
 
 class TestWitnessObjects:
