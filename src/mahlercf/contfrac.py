@@ -18,6 +18,14 @@ Quotients past the certified prefix are never emitted: the expander raises
 InsufficientPrecision and the caller regenerates the series with a deeper
 floor.
 
+Remainder exactness.  With N = x^D U (D = -floor), the Euclid remainder
+r_i = ±(q_i N - p_i x^D) equals x^D (q_i u - p_i) at degrees >= deg q_i and
+carries the truncation of N below.  A certified quotient a_{i+1} reads r_i
+only down to deg r_i - deg a_{i+1} = D - deg q_{i+1} - deg a_{i+1} >= deg q_i,
+so each remainder is cut to its terms of degree >= deg q_i.  A cut that
+leaves nothing ends the chain where the uncut run ends it: there r_i is 0,
+or deg r_i < deg q_i and the next quotient fails certification.
+
 Certification at local cost.  Convergent p_i/q_i, claiming rate c_i, puts the
 top term of u - p_i/q_i at F_i = -(2 deg q_i + c_i) = -(deg q_i + deg q_{i+1}).
 u and its truncation at F_i agree at degrees >= F_i, so ``convergent_soundness``
@@ -37,7 +45,7 @@ from .errors import (
     RateViolation,
 )
 from .laurent import TruncatedLaurentSeries, generate, rate_of_approximation
-from .polys import RatPoly, poly_divmod
+from .polys import RatPoly, _mul_add, poly_divmod
 
 
 class Convergent(_Record):
@@ -106,7 +114,7 @@ class CFExpansion:
         seeds x_{-1} = prev, x_0 = cur."""
         chain = [cur]
         for a in self.partial_quotients[1:]:
-            cur, prev = a * cur + prev, cur
+            cur, prev = _mul_add(a, cur, prev), cur
             chain.append(cur)
         return tuple(chain)
 
@@ -159,23 +167,25 @@ def _check_count(n: int) -> None:
         raise InvalidParameter(f"quotient count must be an integer >= 0, got {n!r}")
 
 
-def _euclid_chain(num: RatPoly, den: RatPoly, n: int, certify_degree: int) -> list[RatPoly]:
-    """Euclid on num/den.  Emits up to n + 1 quotients, stopping before any
-    quotient whose denominator degree g_i would violate
-    2*g_i <= certify_degree.  g_i is the running sum of the quotient degrees
-    (CFExpansion checks that sum on the denominators it builds)."""
-    quotients: list[RatPoly] = []
+def _euclid_chain(num: RatPoly, depth: int, n: int) -> list[RatPoly]:
+    """Euclid on num / x^depth.  Emits up to n + 1 quotients, stopping before
+    any quotient whose denominator degree g_i would violate 2*g_i <= depth.
+    g_i is the running sum of the quotient degrees (CFExpansion checks that
+    sum on the denominators it builds).  Each remainder is cut to its exact
+    terms, those of degree >= g_i (module docstring)."""
+    den = RatPoly.monomial(depth)
     a0, rem = poly_divmod(num, den)
-    quotients.append(a0)
+    quotients = [a0]
     x_cur, y_cur = den, rem
     deg_q = 0
     while len(quotients) <= n and not y_cur.is_zero():
         a, rem = poly_divmod(x_cur, y_cur)
         deg_q += int(a.degree())
-        if 2 * deg_q > certify_degree:
+        if 2 * deg_q > depth:
             break
         quotients.append(a)
-        x_cur, y_cur = y_cur, rem
+        exact = {deg: c for deg, c in rem.int_coeffs().items() if deg >= deg_q}
+        x_cur, y_cur = y_cur, RatPoly.from_int_coeffs(exact, rem.scale)
     return quotients
 
 
@@ -190,8 +200,7 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     # Shift every known coefficient up into an honest polynomial pair:
     # u = N / x^{-floor} with N collecting degrees floor..top.
     num = RatPoly.from_int_coeffs({deg - floor: c for deg, c in u.int_coeffs().items()}, u.scale)
-    den = RatPoly.monomial(-floor)
-    quotients = _euclid_chain(num, den, n, certify_degree=-floor)
+    quotients = _euclid_chain(num, -floor, n)
     if len(quotients) <= n:
         # Either a quotient failed certification or the truncation's Euclid
         # ran dry; in both cases the true series is not pinned down: a tail
@@ -242,9 +251,12 @@ DEPTH_CAP_DEFAULT = 2000
 
 
 def default_floor(d: int, n: int) -> int:
-    """Default generation floor for an n-quotient expansion: denominator
-    degrees grow by about d per two quotients, certification needs twice the
-    final degree, plus guard margin."""
+    """Default generation floor for an n-quotient expansion, twice the depth
+    certification reads: denominator degrees grow by about d per two
+    quotients and certification needs twice the final degree, so n*d + 16
+    with guard margin, the depth ``expand_family`` tries first.  This
+    budget, 2*n*d + 16, is its next attempt and the starting depth that its
+    depth-cap check (exit 3) reads."""
     return -(2 * n * d + 16)
 
 
@@ -260,18 +272,21 @@ def expand_family(
     floor: int | None = None,
 ) -> tuple[CFExpansion, TruncatedLaurentSeries]:
     """Expand one of the built-in families to n quotients, doubling the
-    generation depth on InsufficientPrecision up to DEPTH_CAP_DEFAULT."""
+    generation depth on InsufficientPrecision up to DEPTH_CAP_DEFAULT.
+    Without a floor, the first attempt is at the certificate depth n*d + 16
+    and the next at the default floor's depth (``default_floor``)."""
     depth = -(floor if floor is not None else default_floor(d, n))
     if depth <= 0:
         raise InvalidParameter(f"floor must be negative, got {-depth}")
+    attempt = n * d + 16 if floor is None and depth <= DEPTH_CAP_DEFAULT else depth
     last_error: InsufficientPrecision | None = None
-    while depth <= DEPTH_CAP_DEFAULT:
-        series = family_series(d, kind, -depth)
+    while attempt <= DEPTH_CAP_DEFAULT:
+        series = family_series(d, kind, -attempt)
         try:
             return cf_expand(series, n), series
         except InsufficientPrecision as exc:
             last_error = exc
-            depth *= 2
+            attempt = depth if attempt < depth else 2 * attempt
     if last_error is None:
         raise InsufficientPrecision(
             f"starting depth {depth} for {kind}_{d} with n={n} already exceeds "

@@ -257,7 +257,8 @@ def _render_terms(scale: Fraction, ints: Mapping[int, int]) -> str:
 # Every sum, product and long division in the package, of polynomials and
 # of truncated Laurent series alike, runs through three loops over integer
 # coefficient maps (degree -> nonzero int; degrees may be negative): _add,
-# _mul and _divide.  A value is a rational scale times a primitive map whose
+# _mul and _divide; _mul_add fuses the first two for the convergent
+# recurrence.  A value is a rational scale times a primitive map whose
 # top coefficient is positive.  Products of such maps are again primitive
 # (Gauss's lemma); sums, truncations and division steps take one content
 # pass (_primitive), and rescalings touch only the scale.
@@ -329,6 +330,29 @@ def _mul(a: Mapping[int, int], b: Mapping[int, int], floor: int | None = None) -
             if deg >= floor:
                 out[deg] = out.get(deg, 0) + c1 * c2
     return {deg: c for deg, c in out.items() if c}
+
+
+def _mul_add(a: RatPoly, b: RatPoly, c: RatPoly) -> RatPoly:
+    """a*b + c in normal form, the product terms added straight into the
+    scaled map of c: one pass where ``a * b + c`` takes three."""
+    if not a._ints or not b._ints:
+        return c
+    scale = a._scale * b._scale
+    if not c._ints:
+        return RatPoly._of(scale, _mul(a._ints, b._ints))
+    # scale*(a*b) + sc*c = (sc/v) * (u*(a*b) + v*c) with u/v = scale/sc
+    ratio = scale / c._scale
+    u, v = ratio.numerator, ratio.denominator
+    short, long = sorted((a._ints, b._ints), key=len)
+    out = {deg: v * coeff for deg, coeff in c._ints.items()}
+    get = out.get
+    for d1, c1 in short.items():
+        c1 *= u
+        for d2, c2 in long.items():
+            deg = d1 + d2
+            out[deg] = get(deg, 0) + c1 * c2
+    content, out = _primitive({deg: coeff for deg, coeff in out.items() if coeff})
+    return RatPoly._of(c._scale * Fraction(content, v), out)
 
 
 def _divide(

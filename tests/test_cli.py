@@ -63,6 +63,21 @@ class TestCF:
             "exceeds the depth cap 2000\n"
         )
 
+    @pytest.mark.parametrize("argv, start, family, n", [
+        (["cf", "--d", "2", "--n", "497"], 2004, "G_2", 497),
+        (["cf", "--d", "3", "--n", "331"], 2002, "G_3", 331),
+        (["witness", "--a", "2", "--d", "2", "--t-bound", "497"], 2004, "G_2", 497),
+    ])
+    def test_first_count_past_the_reach_exits_3(self, capsys, argv, start, family, n):
+        # the cap check reads the default floor's depth 2*n*d + 16, not the
+        # certificate depth n*d + 16 that an expansion tries first
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"precision exhausted: starting depth {start} for {family} with n={n} already "
+            "exceeds the depth cap 2000\n"
+        )
+
     def test_rejects_d_below_2(self, capsys):
         code, _, err = run_cli(capsys, ["cf", "--d", "1", "--kind", "G", "--n", "3"])
         assert code == 4

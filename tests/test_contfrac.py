@@ -348,8 +348,10 @@ class TestTypedChecks:
     cannot strip, when its identity is broken on purpose."""
 
     def test_degree_bookkeeping(self, monkeypatch):
-        # a multiply that drops the partial quotient leaves deg q_1 at 0
-        monkeypatch.setattr(RatPoly, "__mul__", lambda self, other: other)
+        # a chain step that drops the partial quotient leaves deg q_1 at 0
+        import mahlercf.contfrac as contfrac
+
+        monkeypatch.setattr(contfrac, "_mul_add", lambda a, cur, prev: cur + prev)
         with pytest.raises(IdentityFailure, match="deg q_1"):
             CFExpansion([RatPoly.zero(), RatPoly.x()])
 

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from mahlercf.cli import _poly_json
 from mahlercf.laurent import TruncatedLaurentSeries
-from mahlercf.polys import RatPoly, _render_terms, poly_divmod, poly_substitute_power
+from mahlercf.polys import (
+    RatPoly,
+    _mul_add,
+    _render_terms,
+    poly_divmod,
+    poly_substitute_power,
+)
 
 _ZERO = Fraction(0)
 
@@ -204,6 +210,11 @@ class TestPolynomials:
     @given(polys(), polys())
     def test_product(self, a, b):
         same_poly(a * b, _mul(a.coeffs, b.coeffs))
+
+    @given(polys(), polys(), polys())
+    def test_fused_product_and_sum(self, a, b, c):
+        same_poly(_mul_add(a, b, c), _add(_mul(a.coeffs, b.coeffs), c.coeffs))
+        same_poly(_mul_add(a, b, -(a * b)), {})
 
     @given(polys(), scalars)
     def test_scalar_product(self, a, s):

@@ -1,11 +1,12 @@
-"""Every `verify` request and every `cf ... --output json` request of the
+"""Every `verify` request, every `cf ... --output json` request, every
+`table` request and every `witness ... --output json` search request of the
 benchmark menus reproduces its recorded output: the exit code and the SHA-256
 of the ``--no-timestamp`` stdout in perfbench/references.json, judged by the
 benchmark's own ``checks.failure``.
 
 scripts/check_references.py checks all the menu requests; this is the part
-of that check that runs the structure layer's identity checks and the
-writer of the cf JSON document."""
+of that check that runs the structure layer's identity checks, the writer of
+the cf JSON document and the g_d expansions behind the p-adic searches."""
 
 import json
 import os
@@ -27,6 +28,9 @@ REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
 VERIFY_REQUESTS = [r for w in WORKLOADS for r in menu(w) if r.subcommand == "verify"]
 CF_JSON_REQUESTS = [r for w in WORKLOADS for r in menu(w)
                     if r.subcommand == "cf" and r.argv[-2:] == ("--output", "json")]
+TABLE_REQUESTS = [r for w in WORKLOADS for r in menu(w) if r.subcommand == "table"]
+WITNESS_JSON_REQUESTS = [r for w in WORKLOADS for r in menu(w)
+                         if r.subcommand == "witness" and r.argv[-2:] == ("--output", "json")]
 
 
 def test_the_menus_hold_every_verify_request():
@@ -45,6 +49,15 @@ def test_the_menus_hold_every_cf_json_request():
     assert counts == {"cf-expand": 28, "cf-certify": 8, "value-certs": 0}
 
 
+def test_the_menus_hold_every_table_and_witness_json_request():
+    # value-certs only: 12 tables (p-max 47, 53, 59, 61 as text, json and
+    # csv) and the 32 searches of the witness stratum (16 values of a at
+    # d = 2 and at d = 3); --save requests end with the file name instead
+    counts = {w: (sum(r in TABLE_REQUESTS for r in menu(w)),
+                  sum(r in WITNESS_JSON_REQUESTS for r in menu(w))) for w in WORKLOADS}
+    assert counts == {"cf-expand": (0, 0), "cf-certify": (0, 0), "value-certs": (12, 32)}
+
+
 @pytest.mark.parametrize("request_", VERIFY_REQUESTS, ids=[r.key for r in VERIFY_REQUESTS])
 def test_verify_request_matches_its_reference(request_, tmp_path):
     _matches_its_reference(request_, tmp_path)
@@ -52,6 +65,12 @@ def test_verify_request_matches_its_reference(request_, tmp_path):
 
 @pytest.mark.parametrize("request_", CF_JSON_REQUESTS, ids=[r.key for r in CF_JSON_REQUESTS])
 def test_cf_json_request_matches_its_reference(request_, tmp_path):
+    _matches_its_reference(request_, tmp_path)
+
+
+@pytest.mark.parametrize("request_", TABLE_REQUESTS + WITNESS_JSON_REQUESTS,
+                         ids=[r.key for r in TABLE_REQUESTS + WITNESS_JSON_REQUESTS])
+def test_value_certs_expansion_request_matches_its_reference(request_, tmp_path):
     _matches_its_reference(request_, tmp_path)
 
 

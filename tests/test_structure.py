@@ -42,17 +42,18 @@ class TestShape:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_beta_sequence_builds_the_chain_once(self, d, monkeypatch):
-        # one product a_i * q_{i-1} per quotient; scalar rescalings of the
-        # monic quantities are not polynomial products
+        # one chain step a_i * q_{i-1} + q_{i-2} per quotient; scalar
+        # rescalings of the monic quantities are not polynomial products
+        import mahlercf.contfrac as contfrac
+
         products = []
-        multiply = RatPoly.__mul__
+        step = contfrac._mul_add
 
-        def counting(self, other):
-            if isinstance(other, RatPoly):
-                products.append(other)
-            return multiply(self, other)
+        def counting(a, cur, prev):
+            products.append(a)
+            return step(a, cur, prev)
 
-        monkeypatch.setattr(RatPoly, "__mul__", counting)
+        monkeypatch.setattr(contfrac, "_mul_add", counting)
         beta_sequence(d, 40)
         assert len(products) == 40
 
