@@ -151,7 +151,7 @@ def _poly_json(poly: RatPoly, indent: str) -> str:
     num, den = poly.scale.numerator, poly.scale.denominator
     inner = indent + "    "
     terms = sorted(poly.int_coeffs().items())
-    body = f",\n{inner}".join(f'"{deg}": "{_ratio_text(num * c, den)}"' for deg, c in terms)
+    body = f",\n{inner}".join(f'"{deg}": "{_ratio_text(num, c, den)}"' for deg, c in terms)
     coeffs = f"{{\n{inner}{body}\n{indent}  }}" if body else "{}"
     return f'{{\n{indent}  "coeffs": {coeffs}\n{indent}}}'
 

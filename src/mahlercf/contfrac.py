@@ -26,10 +26,14 @@ so each remainder is cut to its terms of degree >= deg q_i.  A cut that
 leaves nothing ends the chain where the uncut run ends it: there r_i is 0,
 or deg r_i < deg q_i and the next quotient fails certification.
 
-Certification at local cost.  Convergent p_i/q_i, claiming rate c_i, puts the
-top term of u - p_i/q_i at F_i = -(2 deg q_i + c_i) = -(deg q_i + deg q_{i+1}).
-u and its truncation at F_i agree at degrees >= F_i, so ``convergent_soundness``
-divides only down to F_i: the rate is exact unless u - p_i/q_i vanishes there.
+Certification from the residual recurrence.  The residuals e_i = q_i u - p_i
+follow the chain's recurrence e_{i+1} = a_{i+1} e_i + e_{i-1} from e_{-1} = -1,
+e_0 = u - a_0, and are exact down to floor + deg q_i, as q_i u is.  As
+e_i = q_i (u - p_i/q_i), the rate -deg(u - p_i/q_i) - 2 deg q_i of convergent i
+is -deg e_i - deg q_i, read off the top term of e_i.  ``convergent_soundness``
+carries x^D e_i (D = -floor), the remainders above, cut to their exact terms
+by one floored multiply-add per step; an e_i with no exact term means that
+u - p_i/q_i vanishes above the floor, so the rate is not pinned down.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import (
     InvalidParameter,
     RateViolation,
 )
-from .laurent import TruncatedLaurentSeries, generate, rate_of_approximation
+from .laurent import TruncatedLaurentSeries, generate
 from .polys import RatPoly, _mul_add, poly_divmod
 
 
@@ -189,6 +193,11 @@ def _euclid_chain(num: RatPoly, depth: int, n: int) -> list[RatPoly]:
     return quotients
 
 
+def _lifted(u: TruncatedLaurentSeries) -> RatPoly:
+    """N = x^D u with D = -u.floor, the known terms of u as a polynomial."""
+    return RatPoly.from_int_coeffs({k - u.floor: c for k, c in u.int_coeffs().items()}, u.scale)
+
+
 def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     """Expand u as a continued fraction with partial quotients a_0..a_n.
 
@@ -196,17 +205,13 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     InsufficientPrecision is raised if a_n is not reachable.
     """
     _check_count(n)
-    floor = u.floor
-    # Shift every known coefficient up into an honest polynomial pair:
-    # u = N / x^{-floor} with N collecting degrees floor..top.
-    num = RatPoly.from_int_coeffs({deg - floor: c for deg, c in u.int_coeffs().items()}, u.scale)
-    quotients = _euclid_chain(num, -floor, n)
+    quotients = _euclid_chain(_lifted(u), -u.floor, n)
     if len(quotients) <= n:
         # Either a quotient failed certification or the truncation's Euclid
         # ran dry; in both cases the true series is not pinned down: a tail
         # below the floor could alter or extend the expansion.
         raise InsufficientPrecision(
-            f"only {len(quotients) - 1} partial quotients certified at floor {floor}; "
+            f"only {len(quotients) - 1} partial quotients certified at floor {u.floor}; "
             f"requested {n} - regenerate with a deeper floor"
         )
     return CFExpansion(quotients)
@@ -223,27 +228,24 @@ def monic_normalize(cf: CFExpansion) -> CFExpansion:
 
 def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int]:
     """Measure the rate of approximation of every convergent against u and
-    check that it equals the degree of the next partial quotient and is >= 1
-    (RateViolation otherwise).  Returns the list of measured rates.  Each is
-    measured at its local floor (module docstring), and at u.floor only if
-    u - p/q vanishes there."""
+    check that it equals the degree of the next partial quotient
+    (RateViolation otherwise).  Returns the list of measured rates, each read
+    off the residual x^D (q_i u - p_i), D = -u.floor (module docstring)."""
+    prev = -RatPoly.monomial(-u.floor)
+    cur = _mul_add(cf.partial_quotients[0], prev, _lifted(u))
     rates: list[int] = []
-    for conv in cf.convergents:
-        if conv.rate is None:
-            break
-        floor = max(u.floor, -(2 * int(conv.q.degree()) + conv.rate))
-        try:
-            measured = rate_of_approximation(u.truncate(floor), conv.p, conv.q)
-        except InsufficientPrecision:
-            measured = rate_of_approximation(u, conv.p, conv.q)
-        if measured != conv.rate:
-            raise RateViolation(
-                f"convergent {conv.index}: measured rate {measured} != "
-                f"deg a_{conv.index + 1} = {conv.rate}"
+    for i, a in enumerate(cf.partial_quotients[1:]):
+        if cur.is_zero():
+            raise InsufficientPrecision(
+                f"u - p/q vanishes above the floor {u.floor}; regenerate u deeper"
             )
-        if measured < 1:
-            raise RateViolation(f"convergent {conv.index} has nonpositive rate {measured}")
+        measured = -u.floor - int(cur.degree()) - int(cf.raw_q[i].degree())
+        if measured != a.degree():
+            raise RateViolation(
+                f"convergent {i}: measured rate {measured} != deg a_{i + 1} = {a.degree()}"
+            )
         rates.append(measured)
+        prev, cur = cur, _mul_add(a, cur, prev, int(cf.raw_q[i + 1].degree()))
     return rates
 
 

@@ -17,6 +17,7 @@ value.  Values may share an integer map, which is never mutated.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -226,20 +227,25 @@ class RatPoly(_ScaledIntMap):
         return f"RatPoly({self!s})"
 
 
-def _ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, from one gcd."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+def _ratio_text(num: int, c: int, den: int) -> str:
+    """str(Fraction(num * c, den)) for den > 0 and num/den in lowest terms,
+    at any size; the one gcd reads c and den only."""
+    g = math.gcd(c, den)
+    num, den = num * (c // g), den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 def _render_terms(scale: Fraction, ints: Mapping[int, int]) -> str:
     """Render scale * ints, a nonempty map, as "x^2 - 1/2*x + 3", top degree
     first."""
     num, den = scale.numerator, scale.denominator
-    out = ""
+    size, out = abs(num), ""
     for deg in sorted(ints, reverse=True):
-        c = num * ints[deg]
-        mag = _ratio_text(abs(c), den)
+        c = ints[deg] if num > 0 else -ints[deg]  # the sign of num * ints[deg]
+        mag = _ratio_text(size, abs(c), den)
         if deg == 0:
             body = mag
         else:
@@ -257,11 +263,11 @@ def _render_terms(scale: Fraction, ints: Mapping[int, int]) -> str:
 # Every sum, product and long division in the package, of polynomials and
 # of truncated Laurent series alike, runs through three loops over integer
 # coefficient maps (degree -> nonzero int; degrees may be negative): _add,
-# _mul and _divide; _mul_add fuses the first two for the convergent
-# recurrence.  A value is a rational scale times a primitive map whose
-# top coefficient is positive.  Products of such maps are again primitive
-# (Gauss's lemma); sums, truncations and division steps take one content
-# pass (_primitive), and rescalings touch only the scale.
+# _mul and _divide; _mul_add fuses the first two for the recurrence of the
+# convergents and of their residuals.  A value is a rational scale times a
+# primitive map whose top coefficient is positive.  Products of such maps
+# are again primitive (Gauss's lemma); sums, truncations and division steps
+# take one content pass (_primitive), and rescalings touch only the scale.
 
 
 def _primitive(ints: dict[int, int]) -> tuple[int, dict[int, int]]:
@@ -332,16 +338,16 @@ def _mul(a: Mapping[int, int], b: Mapping[int, int], floor: int | None = None) -
     return {deg: c for deg, c in out.items() if c}
 
 
-def _mul_add(a: RatPoly, b: RatPoly, c: RatPoly) -> RatPoly:
-    """a*b + c in normal form, the product terms added straight into the
-    scaled map of c: one pass where ``a * b + c`` takes three."""
-    if not a._ints or not b._ints:
-        return c
+def _mul_add(a: RatPoly, b: RatPoly, c: RatPoly, floor: int | None = None) -> RatPoly:
+    """a*b + c in normal form, without its terms below floor, the product
+    terms added straight into the scaled map of c: one pass where
+    ``a * b + c`` takes three."""
     scale = a._scale * b._scale
-    if not c._ints:
-        return RatPoly._of(scale, _mul(a._ints, b._ints))
+    sc = c._scale or scale
+    if not sc:
+        return c
     # scale*(a*b) + sc*c = (sc/v) * (u*(a*b) + v*c) with u/v = scale/sc
-    ratio = scale / c._scale
+    ratio = scale / sc
     u, v = ratio.numerator, ratio.denominator
     short, long = sorted((a._ints, b._ints), key=len)
     out = {deg: v * coeff for deg, coeff in c._ints.items()}
@@ -351,8 +357,10 @@ def _mul_add(a: RatPoly, b: RatPoly, c: RatPoly) -> RatPoly:
         for d2, c2 in long.items():
             deg = d1 + d2
             out[deg] = get(deg, 0) + c1 * c2
+    if floor is not None:
+        out = {deg: coeff for deg, coeff in out.items() if deg >= floor}
     content, out = _primitive({deg: coeff for deg, coeff in out.items() if coeff})
-    return RatPoly._of(c._scale * Fraction(content, v), out)
+    return RatPoly._of(sc * Fraction(content, v), out)
 
 
 def _divide(

@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 import mahlercf
 from mahlercf.cli import TABLE_PRIME_BOUND, main
 from mahlercf.padic import N0_BOUND
-from mahlercf.contfrac import CFExpansion
+from mahlercf.contfrac import CFExpansion, expand_family
 
 
 def run_cli(capsys, argv):
@@ -100,6 +103,61 @@ class TestCF:
         assert code == 0
         assert out.startswith("continued fraction of f_2, 30 quotients")
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["cf", "--d", "2", "--kind", "H", "--n", "900", "--floor", "-1816"],
+         "e6e38b292991f0c6d76a3df5131adc546471c10822ae282f10e5c978933b20ba"),
+        (["cf", "--d", "2", "--kind", "U", "--n", "400"],
+         "3b8bc20e1a16cf321cc3d78f63744b39bd85ec28e757aed51e658162e099f2cd"),
+    ], ids=["H-900", "U-400"])
+    def test_deep_certification_corners(self, capsys, argv, sha256):
+        # the hashes were recorded from the soundness check that divided each
+        # convergent, which took 77 s and 8.8 s end to end on these argv
+        # (2-core Xeon, Python 3.11.7); the residual check takes about 1 s
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_coefficients_past_the_int_to_str_digit_limit_print_exactly(self):
+        # the convergents of u_2 at n = 403 have coefficients past the
+        # interpreter's 4300-digit limit for int <-> str; every coefficient
+        # printed must read back as the library's coefficient in lowest terms
+        def exact_int(text):
+            return int(text) if len(text) < 4300 else int(Decimal(text))
+
+        src = str(Path(mahlercf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mahlercf.cli", "cf", "--d", "2", "--kind", "U", "--n", "403",
+             "--output", "json", "--no-timestamp"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        cf, _ = expand_family(2, "U", 403)
+        polys = [*cf.partial_quotients, *(poly for c in cf.convergents for poly in (c.p, c.q))]
+        expected = ([(deg, c.numerator, c.denominator) for deg, c in sorted(poly.coeffs.items())]
+                    for poly in polys)
+        term = re.compile(r' *"(\d+)": "(-?\d+)(?:/(\d+))?",?\n')
+        printed, widest = None, 0
+        try:
+            for line in proc.stdout:
+                if line.lstrip().startswith('"coeffs"'):
+                    if printed is not None:
+                        assert printed == next(expected)
+                    printed = []
+                elif match := term.fullmatch(line):
+                    deg, num, den = match.groups()
+                    printed.append((int(deg), exact_int(num), exact_int(den or "1")))
+                    widest = max(widest, len(num), len(den or ""))
+        finally:
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        assert code == 0
+        assert printed == next(expected)
+        assert next(expected, None) is None
+        assert widest > 4300
 
 
 class TestVerify:

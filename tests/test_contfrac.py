@@ -9,7 +9,6 @@ import pytest
 from mahlercf.cli import _write_cf_json
 from mahlercf.contfrac import (
     CFExpansion,
-    Convergent,
     cf_expand,
     convergent_soundness,
     default_floor,
@@ -162,19 +161,26 @@ class TestConvergentLaws:
             full = [rate_of_approximation(series, conv.p, conv.q) for conv in cf.convergents[:-1]]
             assert convergent_soundness(series, cf) == full, (d, kind)
 
-    def test_each_convergent_is_divided_to_its_local_floor(self, monkeypatch):
+    def test_each_residual_is_one_floored_step(self, monkeypatch):
+        # e_0 = u - a_0 is one unfloored step; e_{i+1} = a_{i+1} e_i + e_{i-1}
+        # is one step floored at deg q_{i+1}, and nothing is divided
+        import mahlercf.contfrac as contfrac
+
         cf, series = expand_family(2, "H", 40)
         floors = []
-        divide = TruncatedLaurentSeries.from_fraction
+        step = contfrac._mul_add
 
-        def recording(cls, p, q, floor):
+        def recording(a, cur, prev, floor=None):
             floors.append(floor)
-            return divide(p, q, floor)
+            return step(a, cur, prev, floor)
 
-        monkeypatch.setattr(TruncatedLaurentSeries, "from_fraction", classmethod(recording))
-        convergent_soundness(series, cf)
-        degrees = [int(q.degree()) for q in cf.raw_q]
-        assert floors == [-(degrees[i] + degrees[i + 1]) for i in range(40)]
+        def dividing(*args):
+            raise AssertionError("the soundness check divides")
+
+        monkeypatch.setattr(contfrac, "_mul_add", recording)
+        monkeypatch.setattr(TruncatedLaurentSeries, "from_fraction", classmethod(dividing))
+        assert convergent_soundness(series, cf) == [1] * 40
+        assert floors == [None, *(int(q.degree()) for q in cf.raw_q[1:])]
 
     def test_d2_rates_all_one(self, g2_expansion):
         cf, _ = g2_expansion
@@ -363,26 +369,30 @@ class TestTypedChecks:
             with pytest.raises(TypeError):
                 chain[2] = chain[2] + 1
 
+    @staticmethod
+    def replaced(cf, i, a):
+        """cf with its partial quotient a_i replaced by a."""
+        quotients = list(cf.partial_quotients)
+        quotients[i] = a
+        return CFExpansion(quotients)
+
     def test_rate_differs_from_next_degree(self):
         cf, series = expand_family(2, "G", 6)
-        c = cf.convergents[3]
-        cf.convergents[3] = Convergent(index=c.index, p=c.p, q=c.q, rate=2)
-        with pytest.raises(RateViolation, match="convergent 3: measured rate 1"):
-            convergent_soundness(series, cf)
+        tampered = self.replaced(cf, 4, cf.partial_quotients[4] * RatPoly.x())
+        with pytest.raises(RateViolation, match="^convergent 3: measured rate 1 != deg a_4 = 2$"):
+            convergent_soundness(series, tampered)
 
     def test_rate_above_the_claim_is_measured_at_the_full_floor(self):
-        # convergent 2 of g_3 has rate 2; a claim of 0 puts the local floor
-        # above the top term of g_3 - p_2/q_2, so the truncated difference vanishes
+        # convergent 2 of g_3 has rate 2, which a degree-1 a_3 claims to be 1
         cf, series = expand_family(3, "G", 6)
-        assert cf.convergents[2].rate == 2
-        c = cf.convergents[2]
-        cf.convergents[2] = Convergent(index=c.index, p=c.p, q=c.q, rate=0)
-        with pytest.raises(RateViolation, match="convergent 2: measured rate 2 "):
-            convergent_soundness(series, cf)
+        assert cf.partial_quotients[3].degree() == 2
+        tampered = self.replaced(cf, 3, RatPoly.x())
+        with pytest.raises(RateViolation, match="^convergent 2: measured rate 2 != deg a_3 = 1$"):
+            convergent_soundness(series, tampered)
 
     def test_nonpositive_rate(self):
+        # ||g_2 - 1/1|| = 0, so 1/1 approximates at rate 0, not deg a_1 = 1
         cf, series = expand_family(2, "G", 6)
-        # ||g_2 - 1/1|| = 0, so 1/1 approximates at the stated rate 0
-        cf.convergents[0] = Convergent(index=0, p=RatPoly.one(), q=RatPoly.one(), rate=0)
-        with pytest.raises(RateViolation, match="nonpositive"):
-            convergent_soundness(series, cf)
+        tampered = self.replaced(cf, 0, RatPoly.one())
+        with pytest.raises(RateViolation, match="^convergent 0: measured rate 0 != deg a_1 = 1$"):
+            convergent_soundness(series, tampered)

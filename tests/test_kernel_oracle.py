@@ -9,6 +9,7 @@ as the reference.
 """
 
 import json
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -216,6 +217,13 @@ class TestPolynomials:
         same_poly(_mul_add(a, b, c), _add(_mul(a.coeffs, b.coeffs), c.coeffs))
         same_poly(_mul_add(a, b, -(a * b)), {})
 
+    @given(polys(), polys(), polys(), st.integers(min_value=-1, max_value=17))
+    def test_fused_product_and_sum_above_a_floor(self, a, b, c, floor):
+        full = _add(_mul(a.coeffs, b.coeffs), c.coeffs)
+        same_poly(_mul_add(a, b, c, floor), {k: v for k, v in full.items() if k >= floor})
+        same_poly(_mul_add(a, b, c, 0), full)
+        same_poly(_mul_add(a, b, -(a * b), floor), {})
+
     @given(polys(), scalars)
     def test_scalar_product(self, a, s):
         expected = {k: c * s for k, c in a.coeffs.items()} if s else {}
@@ -300,6 +308,21 @@ class TestRendering:
         assert built == []
         assert text == _render(poly.coeffs)
         assert data == poly_json(poly.coeffs)
+
+    def test_coefficients_past_the_int_to_str_digit_limit(self):
+        # 5001-digit numerators and denominators, past the interpreter's
+        # default limit of 4300 digits; the reference renders them with the
+        # limit lifted
+        big = 10**5000 + 1
+        poly = RatPoly({0: Fraction(big, 3), 1: Fraction(-7, big), 3: Fraction(big)})
+        text, data = str(poly), _poly_json(poly, "")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == _render(poly.coeffs)
+            assert data == poly_json(poly.coeffs)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # -- truncated Laurent series -------------------------------------------------------
