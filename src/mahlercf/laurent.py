@@ -16,16 +16,19 @@ The family generators produce the infinite products
 
 and the companions g_d = x^{-(d-1)} f_d, h_d = x^{-1} f_d,
 u_d = (1 - x^{-1}) f_d, exactly down to any requested floor: factors with
-d^t > -floor cannot touch degrees >= floor, so the product is finite.
+d^t > -floor cannot touch degrees >= floor, so the product is finite.  It
+is a disjoint union, not a product: d^t exceeds 1 + d + ... + d^{t-1}, so
+each factor adds a negated, shifted copy of the terms so far that overlaps
+none of them, and every coefficient is 0 or +-1.
 
 A rational function p/q enters through ``from_fraction`` as an ordinary
-truncation.
+truncation; the benchmark tracer names it, so it stays while the tracer does.
 
 A series is stored in the form ``polys`` gives every value: one rational
 scale times a primitive integer map (content 1, top coefficient positive),
-held by the base class it shares with ``RatPoly``.  Every operation runs on
-the integer kernel of ``polys``.  Negation is a change of scale; a sum, a
-truncation and a floored product take one content pass.
+held by the base class it shares with ``RatPoly``.  A sum and a floored
+product are one ``polys._mul_add`` each, with one content pass; negation is
+a change of scale.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     InvalidParameter,
     MismatchAt,
 )
-from .polys import RatPoly, _add, _divide, _mul, _primitive, _ScaledIntMap
+from .polys import _ONE, RatPoly, _divide, _mul_add, _primitive, _ScaledIntMap
 
 _Scalar = Union[int, Fraction]
 
@@ -89,9 +92,7 @@ class TruncatedLaurentSeries(_ScaledIntMap):
     def __add__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
-        floor = max(self._floor, other._floor)
-        a, b = self.truncate(floor), other.truncate(floor)
-        return TruncatedLaurentSeries._of(*_add(a._scale, a._ints, b._scale, b._ints), floor)
+        return _mul_add(_ONE, self, other, max(self._floor, other._floor))
 
     def __sub__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
         return self + other.negate()
@@ -116,11 +117,7 @@ class TruncatedLaurentSeries(_ScaledIntMap):
         contamination.
         """
         factor = TruncatedLaurentSeries(poly, min(poly, default=0))
-        if not factor._ints:
-            return TruncatedLaurentSeries({}, self._floor)
-        floor = self._floor + max(factor._ints)
-        content, product = _primitive(_mul(self._ints, factor._ints, floor))
-        return TruncatedLaurentSeries._of(self._scale * factor._scale * content, product, floor)
+        return _mul_add(self, factor, _NIL, self._floor + max(factor._ints, default=0))
 
     def shift(self, offset: int) -> "TruncatedLaurentSeries":
         """Multiply by x^offset (exact monomial: floor moves by offset)."""
@@ -167,6 +164,9 @@ class TruncatedLaurentSeries(_ScaledIntMap):
         return f"{super().__str__()}  (exact down to x^{self._floor})"
 
 
+_NIL = TruncatedLaurentSeries({}, 0)  # the zero addend of a floored product
+
+
 def generate(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:
     """Generate one of the four studied series exactly down to floor:
     F = f_d, G = x^{-(d-1)} f_d, H = x^{-1} f_d, U = (1 - x^{-1}) f_d."""
@@ -186,14 +186,14 @@ def generate(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:
 
 
 def _generate_f(d: int, floor: int) -> TruncatedLaurentSeries:
-    """f_d down to floor.  Every factor 1 - x^{-d^t} has top degree 0, so
-    dropping degrees below floor after each product is sound."""
+    """f_d down to floor as the disjoint union of the module docstring: one
+    dict update per factor, all of whose terms lie above -d^t."""
     if floor > 0:
         raise InvalidParameter(f"floor must be <= 0, got {floor}")
     ints = {0: 1}
     power = 1
     while power <= -floor:
-        ints = _mul(ints, {0: 1, -power: -1}, floor)
+        ints.update({deg - power: -c for deg, c in ints.items() if deg - power >= floor})
         power *= d
     # The top term stays 1 at degree 0, so the map is primitive as it stands.
     return TruncatedLaurentSeries._of(Fraction(1), ints, floor)

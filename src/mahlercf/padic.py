@@ -327,7 +327,7 @@ class BadApproxWitness(_Record):
     def from_json_dict(cls, data: dict) -> "BadApproxWitness":
         """Parse the JSON form; InvalidParameter unless it is an object with
         integers a, d, p, n0, t, residue, a conditions object of booleans and
-        a nonzero qt coefficient list."""
+        qt, a primitive integer coefficient list with a positive top."""
         if not isinstance(data, dict):
             raise InvalidParameter("witness must be a JSON object")
         missing = [k for k in (*_WITNESS_INTS, "conditions", "qt") if k not in data]
@@ -342,8 +342,8 @@ class BadApproxWitness(_Record):
         if not_bools:
             raise InvalidParameter(f"witness conditions {not_bools} must be booleans")
         qt_poly = RatPoly.from_text(data["qt"])
-        if qt_poly.is_zero():
-            raise InvalidParameter("witness qt is the zero polynomial")
+        if qt_poly.scale != 1:  # zero, or not the primitive integer form
+            raise InvalidParameter("witness qt must be a primitive integer coefficient list")
         return cls(
             **{k: data[k] for k in _WITNESS_INTS},
             conditions=dict(data["conditions"]),
@@ -395,10 +395,10 @@ def check_conditions(
 
 def revalidate_witness(w: BadApproxWitness) -> BadApproxWitness:
     """Re-run every condition from scratch, including recomputing q_t from
-    the continued-fraction oracle, and compare q_t, the residue and the
-    verdicts with the stored ones."""
+    the continued-fraction oracle, and compare q_t (scale included: monic
+    or primitive), the residue and the verdicts with the stored ones."""
     qt_fresh = convergent_denominators(w.d, w.t)[w.t]
-    if qt_fresh.int_coeffs() != w.qt.int_coeffs():
+    if w.qt not in (qt_fresh, qt_fresh.primitive):
         raise InvalidParameter(
             f"stored q_{w.t} does not match the freshly computed denominator"
         )

@@ -57,8 +57,9 @@ class _ScaledIntMap:
         self._scale, self._ints = _from_ratios(terms)
 
     @classmethod
-    def _of(cls, scale: Fraction, ints: dict[int, int]):
-        """The value scale * ints, for a map already in normal form."""
+    def _of(cls, scale: Fraction, ints: dict[int, int], floor: int | None = None):
+        """The value scale * ints, for a map already in normal form; a
+        polynomial is exact at every degree, so it keeps no floor."""
         value = object.__new__(cls)
         value._scale, value._ints = scale, ints
         return value
@@ -170,8 +171,7 @@ class RatPoly(_ScaledIntMap):
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
-        other = self._coerce(other)
-        return RatPoly._of(*_add(self._scale, self._ints, other._scale, other._ints))
+        return _mul_add(_ONE, self, self._coerce(other))
 
     __radd__ = __add__
 
@@ -190,10 +190,7 @@ class RatPoly(_ScaledIntMap):
             if scalar == 0:
                 return RatPoly.zero()
             return RatPoly._of(self._scale * scalar, self._ints)
-        other = self._coerce(other)
-        # Gauss's lemma: a product of primitive maps is primitive, and the
-        # product of positive leading coefficients is positive.
-        return RatPoly._of(self._scale * other._scale, _mul(self._ints, other._ints))
+        return _mul_add(self, self._coerce(other), _NIL)
 
     __rmul__ = __mul__
 
@@ -225,6 +222,10 @@ class RatPoly(_ScaledIntMap):
 
     def __repr__(self) -> str:
         return f"RatPoly({self!s})"
+
+
+# the unit factor of a sum and the zero addend of a product through _mul_add
+_ONE, _NIL = RatPoly._of(Fraction(1), {0: 1}), RatPoly._of(_ZERO, {})
 
 
 def _ratio_text(num: int, c: int, den: int) -> str:
@@ -261,13 +262,13 @@ def _render_terms(scale: Fraction, ints: Mapping[int, int]) -> str:
 # -- the arithmetic kernel ------------------------------------------------
 #
 # Every sum, product and long division in the package, of polynomials and
-# of truncated Laurent series alike, runs through three loops over integer
-# coefficient maps (degree -> nonzero int; degrees may be negative): _add,
-# _mul and _divide; _mul_add fuses the first two for the recurrence of the
-# convergents and of their residuals.  A value is a rational scale times a
-# primitive map whose top coefficient is positive.  Products of such maps
-# are again primitive (Gauss's lemma); sums, truncations and division steps
-# take one content pass (_primitive), and rescalings touch only the scale.
+# of truncated Laurent series alike, runs through two loops over integer
+# coefficient maps (degree -> nonzero int; degrees may be negative):
+# _mul_add and _divide.  A sum is _mul_add(_ONE, a, b), a product
+# _mul_add(a, b, _NIL), and the recurrence of the convergents and of their
+# residuals one _mul_add per step.  A value is a rational scale times a
+# primitive map whose top coefficient is positive; each kernel result takes
+# one content pass (_primitive), and rescalings touch only the scale.
 
 
 def _primitive(ints: dict[int, int]) -> tuple[int, dict[int, int]]:
@@ -296,56 +297,14 @@ def _from_ratios(terms: Iterable[tuple[int, int, int]]) -> tuple[Fraction, dict[
     return Fraction(content, common), ints
 
 
-def _add(
-    sa: Fraction, a: dict[int, int], sb: Fraction, b: dict[int, int]
-) -> tuple[Fraction, dict[int, int]]:
-    """The sum sa*a + sb*b of two values in normal form, in normal form."""
-    if not a:
-        return sb, b
-    if not b:
-        return sa, a
-    # sa*a + sb*b = (sb/v) * (u*a + v*b) with u/v = sa/sb in lowest terms
-    ratio = sa / sb
-    u, v = ratio.numerator, ratio.denominator
-    out = {deg: u * c for deg, c in a.items()}
-    for deg, c in b.items():
-        s = out.get(deg, 0) + v * c
-        if s:
-            out[deg] = s
-        else:
-            del out[deg]
-    if not out:
-        return _ZERO, out
-    content, out = _primitive(out)
-    return sb * Fraction(content, v), out
-
-
-def _mul(a: Mapping[int, int], b: Mapping[int, int], floor: int | None = None) -> dict[int, int]:
-    """The product of two integer maps, without its terms below floor."""
-    if len(a) > len(b):
-        a, b = b, a
-    if floor is None:
-        floor = min(a, default=0) + min(b, default=0)
-    out: dict[int, int] = {}
-    for d1, c1 in a.items():
-        if not out:
-            out = {d1 + d2: c1 * c2 for d2, c2 in b.items() if d1 + d2 >= floor}
-            continue
-        for d2, c2 in b.items():
-            deg = d1 + d2
-            if deg >= floor:
-                out[deg] = out.get(deg, 0) + c1 * c2
-    return {deg: c for deg, c in out.items() if c}
-
-
-def _mul_add(a: RatPoly, b: RatPoly, c: RatPoly, floor: int | None = None) -> RatPoly:
-    """a*b + c in normal form, without its terms below floor, the product
-    terms added straight into the scaled map of c: one pass where
-    ``a * b + c`` takes three."""
+def _mul_add(
+    a: _ScaledIntMap, b: _ScaledIntMap, c: _ScaledIntMap, floor: int | None = None
+) -> _ScaledIntMap:
+    """a*b + c in normal form, as a value of c's class (a series known down
+    to floor), without its terms below floor; the product terms are added
+    straight into the scaled map of c in one pass."""
     scale = a._scale * b._scale
-    sc = c._scale or scale
-    if not sc:
-        return c
+    sc = c._scale or scale or 1  # any nonzero scale when both terms are zero
     # scale*(a*b) + sc*c = (sc/v) * (u*(a*b) + v*c) with u/v = scale/sc
     ratio = scale / sc
     u, v = ratio.numerator, ratio.denominator
@@ -357,10 +316,10 @@ def _mul_add(a: RatPoly, b: RatPoly, c: RatPoly, floor: int | None = None) -> Ra
         for d2, c2 in long.items():
             deg = d1 + d2
             out[deg] = get(deg, 0) + c1 * c2
-    if floor is not None:
-        out = {deg: coeff for deg, coeff in out.items() if deg >= floor}
-    content, out = _primitive({deg: coeff for deg, coeff in out.items() if coeff})
-    return RatPoly._of(sc * Fraction(content, v), out)
+    lowest = NEG_INF if floor is None else floor
+    out = {deg: coeff for deg, coeff in out.items() if coeff and deg >= lowest}
+    content, out = _primitive(out)
+    return type(c)._of(sc * Fraction(content, v), out, floor)
 
 
 def _divide(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import mahlercf.approx as approx
 from mahlercf.approx import (
     DECIMAL_DIGITS_CAP,
     CertifiedValue,
@@ -87,6 +88,23 @@ class TestEvalMahler:
             eval_mahler(2, 2, Fraction(0))
         with pytest.raises(InvalidParameter):
             eval_mahler(2, 2, Fraction(1, 100), which="Z")
+
+    def test_the_bit_bound_reads_the_chosen_tail(self, monkeypatch):
+        # eps = 1e-6 at a = d = 2 stops at the tail denominator 2^32: 32 bits
+        eps = Fraction(1, 10**6)
+        monkeypatch.setattr(approx, "TAIL_BITS_BOUND", 32)
+        assert eval_mahler(2, 2, eps).error_bound == Fraction(1, 2**31)
+        monkeypatch.setattr(approx, "TAIL_BITS_BOUND", 31)
+        with pytest.raises(InvalidParameter, match="2\\^32 would pass 31 bits"):
+            eval_mahler(2, 2, eps)
+        # the tail denominator of g_2 carries the extra factor a^{d-1} = 2
+        with pytest.raises(InvalidParameter, match="2\\^33 would pass 31 bits"):
+            eval_mahler(2, 2, eps / 4, which="G")
+
+    @pytest.mark.parametrize("a, d, which", [(2, 2, "F"), (3, 3, "G"), (10, 3, "F")])
+    def test_eps_down_to_1e_100000_is_within_the_bit_bound_at_d_up_to_3(self, a, d, which):
+        eps = Fraction(1, 10**100000)
+        assert eval_mahler(a, d, eps, which).error_bound <= eps
 
 
 class TestRealCFPrefix:

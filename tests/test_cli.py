@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mahlercf
+from mahlercf.approx import TAIL_BITS_BOUND
 from mahlercf.cli import TABLE_PRIME_BOUND, main
 from mahlercf.padic import N0_BOUND
 from mahlercf.contfrac import CFExpansion, expand_family
@@ -309,6 +311,24 @@ class TestWitness:
         assert err == "invalid input: need p >= 1, got 0\n"
 
     @pytest.mark.parametrize(
+        "rescale",
+        [lambda c: 2 * c, lambda c: -c, lambda c: Fraction(c, 3)],
+        ids=["doubled", "negated", "thirds"],
+    )
+    def test_replay_with_a_rescaled_qt_exit_4(self, capsys, tmp_path, rescale):
+        # qt holds the primitive integer coefficients of q_t, its scale included
+        path = tmp_path / "witness.json"
+        run_cli(capsys, ["witness", "--a", "2", "--d", "3", "--save", str(path),
+                         "--no-timestamp"])
+        stored = json.loads(path.read_text())
+        stored["qt"] = ",".join(str(rescale(int(c))) for c in stored["qt"].split(","))
+        path.write_text(json.dumps(stored))
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("invalid input: witness qt"), err
+
+    @pytest.mark.parametrize(
         "conditions",
         [
             {"c1": False, "c2": False},
@@ -503,6 +523,17 @@ class TestEval:
         assert code == 4
         assert out == ""
         assert "100000" in err
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("argv", [["--d", "10000000"], ["--d", "100000000"],
+                                      ["--d", "5000000", "--which", "G"]], ids=str)
+    def test_tail_past_the_bit_bound_exits_4_quickly(self, capsys, argv):
+        # the tail denominator is sized from bit lengths before any power is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["eval", "--a", "3", *argv, "--eps", "1e-5"])
+        assert code == 4
+        assert out == ""
+        assert f"would pass {TAIL_BITS_BOUND} bits" in err
         assert time.perf_counter() - start < 2
 
     def test_the_largest_prefix_request_ends_quickly(self, capsys):

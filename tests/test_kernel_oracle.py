@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlercf.cli import _poly_json
-from mahlercf.laurent import TruncatedLaurentSeries
+from mahlercf.laurent import TruncatedLaurentSeries, _generate_f
 from mahlercf.polys import (
     RatPoly,
     _mul_add,
@@ -369,3 +369,12 @@ class TestSeries:
     def test_from_fraction_of_200_steps_and_more(self, p, q, floor):
         expanded = TruncatedLaurentSeries.from_fraction(p, q, floor)
         same_series(expanded, _divide(p.coeffs, q.coeffs, floor)[0], floor)
+
+    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=-400, max_value=0))
+    def test_generated_f_is_the_product_of_its_factors(self, d, floor):
+        # f_d down to floor, one floored product per factor 1 - x^{-d^t}
+        product, power = {0: Fraction(1)}, 1
+        while power <= -floor:
+            product = _mul(product, {0: Fraction(1), -power: Fraction(-1)}, floor)
+            power *= d
+        same_series(_generate_f(d, floor), product, floor)

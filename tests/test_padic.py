@@ -432,6 +432,18 @@ class TestWitnessObjects:
         with pytest.raises(InvalidParameter, match="does not match"):
             revalidate_witness(tampered)
 
+    def test_rescaled_polynomial_rejected_on_revalidation(self):
+        # the stored q_t is compared scale included; the search's monic q_t
+        # (scale 1/2 here) and the primitive one a saved file holds both pass
+        w = witness_search(2, 3, 7, 2, 30)
+        assert w.qt.scale == Fraction(1, 2)
+        fields = w._values()[:-1]
+        assert revalidate_witness(BadApproxWitness(*fields, w.qt.primitive)).passed
+        for scale in (2, -1, Fraction(1, 3)):
+            qt = w.qt.primitive * scale
+            with pytest.raises(InvalidParameter, match="does not match"):
+                revalidate_witness(BadApproxWitness(*fields, qt))
+
     def test_tampered_conditions_rejected_on_revalidation(self):
         w = witness_search(2, 2, 11, 8, 20)
         for conditions in ({"c1": False, "c2": False}, {}):

@@ -14,10 +14,10 @@ from mahlercf.errors import DivisionByZeroPoly, ZeroPolynomial
 from mahlercf.polys import (
     NEG_INF,
     RatPoly,
-    _add,
     _divide,
-    _mul,
+    _mul_add,
     _primitive,
+    _ScaledIntMap,
     poly_divmod,
     poly_eval_mod,
     poly_normalize_integer,
@@ -73,6 +73,30 @@ def normal(ints):
 def valued(scale, ints):
     """The Fraction map scale * ints."""
     return {k: scale * c for k, c in ints.items()}
+
+
+def stored(scale, ints):
+    """The kernel operand scale * ints, for a map in normal form; its degrees
+    may be negative."""
+    return _ScaledIntMap._of(scale, ints)
+
+
+ONE, NIL = stored(Fraction(1), {0: 1}), stored(Fraction(0), {})
+
+
+def kernel_sum(sa, a, sb, b):
+    """(scale, map) of sa*a + sb*b through the kernel, as 1*(sa*a) + sb*b."""
+    total = _mul_add(ONE, stored(sa, a), stored(sb, b))
+    return total.scale, total.int_coeffs()
+
+
+def kernel_product(a, b, floor=None):
+    """(scale, map) of a*b, without its terms below floor, through the
+    kernel, as a*b + 0."""
+    ca, a = _primitive(a)
+    cb, b = _primitive(b)
+    product = _mul_add(stored(Fraction(ca), a), stored(Fraction(cb), b), NIL, floor)
+    return product.scale, product.int_coeffs()
 
 
 def dense_product(a: dict, b: dict) -> dict:
@@ -179,29 +203,28 @@ class TestAddKernel:
         cb, b = normal(b)
         sa, sb = sa * ca if a else Fraction(0), sb * cb if b else Fraction(0)
         dense = {k: sa * a.get(k, 0) + sb * b.get(k, 0) for k in range(-8, 5)}
-        scale, total = _add(sa, a, sb, b)
+        scale, total = kernel_sum(sa, a, sb, b)
         assert_normal(scale, total)
         assert valued(scale, total) == {k: v for k, v in dense.items() if v}
 
     @given(int_maps.filter(bool), scales)
     def test_full_cancellation_is_the_normal_zero(self, a, sa):
         _, a = normal(a)
-        assert _add(sa, a, -sa, a) == (0, {})
+        assert kernel_sum(sa, a, -sa, a) == (0, {})
 
 
 class TestMultiplyKernel:
     @given(int_maps, int_maps, st.integers(min_value=-16, max_value=8))
     def test_floored_product_is_the_full_product_above_floor(self, a, b, floor):
         full = dense_product(a, b)
-        assert _mul(a, b) == full
-        assert _mul(a, b, floor) == {k: v for k, v in full.items() if k >= floor}
+        assert valued(*kernel_product(a, b)) == full
+        assert valued(*kernel_product(a, b, floor)) == {
+            k: v for k, v in full.items() if k >= floor
+        }
 
-    @given(int_maps.filter(bool), int_maps.filter(bool))
-    def test_product_of_normal_maps_is_normal(self, a, b):
-        # Gauss's lemma: the unfloored product needs no content pass
-        _, a = normal(a)
-        _, b = normal(b)
-        assert_normal(1, _mul(a, b))
+    @given(int_maps, int_maps, st.one_of(st.none(), st.integers(min_value=-16, max_value=8)))
+    def test_product_through_the_kernel_is_in_normal_form(self, a, b, floor):
+        assert_normal(*kernel_product(a, b, floor))
 
 
 class TestTransforms:
