@@ -22,17 +22,6 @@ from fractions import Fraction
 from ._record import _Record
 from .errors import IdentityFailure, InvalidParameter
 
-__all__ = [
-    "CertifiedValue",
-    "ExponentSample",
-    "IrrationalityReport",
-    "partial_product_value",
-    "eval_mahler",
-    "real_cf_prefix",
-    "irrationality_witness",
-]
-
-
 # ---------------------------------------------------------------------------
 # certified values
 # ---------------------------------------------------------------------------

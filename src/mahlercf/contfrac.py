@@ -22,9 +22,10 @@ Remainder exactness.  With N = x^D U (D = -floor), the Euclid remainder
 r_i = ±(q_i N - p_i x^D) equals x^D (q_i u - p_i) at degrees >= deg q_i and
 carries the truncation of N below.  A certified quotient a_{i+1} reads r_i
 only down to deg r_i - deg a_{i+1} = D - deg q_{i+1} - deg a_{i+1} >= deg q_i,
-so each remainder is cut to its terms of degree >= deg q_i.  A cut that
-leaves nothing ends the chain where the uncut run ends it: there r_i is 0,
-or deg r_i < deg q_i and the next quotient fails certification.
+so the division that makes r_i drops its terms of degree < deg q_i before
+its content pass; deg a_i = deg r_{i-2} - deg r_{i-1} gives deg q_i first.
+A cut that leaves nothing ends the chain where the uncut run ends it: there
+r_i is 0, or deg r_i < deg q_i and the next quotient fails certification.
 
 Certification from the residual recurrence.  The residuals e_i = q_i u - p_i
 follow the chain's recurrence e_{i+1} = a_{i+1} e_i + e_{i-1} from e_{-1} = -1,
@@ -175,27 +176,26 @@ def _euclid_chain(num: RatPoly, depth: int, n: int) -> list[RatPoly]:
     """Euclid on num / x^depth.  Emits up to n + 1 quotients, stopping before
     any quotient whose denominator degree g_i would violate 2*g_i <= depth.
     g_i is the running sum of the quotient degrees (CFExpansion checks that
-    sum on the denominators it builds).  Each remainder is cut to its exact
-    terms, those of degree >= g_i (module docstring)."""
+    sum on the denominators it builds).  Each division returns its remainder
+    cut to the exact terms, those of degree >= g_i (module docstring)."""
     den = RatPoly.monomial(depth)
     a0, rem = poly_divmod(num, den)
     quotients = [a0]
     x_cur, y_cur = den, rem
     deg_q = 0
     while len(quotients) <= n and not y_cur.is_zero():
-        a, rem = poly_divmod(x_cur, y_cur)
-        deg_q += int(a.degree())
+        deg_q += int(x_cur.degree() - y_cur.degree())
         if 2 * deg_q > depth:
             break
+        a, rem = poly_divmod(x_cur, y_cur, deg_q)
         quotients.append(a)
-        exact = {deg: c for deg, c in rem.int_coeffs().items() if deg >= deg_q}
-        x_cur, y_cur = y_cur, RatPoly.from_int_coeffs(exact, rem.scale)
+        x_cur, y_cur = y_cur, rem
     return quotients
 
 
 def _lifted(u: TruncatedLaurentSeries) -> RatPoly:
     """N = x^D u with D = -u.floor, the known terms of u as a polynomial."""
-    return RatPoly.from_int_coeffs({k - u.floor: c for k, c in u.int_coeffs().items()}, u.scale)
+    return RatPoly._of(u.scale, {k - u.floor: c for k, c in u.int_coeffs().items()})
 
 
 def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:

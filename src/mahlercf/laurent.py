@@ -21,8 +21,9 @@ is a disjoint union, not a product: d^t exceeds 1 + d + ... + d^{t-1}, so
 each factor adds a negated, shifted copy of the terms so far that overlaps
 none of them, and every coefficient is 0 or +-1.
 
-A rational function p/q enters through ``from_fraction`` as an ordinary
-truncation; the benchmark tracer names it, so it stays while the tracer does.
+A rational function p/q enters through ``from_fraction``, the Euclidean
+quotient of x^{-floor} p by q shifted back by x^floor; the benchmark tracer
+names it, so it stays while the tracer does.
 
 A series is stored in the form ``polys`` gives every value: one rational
 scale times a primitive integer map (content 1, top coefficient positive),
@@ -42,7 +43,7 @@ from .errors import (
     InvalidParameter,
     MismatchAt,
 )
-from .polys import _ONE, RatPoly, _divide, _mul_add, _primitive, _ScaledIntMap
+from .polys import _ONE, _ZERO, RatPoly, _divide, _mul_add, _ScaledIntMap
 
 _Scalar = Union[int, Fraction]
 
@@ -100,15 +101,6 @@ class TruncatedLaurentSeries(_ScaledIntMap):
     def negate(self) -> "TruncatedLaurentSeries":
         return TruncatedLaurentSeries._of(-self._scale, self._ints, self._floor)
 
-    def truncate(self, floor: int) -> "TruncatedLaurentSeries":
-        """The same series known only down to floor (>= self.floor)."""
-        if floor < self._floor:
-            raise InsufficientPrecision(f"cannot truncate below the floor {self._floor}: {floor}")
-        if floor == self._floor:
-            return self
-        content, ints = _primitive({k: c for k, c in self._ints.items() if k >= floor})
-        return TruncatedLaurentSeries._of(self._scale * content, ints, floor)
-
     def mul_laurent(self, poly: Mapping[int, _Scalar]) -> "TruncatedLaurentSeries":
         """Multiply by an exactly-known Laurent polynomial (degree -> coeff).
 
@@ -147,11 +139,12 @@ class TruncatedLaurentSeries(_ScaledIntMap):
 
     @classmethod
     def from_fraction(cls, p: RatPoly, q: RatPoly, floor: int) -> "TruncatedLaurentSeries":
-        """Expand the rational function p/q as a Laurent series down to floor."""
+        """p/q down to floor: the Euclidean quotient of x^{-floor} p by q, shifted back."""
         if q.is_zero():
             raise DivisionByZeroPoly("fraction with zero denominator")
-        scale, ints, _, _ = _divide(p.int_coeffs(), q.int_coeffs(), floor)
-        return cls._of(p.scale / q.scale * scale, ints, floor)
+        shifted = {deg - floor: c for deg, c in p.int_coeffs().items()}
+        scale, ints, _, _ = _divide(shifted, q.int_coeffs())
+        return cls._of(p.scale / q.scale * scale, {k + floor: c for k, c in ints.items()}, floor)
 
     # -- rendering ----------------------------------------------------
 
@@ -187,9 +180,10 @@ def generate(d: int, kind: str, floor: int) -> TruncatedLaurentSeries:
 
 def _generate_f(d: int, floor: int) -> TruncatedLaurentSeries:
     """f_d down to floor as the disjoint union of the module docstring: one
-    dict update per factor, all of whose terms lie above -d^t."""
+    dict update per factor, all of whose terms lie above -d^t; no term is
+    above a positive floor."""
     if floor > 0:
-        raise InvalidParameter(f"floor must be <= 0, got {floor}")
+        return TruncatedLaurentSeries._of(_ZERO, {}, floor)
     ints = {0: 1}
     power = 1
     while power <= -floor:

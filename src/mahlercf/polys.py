@@ -131,15 +131,6 @@ class RatPoly(_ScaledIntMap):
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"bad polynomial text {text!r}: {exc}") from exc
 
-    @classmethod
-    def from_int_coeffs(cls, ints: Mapping[int, int], scale: _Scalar = 1) -> "RatPoly":
-        """scale * ints, for a map of degrees >= 0 to nonzero integers of any
-        content; one gcd pass brings it to normal form."""
-        if ints and min(ints) < 0:
-            raise InvalidParameter(f"invalid degree {min(ints)!r}")
-        content, prim = _primitive(dict(ints))
-        return cls._of(_as_fraction(scale) * content, prim) if scale else cls()
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -267,8 +258,9 @@ def _render_terms(scale: Fraction, ints: Mapping[int, int]) -> str:
 # _mul_add and _divide.  A sum is _mul_add(_ONE, a, b), a product
 # _mul_add(a, b, _NIL), and the recurrence of the convergents and of their
 # residuals one _mul_add per step.  A value is a rational scale times a
-# primitive map whose top coefficient is positive; each kernel result takes
-# one content pass (_primitive), and rescalings touch only the scale.
+# primitive map whose top coefficient is positive; each kernel result drops
+# its terms below an optional floor and takes one content pass (_primitive),
+# made nowhere else.  Rescalings and degree moves keep a map primitive.
 
 
 def _primitive(ints: dict[int, int]) -> tuple[int, dict[int, int]]:
@@ -323,14 +315,13 @@ def _mul_add(
 
 
 def _divide(
-    num: Mapping[int, int], den: Mapping[int, int], stop: int
+    num: Mapping[int, int], den: Mapping[int, int], floor: int | None = None
 ) -> tuple[Fraction, dict[int, int], Fraction, dict[int, int]]:
-    """Top-down pseudo-division of integer maps, den with a positive top
-    coefficient: (qs, quo, rs, rem) in normal form with
-    num == qs*quo*den + rs*rem, where quo holds every term of degree >= stop
-    and rem has no term above stop + deg(den) - 1.  With stop = 0 this is
-    Euclidean division of polynomials; with a negative stop it expands
-    num/den as a Laurent series down to x^stop.
+    """Top-down Euclidean pseudo-division of integer maps, den with a
+    positive top coefficient: (qs, quo, rs, rem) in normal form with
+    num == qs*quo*den + rs*rem, where quo holds every term of degree >= 0
+    and rem has no term above deg(den) - 1; with a floor, rem is cut to its
+    terms of degree >= floor before its content pass.
 
     Each step scales the remainder by lc/gcd(lc, top) instead of dividing
     by lc, and a content pass keeps its integers primitive."""
@@ -345,7 +336,7 @@ def _divide(
     while rem:
         top = max(rem)
         k = top - e
-        if k < stop:
+        if k < 0:
             break
         t = rem.pop(top)
         g = math.gcd(t, lc)
@@ -367,15 +358,17 @@ def _divide(
             g = math.gcd(sn * content, sd * m)
             sn, sd = sn * content // g, sd * m // g
     qs, quo_ints = _from_ratios(quo)
+    if floor is not None:
+        rem = {deg: c for deg, c in rem.items() if deg >= floor}
     content, rem = _primitive(rem)
     return qs, quo_ints, Fraction(sn * content, sd), rem
 
 
-def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Euclidean division: a = q*b + r with deg r < deg b."""
+def poly_divmod(a: RatPoly, b: RatPoly, floor: int | None = None) -> tuple[RatPoly, RatPoly]:
+    """Euclidean division a = q*b + r, deg r < deg b; r is cut below a floor."""
     if b.is_zero():
         raise DivisionByZeroPoly("polynomial division by zero")
-    qs, quo, rs, rem = _divide(a._ints, b._ints, 0)
+    qs, quo, rs, rem = _divide(a._ints, b._ints, floor)
     return RatPoly._of(a._scale / b._scale * qs, quo), RatPoly._of(a._scale * rs, rem)
 
 

@@ -41,7 +41,7 @@ def _undo_power(p: RatPoly, d: int) -> RatPoly | None:
     ints = p.int_coeffs()
     if any(deg % d for deg in ints):
         return None
-    return RatPoly.from_int_coeffs({deg // d: c for deg, c in ints.items()}, p.scale)
+    return RatPoly._of(p.scale, {deg // d: c for deg, c in ints.items()})
 
 
 # ---------------------------------------------------------------------------

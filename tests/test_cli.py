@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import mahlercf
 from mahlercf.approx import TAIL_BITS_BOUND
 from mahlercf.cli import TABLE_PRIME_BOUND, main
-from mahlercf.padic import N0_BOUND
+from mahlercf.padic import N0_BOUND, P_BITS_BOUND
 from mahlercf.contfrac import CFExpansion, expand_family
 
 
@@ -424,6 +424,17 @@ class TestWitness:
         assert (code, out) == (4, "")
         assert err == f"invalid input: n0 must not exceed {N0_BOUND}, got {10**9}\n"
 
+    def test_replay_with_p_past_the_bit_bound_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        run_cli(capsys, ["witness", "--a", "2", "--d", "3", "--save", str(path)])
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(stored, p=10**4000 + 1)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == f"invalid input: p must not exceed {P_BITS_BOUND} bits, got 13288\n"
+
     def test_missing_replay_file_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["witness", "--replay", str(tmp_path / "absent.json")]
@@ -641,6 +652,20 @@ class TestDemoHensel:
         assert time.perf_counter() - start < 2
         assert (code, out) == (4, "")
         assert err == f"invalid input: n0 must not exceed {N0_BOUND}, got {10**9}\n"
+
+    @pytest.mark.parametrize("p", [2**P_BITS_BOUND + 1, 10**4000 + 1])
+    def test_p_past_the_bit_bound_exits_4_quickly(self, capsys, p):
+        # each check walks n0 powerings mod p^2; at 10^4000 + 1 the walk of
+        # n0 = 20000 steps alone ran for over a minute
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "3", "--p", str(p), "--n0", "20000", "--t", "8"],
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == (f"invalid input: p must not exceed {P_BITS_BOUND} bits, "
+                       f"got {p.bit_length()}\n")
 
     def test_failing_conditions_exit_1(self, capsys):
         code, out, _ = run_cli(

@@ -47,7 +47,7 @@ def exact_chain(num: RatPoly, den: RatPoly, n: int, certify_degree: int) -> list
 
 def reference_cf_expand(u, n: int) -> list[RatPoly]:
     floor = u.floor
-    num = RatPoly.from_int_coeffs({deg - floor: c for deg, c in u.int_coeffs().items()}, u.scale)
+    num = RatPoly({deg - floor: c for deg, c in u.int_coeffs().items()}) * u.scale
     quotients = exact_chain(num, RatPoly.monomial(-floor), n, -floor)
     if len(quotients) <= n:
         raise InsufficientPrecision(
@@ -132,7 +132,7 @@ def numerators(draw):
         ints = {deg: draw(coeffs) for deg in range(draw(degrees) + 1)}
         ints = {deg: c for deg, c in ints.items() if draw(st.integers(0, 5))}
     scale = draw(st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool))
-    return RatPoly.from_int_coeffs(ints, scale), depth
+    return RatPoly(ints) * scale, depth
 
 
 class TestEuclidChain:
@@ -145,8 +145,7 @@ class TestEuclidChain:
     def test_a_family_truncation_at_every_shallow_depth(self, d):
         for depth in range(1, 90):
             u = family_series(d, "F", -depth)
-            num = RatPoly.from_int_coeffs({deg + depth: c for deg, c in u.int_coeffs().items()},
-                                          u.scale)
+            num = RatPoly({deg + depth: c for deg, c in u.int_coeffs().items()}) * u.scale
             want = exact_chain(num, RatPoly.monomial(depth), 200, depth)
             assert _euclid_chain(num, depth, 200) == want, depth
 

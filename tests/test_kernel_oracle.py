@@ -353,11 +353,6 @@ class TestSeries:
     def test_substitute_power(self, a, d):
         same_series(a.substitute_power(d), {k * d: c for k, c in a.coeffs.items()}, a.floor * d)
 
-    @given(series(), st.integers(min_value=0, max_value=14))
-    def test_truncation(self, a, lift):
-        floor = a.floor + lift
-        same_series(a.truncate(floor), {k: c for k, c in a.coeffs.items() if k >= floor}, floor)
-
     @given(polys(), polys(min_degree=0), st.integers(min_value=-30, max_value=0))
     def test_from_fraction(self, p, q, floor):
         same_series(TruncatedLaurentSeries.from_fraction(p, q, floor),

@@ -67,6 +67,18 @@ class TestGenerationOracle:
         for deg in range(-59, 1):
             assert u.coeff(deg) == f.coeff(deg) - f.coeff(deg + 1)
 
+    @pytest.mark.parametrize("kind", ["F", "G", "H", "U"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_every_floor_near_0_is_the_deep_series_cut_there(self, d, kind):
+        # a floor above the top term of g_d or h_d gives the zero series,
+        # in normal form with scale 0
+        deep = generate(d, kind, -60)
+        for floor in range(-(d + 1), 1):
+            series = generate(d, kind, floor)
+            assert series.floor == floor
+            assert series.coeffs == {k: c for k, c in deep.coeffs.items() if k >= floor}, floor
+            assert (series.scale == 0) == (not series.int_coeffs()), floor
+
     def test_family_validation(self):
         with pytest.raises(InvalidParameter):
             generate(1, "F", -10)
@@ -82,12 +94,6 @@ class TestFloorAlgebra:
         assert series.coeff(-10) in (-1, 0, 1)
         with pytest.raises(InsufficientPrecision):
             series.coeff(-11)
-
-    def test_truncate_below_the_floor_raises(self):
-        series = generate(2, "F", -10)
-        assert series.truncate(-10) is series
-        with pytest.raises(InsufficientPrecision):
-            series.truncate(-11)
 
     def test_add_takes_max_floor(self):
         a = generate(2, "F", -20)

@@ -222,7 +222,7 @@ class TestConditions:
     def test_scale_sharing_p_is_skipped(self):
         from fractions import Fraction
 
-        fake = RatPoly.from_int_coeffs({0: 1, 1: 1}, Fraction(1, 5))
+        fake = RatPoly({0: 1, 1: 1}) * Fraction(1, 5)
         with pytest.raises(ScaleNotInvertible):
             check_conditions(2, 2, 5, 1, 1, fake)
 

@@ -178,20 +178,27 @@ class TestDivision:
         with pytest.raises(DivisionByZeroPoly):
             poly_divmod(RatPoly.one(), RatPoly.zero())
 
-    @given(int_maps, int_maps.filter(bool), st.integers(min_value=-6, max_value=0))
-    def test_division_kernel_identity(self, num, den, stop):
-        # num == qs*quo*den + rs*rem, with both parts in normal form
+    @given(int_maps, int_maps.filter(bool), st.integers(min_value=-12, max_value=6))
+    def test_division_kernel_identity(self, num, den, floor):
+        # num == qs*quo*den + rs*rem, with both parts in normal form; with a
+        # floor, the same quotient and the remainder's terms at or above it
         _, num = normal(num)
         _, den = normal(den)
-        qs, quotient, rs, remainder = _divide(num, den, stop)
+        qs, quotient, rs, remainder = _divide(num, den)
         assert_normal(qs, quotient)
         assert_normal(rs, remainder)
         rebuilt = dense_product(valued(qs, quotient), den)
         for deg, c in valued(rs, remainder).items():
             rebuilt[deg] = rebuilt.get(deg, 0) + c
         assert {k: v for k, v in rebuilt.items() if v} == num
-        assert min(quotient, default=stop) >= stop
-        assert max(remainder, default=NEG_INF) < stop + max(den)
+        assert min(quotient, default=0) >= 0
+        assert max(remainder, default=NEG_INF) < max(den)
+        cut_qs, cut_quotient, cut_rs, cut_remainder = _divide(num, den, floor)
+        assert_normal(cut_rs, cut_remainder)
+        assert (cut_qs, cut_quotient) == (qs, quotient)
+        assert valued(cut_rs, cut_remainder) == {
+            k: v for k, v in valued(rs, remainder).items() if k >= floor
+        }
 
 
 class TestAddKernel:

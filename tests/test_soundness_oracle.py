@@ -24,6 +24,11 @@ from mahlercf.polys import RatPoly
 # -- the reference check -----------------------------------------------------
 
 
+def truncated(u, floor):
+    """u known only down to floor (>= u.floor)."""
+    return TruncatedLaurentSeries({k: c for k, c in u.coeffs.items() if k >= floor}, floor)
+
+
 def reference_soundness(u, cf):
     """Each convergent divided down to its local floor, and down to u.floor
     only if u - p/q vanishes there."""
@@ -33,7 +38,7 @@ def reference_soundness(u, cf):
             break
         floor = max(u.floor, -(2 * int(conv.q.degree()) + conv.rate))
         try:
-            measured = rate_of_approximation(u.truncate(floor), conv.p, conv.q)
+            measured = rate_of_approximation(truncated(u, floor), conv.p, conv.q)
         except InsufficientPrecision:
             measured = rate_of_approximation(u, conv.p, conv.q)
         if measured != conv.rate:

@@ -130,6 +130,22 @@ def test_only_polys_reads_the_fraction_valued_coeffs():
     assert offenders == []
 
 
+def test_only_polys_makes_the_normal_form():
+    # The kernel in polys brings every result to normal form with one content
+    # pass, _primitive; another module that called it would normalise twice.
+    package = Path(mahlercf.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "polys.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "_primitive")
+        or (isinstance(node, ast.Attribute) and node.attr == "_primitive")
+        or (isinstance(node, ast.alias) and node.name == "_primitive")
+    ]
+    assert offenders == []
+
+
 def test_every_traced_name_resolves_where_the_tracer_looks():
     # perfbench/tracing.py wraps each SPANNED name: a module attribute, or for
     # "Class.method" an entry of the class's own __dict__ (an inherited method
