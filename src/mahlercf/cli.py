@@ -238,8 +238,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     if args.replay is not None:
-        with open(args.replay, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        # A file that is not UTF-8 JSON, nests too deep for the parser or
+        # holds an integer past the interpreter's digit limit is bad input;
+        # one that cannot be opened is an i/o error (main).
+        try:
+            with open(args.replay, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParameter(f"unreadable witness file {args.replay}: {exc}") from exc
         # revalidate_witness raises unless every stored field is confirmed
         witness = revalidate_witness(BadApproxWitness.from_json_dict(data))
         print(
@@ -462,10 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameter, ScaleNotInvertible) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except NotFound as exc:
-        print(f"not found: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except MahlerCFError as exc:

@@ -1,4 +1,8 @@
-"""Shared fixtures: session-cached expansions so the suite stays fast."""
+"""Shared fixtures: session-cached expansions so the suite stays fast, and
+the environment of a child interpreter."""
+
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,3 +43,16 @@ def betas_d3():
     from mahlercf.structure import beta_sequence
 
     return beta_sequence(3, 40)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment of a child interpreter that imports mahlercf from this
+    source tree.  Only the tests whose subject is the process start one
+    (tests/test_source.py names them)."""
+    import mahlercf
+
+    src = str(Path(mahlercf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -12,13 +11,11 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import mahlercf
 from mahlercf.approx import TAIL_BITS_BOUND
 from mahlercf.cli import TABLE_PRIME_BOUND, main
 from mahlercf.padic import N0_BOUND, P_BITS_BOUND
@@ -122,20 +119,17 @@ class TestCF:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
-    def test_coefficients_past_the_int_to_str_digit_limit_print_exactly(self):
+    def test_coefficients_past_the_int_to_str_digit_limit_print_exactly(self, child_env):
         # the convergents of u_2 at n = 403 have coefficients past the
         # interpreter's 4300-digit limit for int <-> str; every coefficient
         # printed must read back as the library's coefficient in lowest terms
         def exact_int(text):
             return int(text) if len(text) < 4300 else int(Decimal(text))
 
-        src = str(Path(mahlercf.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "mahlercf.cli", "cf", "--d", "2", "--kind", "U", "--n", "403",
              "--output", "json", "--no-timestamp"],
-            stdout=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, text=True, env=child_env,
         )
         cf, _ = expand_family(2, "U", 403)
         polys = [*cf.partial_quotients, *(poly for c in cf.convergents for poly in (c.p, c.q))]
@@ -441,6 +435,28 @@ class TestWitness:
         )
         assert code == 4
         assert "i/o error" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"a": ' * 50_000 + b"1" + b"}" * 50_000,
+            b"\xff\xfe{",
+            b'{"p": ' + b"1" * 5001 + b"}",
+        ],
+        ids=["nested-arrays", "nested-objects", "not-utf8", "p-past-the-digit-limit"],
+    )
+    def test_unreadable_replay_file_exits_4(self, capsys, tmp_path, content):
+        # too deep for the parser, not UTF-8, or an integer past the
+        # interpreter's 4300-digit limit: bad input, not a traceback
+        path = tmp_path / "witness.json"
+        path.write_bytes(content)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err.startswith(f"invalid input: unreadable witness file {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestTable:
@@ -830,29 +846,78 @@ FUZZ_ARGV = {
 }
 
 
+# Any JSON value, as json.loads gives it back.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, original: bytes) -> bytes:
+    """original with one to four bytes replaced, inserted or deleted, drawn
+    mostly from the bytes that JSON syntax and numbers are made of."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.sampled_from(b'0123456789-.eE"[]{},: ') | st.integers(0, 255))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "replace":
+            data[at] = byte
+        elif edit == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    return bytes(data)
+
+
+def _exit(argv) -> tuple[int, str]:
+    """main's exit code and stderr; any exception but SystemExit (argparse's
+    usage errors) propagates and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 class TestFuzz:
     @pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
     def test_every_argv_exits_with_a_documented_code(self, command):
         @given(FUZZ_ARGV[command])
         def check(argv):
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse usage errors
-                    code = exc.code
+            code, _ = _exit(argv)
             assert code in (0, 1, 2, 3, 4), (argv, code)
 
+        check()
+
+    def test_every_replay_file_exits_with_a_documented_code(self, tmp_path):
+        saved = tmp_path / "saved.json"
+        assert _exit(["witness", "--a", "2", "--d", "2", "--save", str(saved)]) == (0, "")
+        original = saved.read_bytes()
+        stored = json.loads(original)
+        wrong_shapes = _JSON_VALUES | st.tuples(st.sampled_from(sorted(stored)), _JSON_VALUES).map(
+            lambda field: dict(stored, **{field[0]: field[1]}))
+        path = tmp_path / "witness.json"
+
+        @given(_mutated(original) | wrong_shapes.map(lambda value: json.dumps(value).encode()))
+        def check(content):
+            path.write_bytes(content)
+            code, err = _exit(["witness", "--replay", str(path)])
+            assert code in (0, 1, 2, 3, 4), (content, code)
+            assert "Traceback" not in err
+
+        assert _exit(["witness", "--replay", str(saved)]) == (0, "")
         check()
 
 
 class TestImportPath:
     @staticmethod
-    def _python(*args: str) -> subprocess.CompletedProcess:
+    def _python(env: dict, *args: str) -> subprocess.CompletedProcess:
         # a fresh interpreter that imports the package from this source tree
-        src = str(Path(mahlercf.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
         )
@@ -860,16 +925,17 @@ class TestImportPath:
         return proc
 
     @pytest.mark.parametrize("module", ["mahlercf.cli", "mahlercf"])
-    def test_import_leaves_sympy_unloaded(self, module):
+    def test_import_leaves_sympy_unloaded(self, module, child_env):
         proc = self._python(
+            child_env,
             "-c",
             f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))",
         )
         assert proc.stdout == "[]\n"
 
-    def _imported(self, *args: str) -> set[str]:
+    def _imported(self, env: dict, *args: str) -> set[str]:
         # every module a fresh interpreter imports, as -X importtime lists them
-        proc = self._python("-X", "importtime", *args)
+        proc = self._python(env, "-X", "importtime", *args)
         return {
             line.rpartition("|")[2].strip()
             for line in proc.stderr.splitlines()
@@ -882,10 +948,10 @@ class TestImportPath:
          ("-m", "mahlercf.cli", "cf", "--d", "2", "--n", "5", "--no-timestamp")],
         ids=["import", "cf-no-timestamp"],
     )
-    def test_cold_start_loads_no_dataclasses_inspect_or_datetime(self, args):
+    def test_cold_start_loads_no_dataclasses_inspect_or_datetime(self, args, child_env):
         # judged against a bare interpreter, so that a module that site
         # imports (through a .pth file, say) does not count against the package
-        added = self._imported(*args) - self._imported("-c", "pass")
+        added = self._imported(child_env, *args) - self._imported(child_env, "-c", "pass")
         assert "mahlercf.padic" in added
         assert added & {"dataclasses", "inspect", "datetime"} == set()
 
@@ -904,15 +970,12 @@ class TestClosedStdout:
         ],
         ids=["table-text", "table-json", "table-csv", "cf-json"],
     )
-    def test_reader_closing_after_one_line_exits_4(self, argv):
+    def test_reader_closing_after_one_line_exits_4(self, argv, child_env):
         # each output is several times the size of a pipe buffer, so the
         # writer is still writing when the reader goes
-        src = str(Path(mahlercf.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "mahlercf.cli", *argv, "--no-timestamp"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
         )
         try:
             assert proc.stdout.readline()

@@ -1,14 +1,11 @@
 """Smoke tests: every script under scripts/ runs to exit 0 on a small input,
 and the table script refuses a prime past the table bound."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import mahlercf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,27 +22,23 @@ SCRIPT_ARGV = {
 RUNS = sorted(SCRIPT_ARGV)
 
 
-def run_script(script: str, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
-    src = str(Path(mahlercf.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
+def run_script(env: dict, script: str, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env={**env, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=120,
     )
 
 
 @pytest.mark.parametrize("script, argv", RUNS, ids=[SCRIPT_ARGV[run] for run in RUNS])
-def test_script_runs(script, argv):
-    proc = run_script(script, argv)
+def test_script_runs(script, argv, child_env):
+    proc = run_script(child_env, script, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
 
-def test_table_script_refuses_a_prime_above_the_bound():
+def test_table_script_refuses_a_prime_above_the_bound(child_env):
     # orbit_table refuses the prime before the O(p) walk over its orbits
-    proc = run_script("reproduce_table.py", ("--primes", "10007"))
+    proc = run_script(child_env, "reproduce_table.py", ("--primes", "10007"))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "InvalidParameter: table primes must not exceed 10000, got 10007" in proc.stderr

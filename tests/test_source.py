@@ -1,4 +1,4 @@
-"""Rules on the library source itself."""
+"""Rules on the library source itself, and on how the tests run it."""
 
 import ast
 import importlib
@@ -167,3 +167,48 @@ def test_every_traced_name_resolves_where_the_tracer_looks():
         if method not in namespace:
             missing.append(name)
     assert missing == []
+
+
+# The tests whose subject is the process: output past the digit limit read
+# from a pipe, a cold import, a reader that closes stdout, the scripts and the
+# installed console script.  Every other test runs the library in process.
+STARTS_AN_INTERPRETER = {
+    "test_cli.py::TestCF.test_coefficients_past_the_int_to_str_digit_limit_print_exactly",
+    "test_cli.py::TestImportPath",
+    "test_cli.py::TestClosedStdout",
+    "test_cli.py::TestConsoleScript",
+    "test_scripts.py::run_script",
+}
+
+
+def _process_starts(tree: ast.AST, scope: str = "") -> list[str]:
+    # The dotted class and function scope of every use of the subprocess
+    # module, through which every test that starts a process starts it.
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            found += _process_starts(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                and child.value.id == "subprocess"):
+            found.append(scope)
+        found += _process_starts(child, scope)
+    return found
+
+
+def test_only_the_process_tests_start_an_interpreter():
+    tests = Path(__file__).resolve().parent
+    starts = {
+        f"{path.name}::{scope}"
+        for path in sorted(tests.glob("*.py"))
+        for scope in _process_starts(ast.parse(path.read_text(), filename=str(path)))
+    }
+    # the name in the list that covers each start, None for an unlisted one
+    covered = {
+        start: next((name for name in STARTS_AN_INTERPRETER
+                     if start == name or start.startswith(name + ".")), None)
+        for start in starts
+    }
+    assert sorted(start for start, name in covered.items() if name is None) == []
+    # each name still starts one, so the list stays no longer than it must
+    assert set(covered.values()) == STARTS_AN_INTERPRETER
