@@ -300,11 +300,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise InvalidParameter("no primes requested")
     if args.t_bound < 1:
         raise InvalidParameter("--t-bound must be positive")
-    rows = orbit_table(primes, args.t_bound, d=args.d, include_missing=args.include_missing)
+    rows = orbit_table(primes, args.t_bound, include_missing=args.include_missing)
     if args.output == "json":
-        rows_json = (json.dumps({"p": r.p, "t": r.t, "residue": r.residue, "orbit": list(r.orbit),
-                                 "a_classes": list(r.a_classes)}, indent=2).replace("\n", "\n    ")
-                     for r in rows)
+        item = ",\n        "  # the rows as json.dumps(indent=2) lays them out; no orbit is empty
+        rows_json = (f'{{\n      "p": {r.p},\n      "t": {json.dumps(r.t)},\n      "residue": '
+                     f'{json.dumps(r.residue)},\n      "orbit": [\n        {item.join(map(str, r.orbit))}'
+                     f'\n      ],\n      "a_classes": [\n        {item.join(map(str, r.a_classes))}'
+                     '\n      ]\n    }' for r in rows)
         _emit_json({"d": args.d, "t_bound": args.t_bound, "rows": rows_json}, args)
     elif args.output == "csv":
         if not args.no_timestamp:

@@ -49,9 +49,9 @@ class MismatchAt(MahlerCFError):
     Carries the largest degree at which they disagree.
     """
 
-    def __init__(self, degree: int, message: str = ""):
+    def __init__(self, degree: int):
         self.degree = degree
-        super().__init__(message or f"series disagree at degree {degree}")
+        super().__init__(f"series disagree at degree {degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,9 @@ class ClassificationFailure(MahlerCFError):
     Carries the index of the offending convergent.
     """
 
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int, message: str):
         self.index = index
-        super().__init__(message or f"convergent {index} matches no expected shape")
+        super().__init__(message)
 
 
 class ShapeViolation(MahlerCFError):
@@ -84,9 +84,9 @@ class ShapeViolation(MahlerCFError):
     Carries the index of the first offending quotient.
     """
 
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int, message: str):
         self.index = index
-        super().__init__(message or f"partial quotient {index} has unexpected shape")
+        super().__init__(message)
 
 
 class IdentityFailure(MahlerCFError):

@@ -198,15 +198,13 @@ def _generate_f(d: int, floor: int) -> TruncatedLaurentSeries:
 
 def partial_product(d: int, k: int) -> tuple[RatPoly, RatPoly]:
     """The finite product r_k = prod_{t=0}^{k} (1 - x^{-d^t}) as an exact
-    polynomial fraction (numerator, denominator = x^{degree sum})."""
+    polynomial fraction (numerator, denominator = x^total): since d^k <= total
+    < d^{k+1}, f_d down to -total is r_k, read off ``_generate_f``."""
     if d < 2 or k < 0:
         raise InvalidParameter("need d >= 2 and k >= 0")
-    total = sum(d**t for t in range(k + 1))
-    num = RatPoly.one()
-    for t in range(k + 1):
-        num = num * (RatPoly.monomial(d**t) - 1)
-    # Each factor (1 - x^{-d^t}) was written as (x^{d^t} - 1)/x^{d^t}.
-    return num, RatPoly.monomial(total)
+    total = (d ** (k + 1) - 1) // (d - 1)
+    num = _generate_f(d, -total).shift(total)
+    return RatPoly._of(num.scale, num.int_coeffs()), RatPoly.monomial(total)
 
 
 def rate_of_approximation(u: TruncatedLaurentSeries, p: RatPoly, q: RatPoly) -> int:

@@ -301,7 +301,7 @@ class BadApproxWitness(_Record):
     @property
     def qt_value(self) -> int:
         """q_t(residue) mod p^2."""
-        return poly_eval_mod(self.qt, self.residue, self.p * self.p)
+        return poly_eval_mod(self.qt.int_coeffs(), self.residue, self.p * self.p)
 
     @property
     def qt_derivative_at_1(self) -> int:
@@ -390,7 +390,7 @@ def check_conditions(
     c1 = prime_ok and coprime_ok and residue % p == 1 and residue != 1
     c2 = prime_ok and pow(d, p - 1, p2) != 1
     parity_ok = (t % 2 == 0) if d == 3 else True
-    c3 = parity_ok and poly_eval_mod(qt, residue, p2) == 0
+    c3 = parity_ok and poly_eval_mod(qt.int_coeffs(), residue, p2) == 0
     c4 = slope % p != 0
     return BadApproxWitness(
         a=a, d=d, p=p, n0=n0, t=t, residue=residue,
@@ -613,7 +613,7 @@ def hensel_divisibility_demo(
 
 
 class OrbitRow(_Record):
-    """One orbit of the nontrivial 1-units mod p^2 under x -> x^d, kept as its
+    """One orbit of the nontrivial 1-units mod p^2 under x -> x^2, kept as its
     least member ``start``.
 
     ``t`` and ``residue`` give the first convergent denominator with a root
@@ -624,12 +624,11 @@ class OrbitRow(_Record):
     t: int | None
     residue: int | None
     start: int
-    d: int
 
     @property
     def orbit(self) -> tuple[int, ...]:
         """The members 1 + cp, with c on the ``_orbit`` of ``start``."""
-        return tuple(sorted(1 + c * self.p for c in _orbit(self.start // self.p, self.d, self.p)))
+        return tuple(sorted(1 + c * self.p for c in _orbit(self.start // self.p, 2, self.p)))
 
     @property
     def a_classes(self) -> tuple[int, ...]:
@@ -638,16 +637,14 @@ class OrbitRow(_Record):
         return tuple(sorted(min(e, self.p**2 - e) for e in self.orbit))
 
 
-def _check_orbit_prime(p: int, d: int) -> None:
-    if not is_prime(p) or p == 2 or (d == 3 and p < 5):
-        raise InvalidParameter(f"orbit hits need a valid prime for d={d}, got {p}")
+def _check_orbit_prime(p: int) -> None:
+    if not is_prime(p) or p == 2:
+        raise InvalidParameter(f"orbit hits need a valid prime for d=2, got {p}")
 
 
-def orbit_table(
-    primes: list[int], t_bound: int, d: int = 2, include_missing: bool = False
-) -> list[OrbitRow]:
+def orbit_table(primes: list[int], t_bound: int, include_missing: bool = False) -> list[OrbitRow]:
     """For each prime, decompose the 1-units 1+cp (c != 0) mod p^2 into
-    orbits of the d-th-powering map and give each orbit the first hit of
+    orbits of the squaring map and give each orbit the first hit of
     ``enumerate_orbit_hits`` whose residue lies in it: the least t with a
     root in the orbit, and that root.  A prime above TABLE_PRIME_BOUND is
     refused before any walk."""
@@ -655,20 +652,20 @@ def orbit_table(
     for p in primes:
         if p > TABLE_PRIME_BOUND:
             raise InvalidParameter(f"table primes must not exceed {TABLE_PRIME_BOUND}, got {p}")
-        _check_orbit_prime(p, d)
-    at_1 = [_at_1(qt) for qt in convergent_denominators(d, t_bound)]
+        _check_orbit_prime(p)
+    at_1 = [_at_1(qt) for qt in convergent_denominators(2, t_bound)]
     rows: list[OrbitRow] = []
     rows_of: dict[int, list[OrbitRow]] = {}  # a prime listed twice is walked once
     for p in primes:
         if p not in rows_of:
-            rows_of[p] = _orbit_rows(at_1, p, d, t_bound, include_missing)
+            rows_of[p] = _orbit_rows(at_1, p, t_bound, include_missing)
         rows.extend(rows_of[p])
     rows.sort(key=lambda r: (r.p, r.t if r.t is not None else 10**9))
     return rows
 
 
 def _orbit_rows(
-    at_1: list[tuple[int, int, int, int]], p: int, d: int, t_bound: int, include_missing: bool
+    at_1: list[tuple[int, int, int, int]], p: int, t_bound: int, include_missing: bool
 ) -> list[OrbitRow]:
     """The rows of one prime, in the order of their least members."""
     least = [0] * p  # least[c]: the least member of the orbit of c
@@ -677,20 +674,20 @@ def _orbit_rows(
         if least[start]:
             continue
         starts.append(start)
-        for c in _orbit(start, d, p):
+        for c in _orbit(start, 2, p):
             least[c] = start
-    hits = _roots(at_1, p, d, t_bound)[0]
+    hits = _roots(at_1, p, 2, t_bound)[0]
     first = {least[root // p]: (t, root) for t, root in reversed(hits)}
     rows = []
     for start in starts:
         if start in first or include_missing:
             t, root = first.get(start, (None, None))
-            rows.append(OrbitRow(p=p, t=t, residue=root, start=1 + start * p, d=d))
+            rows.append(OrbitRow(p=p, t=t, residue=root, start=1 + start * p))
     return rows
 
 
-def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, int]]:
-    """Every certified (t, residue) pair for a prime, ordered by t: t <=
+def enumerate_orbit_hits(p: int, t_bound: int) -> list[tuple[int, int]]:
+    """Every certified (t, residue) pair of g_2 for a prime, ordered by t: t <=
     t_bound with q_t'(1) a unit mod p and residue the nontrivial 1-unit root
     of q_t mod p^2, which c4 makes unique (see the module docstring).
 
@@ -698,8 +695,8 @@ def enumerate_orbit_hits(p: int, t_bound: int, d: int = 2) -> list[tuple[int, in
     so any externally quoted pair can be checked for membership even when an
     earlier t serves the same orbit."""
     p = int(p)
-    _check_orbit_prime(p, d)
-    return _roots([_at_1(qt) for qt in convergent_denominators(d, t_bound)], p, d, t_bound)[0]
+    _check_orbit_prime(p)
+    return _roots([_at_1(qt) for qt in convergent_denominators(2, t_bound)], p, 2, t_bound)[0]
 
 
 def orbit_table_csv(rows: list[OrbitRow]) -> Iterator[str]:

@@ -109,8 +109,8 @@ class RatPoly(_ScaledIntMap):
         return cls({1: 1})
 
     @classmethod
-    def monomial(cls, degree: int, coeff: _Scalar = 1) -> "RatPoly":
-        return cls({degree: _as_fraction(coeff)})
+    def monomial(cls, degree: int) -> "RatPoly":
+        return cls({degree: 1})
 
     @classmethod
     def from_ascending(cls, coeffs: Iterable[_Scalar]) -> "RatPoly":
@@ -387,17 +387,15 @@ def poly_normalize_integer(q: RatPoly) -> RatPoly:
     return q
 
 
-def poly_eval_mod(q: RatPoly | Mapping[int, int], r: int, m: int) -> int:
-    """Evaluate an integer-coefficient polynomial at r modulo m.
+def poly_eval_mod(coeffs: Mapping[int, int], r: int, m: int) -> int:
+    """Evaluate an integer-coefficient polynomial, given as its degree -> int
+    map, at r modulo m.
 
     Uses sparse evaluation with modular powering so that substituted
     high-degree polynomials (degree in the thousands, few terms) stay cheap.
-    Accepts a RatPoly (its integer part ``int_coeffs()`` is used) or a plain
-    degree->int map.
     """
     if m < 1:
         raise InvalidParameter(f"modulus must be >= 1, got {m}")
-    coeffs = q.int_coeffs() if isinstance(q, RatPoly) else q
     total = 0
     for deg, c in coeffs.items():
         total = (total + c * pow(r, deg, m)) % m

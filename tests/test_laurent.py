@@ -148,15 +148,25 @@ class TestExactFractions:
             assert product.coeff(deg) == p.coeff(deg)
 
     def test_partial_product_fraction(self):
-        poly, denom = partial_product(2, 2)
         # (x-1)(x^2-1)(x^4-1) over x^7
         expected = (
             RatPoly.from_text("-1, 1")
             * RatPoly.from_text("-1, 0, 1")
             * RatPoly.from_text("-1, 0, 0, 0, 1")
         )
-        assert poly == expected
-        assert denom == RatPoly.monomial(7)
+        assert partial_product(2, 2) == (expected, RatPoly.monomial(7))
+        # r_k is read off f_d; the reference multiplies its k + 1 factors
+        # (x^{d^t} - 1), each over x^{d^t}
+        for d in range(2, 7):
+            k = 0
+            while d ** (k + 1) <= 50000:
+                num = RatPoly.one()
+                for t in range(k + 1):
+                    num = num * (RatPoly.monomial(d**t) - 1)
+                poly, denom = partial_product(d, k)
+                assert (poly.scale, poly.int_coeffs()) == (num.scale, num.int_coeffs()), (d, k)
+                assert denom == RatPoly.monomial(sum(d**t for t in range(k + 1)))
+                k += 1
 
 
 class TestRates:
@@ -171,7 +181,7 @@ class TestRates:
         # use a fraction matching every stored coefficient instead
         num = RatPoly.zero()
         for deg in range(-10, 1):
-            num = num + RatPoly.monomial(deg + 10, g.coeff(deg))
+            num = num + g.coeff(deg) * RatPoly.monomial(deg + 10)
         with pytest.raises(InsufficientPrecision):
             rate_of_approximation(g, num, RatPoly.monomial(10))
 

@@ -294,6 +294,3 @@ class TestModularEvaluation:
         direct = sum(c * point**deg for deg, c in coeffs.items()) % modulus
         assert poly_eval_mod(coeffs, point, modulus) == direct
 
-    def test_accepts_normalized_poly(self):
-        normalized = poly_normalize_integer(RatPoly.from_text("1, 0, 1"))
-        assert poly_eval_mod(normalized, 3, 7) == (1 + 9) % 7

@@ -18,7 +18,7 @@ RECORDS = [
         {"a": 2, "d": 3, "p": 7, "n0": 2, "t": 8, "residue": 22,
          "conditions": {"c1": True, "c2": True, "c3": True, "c4": True}, "qt": QT},
     ),
-    (OrbitRow, {"p": 7, "t": 3, "residue": 22, "start": 8, "d": 2}),
+    (OrbitRow, {"p": 7, "t": 3, "residue": 22, "start": 8}),
     (CertifiedValue, {"value": Fraction(1, 3), "error_bound": Fraction(1, 100), "target": "f_2(2)"}),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
@@ -56,17 +56,16 @@ def test_equal_records_compare_and_hash_equal(cls, fields):
 
 
 def test_records_of_different_classes_differ():
-    row = OrbitRow(p=7, t=3, residue=22, start=8, d=2)
+    row = OrbitRow(p=7, t=3, residue=22, start=8)
 
     class Twin(_Record):  # the fields and values of OrbitRow, another class
         p: int
         t: int
         residue: int
         start: int
-        d: int
 
-    assert row != Twin(7, 3, 22, 8, 2)
-    assert row != (7, 3, 22, 8, 2)
+    assert row != Twin(7, 3, 22, 8)
+    assert row != (7, 3, 22, 8)
 
 
 @pytest.mark.parametrize(("cls", "fields"), RECORDS, ids=IDS)

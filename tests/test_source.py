@@ -59,6 +59,70 @@ def test_every_export_has_a_caller_outside_the_unit_tests():
     assert sorted(exported - referenced) == []
 
 
+def _defaults(function: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
+    # Each parameter with a default, with its place among the positional
+    # arguments of a call (None for a keyword-only one); a method's first
+    # parameter is bound, not passed.
+    positional = [*function.args.posonlyargs, *function.args.args]
+    bound = is_method and not any(
+        getattr(dec, "id", None) == "staticmethod" for dec in function.decorator_list
+    )
+    places = [(arg.arg, place - bound) for place, arg in enumerate(positional)]
+    keyword = [
+        (arg.arg, None)
+        for arg, default in zip(function.args.kwonlyargs, function.args.kw_defaults)
+        if default is not None
+    ]
+    return places[len(places) - len(function.args.defaults):] + keyword
+
+
+def test_every_parameter_default_is_overridden_outside_the_unit_tests():
+    # A parameter with a default that only the unit tests set is a knob nobody
+    # turns.  A call passes it when it names it, reaches its place among the
+    # positional arguments, or unpacks * or ** arguments; calls are matched by
+    # name, and a class's __init__ by the class name or by ``cls`` in its own
+    # body.  main's argv stays: the console script and ``python -m
+    # mahlercf.cli`` call main() bare.
+    passed: dict[str, list[ast.Call]] = {}
+    for node in _nodes_outside_the_unit_tests():
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            passed.setdefault(name, []).append(node)
+        elif isinstance(node, ast.ClassDef):
+            passed.setdefault(node.name, []).extend(
+                call for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"
+            )
+
+    def reaches(call: ast.Call, param: str, place: int | None) -> bool:
+        positional = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+        return (
+            len(positional) < len(call.args)
+            or any(kw.arg in (param, None) for kw in call.keywords)
+            or (place is not None and len(positional) > place)
+        )
+
+    unset = []
+    for path in sorted(Path(mahlercf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {
+            id(stmt): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+        }
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            owner = owners.get(id(function))
+            name = owner if function.name == "__init__" else function.name
+            label = f"{owner}.{function.name}" if owner else function.name
+            for param, place in _defaults(function, owner is not None):
+                if not any(reaches(call, param, place) for call in passed.get(name, [])):
+                    unset.append(f"{label}({param})")
+    assert sorted(label for label in unset if label != "main(argv)") == []
+
+
 def test_every_record_field_is_read_outside_the_unit_tests():
     # A record field that only the unit tests read is a result nobody uses;
     # it counts as read when a library module, a script or the acceptance
