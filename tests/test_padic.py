@@ -371,17 +371,26 @@ class TestSearchOracle:
             assert (w.a, w.d, w.p, w.n0, w.t, w.residue) == expected
             assert w.passed
 
-    def test_every_orbit_below_200_is_the_old_walk(self):
-        # the loop OrbitRow.orbit ran before it read padic._orbit
-        for p in prime_range(3, 200):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_orbit_below_200_is_the_old_walk(self, d):
+        # the loop OrbitRow.orbit ran before it read padic._orbit; at d = 3
+        # the witness search walks padic._orbit itself
+        for p in prime_range(3 if d == 2 else 5, 200):
+            if d == 2:
+                rows = orbit_table([p], 1, include_missing=True)
+                orbits = {row.start // p: row.orbit for row in rows}
+            else:
+                orbits = {}
+                for c in range(1, p):
+                    if all(1 + c * p not in orbit for orbit in orbits.values()):
+                        orbits[c] = tuple(sorted(1 + x * p for x in padic._orbit(c, 3, p)))
             members = set()
-            for row in orbit_table([p], 1, include_missing=True):
-                first = row.start // p
-                walked, c = [row.start], first * 2 % p
+            for first, orbit in orbits.items():
+                walked, c = [1 + first * p], first * d % p
                 while c != first:
                     walked.append(1 + c * p)
-                    c = c * 2 % p
-                assert row.orbit == tuple(sorted(walked)), (p, row.start)
+                    c = c * d % p
+                assert orbit == tuple(sorted(walked)), (p, first)
                 members.update(walked)
             assert members == set(range(1 + p, p * p, p)), p
 

@@ -294,3 +294,9 @@ class TestModularEvaluation:
         direct = sum(c * point**deg for deg, c in coeffs.items()) % modulus
         assert poly_eval_mod(coeffs, point, modulus) == direct
 
+    def test_accepts_normalized_poly(self):
+        # the padic call sites pass a poly's stored integer map; its value is
+        # the poly's over the scale
+        normalized = poly_normalize_integer(RatPoly.from_text("1/2, 0, 1/2"))
+        assert normalized.scale == Fraction(1, 2)
+        assert poly_eval_mod(normalized.int_coeffs(), 3, 7) == (1 + 9) % 7

@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import mahlercf
 import mahlercf.errors
 from mahlercf._record import _Record
@@ -74,6 +76,18 @@ def _defaults(function: ast.FunctionDef, is_method: bool) -> list[tuple[str, int
         if default is not None
     ]
     return places[len(places) - len(function.args.defaults):] + keyword
+
+
+@pytest.mark.parametrize(("source", "is_method", "expected"), [
+    ("def f(a, b=1, *, c, e=2): pass", False, [("b", 1), ("e", None)]),
+    ("def f(self, a, b=1, c=2): pass", True, [("b", 1), ("c", 2)]),
+    ("@staticmethod\ndef f(a, /, b=1): pass", True, [("b", 1)]),
+], ids=["function", "method", "staticmethod"])
+def test_defaults_give_each_parameter_its_place_in_a_call(source, is_method, expected):
+    # the rule below reads a default's place to see whether a positional
+    # argument reaches it: a bound self takes no place, a staticmethod's
+    # first parameter does, a keyword-only one has none
+    assert _defaults(ast.parse(source).body[0], is_method) == expected
 
 
 def test_every_parameter_default_is_overridden_outside_the_unit_tests():
