@@ -23,14 +23,11 @@ timestamp field that --no-timestamp suppresses (text output never has one).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
-from .approx import eval_mahler, real_cf_prefix
-from .contfrac import CFExpansion, convergent_soundness, expand_family
+from ._identities import IDENTITY_D, IDENTITY_NAMES
 from .errors import (
     InsufficientPrecision,
     InvalidParameter,
@@ -40,20 +37,10 @@ from .errors import (
     SearchExhausted,
     ShapeViolation,
 )
-from .padic import (
-    TABLE_PRIME_BOUND,
-    BadApproxWitness,
-    check_conditions,
-    convergent_denominators,
-    hensel_divisibility_demo,
-    orbit_table,
-    orbit_table_csv,
-    prime_range,
-    revalidate_witness,
-    witness_search,
-)
-from .polys import RatPoly, _ratio_text
-from .structure import IDENTITY_D, IDENTITY_NAMES, beta_sequence, verify_identity
+
+# Each subcommand imports the library functions it runs, so that building the
+# parser loads no arithmetic and a request loads only what it uses.  The
+# annotations that name library classes are never evaluated.
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,6 +78,8 @@ EPS_EXPONENT_BOUND = 100_000
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
         if exponent and abs(int(exponent[1])) > EPS_EXPONENT_BOUND:
@@ -132,6 +121,8 @@ def _emit_json(fields: dict, args: argparse.Namespace) -> None:
     last unless --no-timestamp.  A field whose value is an iterator is a list
     given as the texts of its items (see _write_items), written one at a
     time, so that a large list is never held as one string."""
+    import json
+
     if not args.no_timestamp:
         fields = {**fields, "generated_at": _timestamp()}
     opening = "{"
@@ -148,6 +139,8 @@ def _emit_json(fields: dict, args: argparse.Namespace) -> None:
 def _poly_json(poly: RatPoly, indent: str) -> str:
     """poly as the object {"coeffs": {degree: reduced fraction string}} that
     json.dumps(indent=2) lays out at `indent`, with one gcd per coefficient."""
+    from .polys import _ratio_text
+
     num, den = poly.scale.numerator, poly.scale.denominator
     inner = indent + "    "
     terms = sorted(poly.int_coeffs().items())
@@ -190,10 +183,14 @@ def _cmd_cf(args: argparse.Namespace) -> int:
         if args.floor is not None:
             print("note: --floor is ignored for --kind G, which expands from "
                   "the default floor", file=sys.stderr)
+        from .structure import beta_sequence
+
         # beta extraction enforces the quotient shape; d >= 4 violates it at a
         # small index and exits with the shape code.
         cf = beta_sequence(args.d, args.n).monic
     else:
+        from .contfrac import convergent_soundness, expand_family
+
         cf, series = expand_family(args.d, args.kind, args.n, args.floor)
         convergent_soundness(series, cf)
 
@@ -215,6 +212,8 @@ def _cmd_cf(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .structure import verify_identity
+
     name = args.identity
     if name == "bzz":
         k_range = (2, args.n if args.n is not None else 200)
@@ -238,6 +237,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     if args.replay is not None:
+        import json
+
+        from .padic import BadApproxWitness, revalidate_witness
+
         # A file that is not UTF-8 JSON, nests too deep for the parser or
         # holds an integer past the interpreter's digit limit is bad input;
         # one that cannot be opened is an i/o error (main).
@@ -256,6 +259,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
     if args.a is None or args.d is None:
         raise InvalidParameter("witness requires --a and --d (or --replay FILE)")
+    from .padic import witness_search
+
     # --threads and MAHLERCF_THREADS cap the worker count; the search runs
     # serially, which meets any cap.
     try:
@@ -265,6 +270,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     payload = witness.to_json_dict()
     if args.save is not None:
+        import json
+
         with open(args.save, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
@@ -284,6 +291,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .padic import TABLE_PRIME_BOUND, orbit_table, orbit_table_csv, prime_range
+
     if args.d != 2:
         raise InvalidParameter("the orbit table is defined for d = 2")
     top = args.p_max if args.primes is None else max(args.primes, default=0)
@@ -302,11 +311,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise InvalidParameter("--t-bound must be positive")
     rows = orbit_table(primes, args.t_bound, include_missing=args.include_missing)
     if args.output == "json":
-        item = ",\n        "  # the rows as json.dumps(indent=2) lays them out; no orbit is empty
-        rows_json = (f'{{\n      "p": {r.p},\n      "t": {json.dumps(r.t)},\n      "residue": '
-                     f'{json.dumps(r.residue)},\n      "orbit": [\n        {item.join(map(str, r.orbit))}'
-                     f'\n      ],\n      "a_classes": [\n        {item.join(map(str, r.a_classes))}'
-                     '\n      ]\n    }' for r in rows)
+        # the rows as json.dumps(indent=2) lays them out, each orbit walked
+        # once for both lists; no orbit is empty
+        item = ",\n        "
+        rows_json = (f'{{\n      "p": {r.p},\n      "t": {"null" if r.t is None else r.t},\n'
+                     f'      "residue": {"null" if r.residue is None else r.residue},\n'
+                     f'      "orbit": [\n        {item.join(map(str, orbit))}\n      ],\n'
+                     f'      "a_classes": [\n        {item.join(map(str, r.classes_of(orbit)))}'
+                     '\n      ]\n    }' for r in rows for orbit in (r.orbit,))
         _emit_json({"d": args.d, "t_bound": args.t_bound, "rows": rows_json}, args)
     elif args.output == "csv":
         if not args.no_timestamp:
@@ -320,9 +332,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from .approx import eval_mahler, real_cf_prefix
+
     if args.cf_terms < 0:
         raise InvalidParameter("max_terms must be non-negative")
-    value = eval_mahler(args.a, args.d, args.eps, args.which)
+    eps = Fraction(1, 10**12) if args.eps is None else args.eps
+    value = eval_mahler(args.a, args.d, eps, args.which)
     # Render the value before the prefix walk, so that a value too long to
     # render fails at once; print nothing until both are done.
     if args.output == "json":
@@ -339,6 +356,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_hensel(args: argparse.Namespace) -> int:
+    from .padic import check_conditions, convergent_denominators, hensel_divisibility_demo
+
     denominators = convergent_denominators(args.d, args.t)
     witness = check_conditions(args.a, args.d, args.p, args.n0, args.t, denominators[args.t])
     if not witness.passed:
@@ -429,7 +448,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--a", type=int, required=True)
     p_eval.add_argument("--d", type=int, required=True)
     p_eval.add_argument("--which", choices=("F", "G"), default="F")
-    p_eval.add_argument("--eps", type=_parse_fraction, default=Fraction(1, 10**12))
+    p_eval.add_argument("--eps", type=_parse_fraction, default=None)
     p_eval.add_argument("--cf-terms", type=int, default=0)
     add_common(p_eval, ("text", "json"))
 

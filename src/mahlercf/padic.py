@@ -634,7 +634,12 @@ class OrbitRow(_Record):
     def a_classes(self) -> tuple[int, ...]:
         """The +/- compressed residues a mod p^2 in this orbit (a and -a reach
         the same squaring orbit)."""
-        return tuple(sorted(min(e, self.p**2 - e) for e in self.orbit))
+        return self.classes_of(self.orbit)
+
+    def classes_of(self, orbit: tuple[int, ...]) -> tuple[int, ...]:
+        """``a_classes`` from the ``orbit`` already read, without a second walk."""
+        square = self.p**2
+        return tuple(sorted(min(e, square - e) for e in orbit))
 
 
 def _check_orbit_prime(p: int) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._identities import IDENTITY_D, IDENTITY_NAMES
 from ._record import _Record
 from .errors import (
     ClassificationFailure,
@@ -218,11 +219,6 @@ def beta_closed_form(n: int) -> dict[int, Fraction]:
 # named identity checks
 # ---------------------------------------------------------------------------
 
-
-IDENTITY_NAMES = ("funceq", "lemma5", "prop2", "prop_sum3", "prop_bk", "theorem1", "bzz")
-
-# The identities that hold for one d only; the CLI defaults --d to it.
-IDENTITY_D = {"bzz": 2, "lemma5": 3, "prop2": 3, "prop_sum3": 3, "prop_bk": 3}
 
 # (lhs, rhs) of block k of each d=3 beta identity, from the betas b of g_3.
 _D3_BLOCKS = {

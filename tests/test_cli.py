@@ -17,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mahlercf.approx import TAIL_BITS_BOUND
-from mahlercf.cli import TABLE_PRIME_BOUND, main
-from mahlercf.padic import N0_BOUND, P_BITS_BOUND
+from mahlercf.cli import main
+from mahlercf.padic import N0_BOUND, P_BITS_BOUND, TABLE_PRIME_BOUND
 from mahlercf.contfrac import CFExpansion, expand_family
 
 
@@ -487,6 +487,20 @@ class TestTable:
         assert (5, 11, 11) in rows
         assert (7, 41, 15) in rows
 
+    def test_json_walks_each_orbit_once(self, capsys, monkeypatch):
+        # a row's "orbit" and "a_classes" come from one walk of its orbit
+        from mahlercf.padic import OrbitRow
+
+        walks = []
+        orbit = OrbitRow.orbit.fget
+        monkeypatch.setattr(OrbitRow, "orbit", property(lambda row: walks.append(row) or orbit(row)))
+        code, out, _ = run_cli(capsys, ["table", "--d", "2", "--p-max", "37", "--include-missing",
+                                        "--output", "json", "--no-timestamp"])
+        assert code == 0
+        rows, walked = json.loads(out)["rows"], list(walks)
+        assert len(walked) == len(rows) > 10
+        assert [r["a_classes"] for r in rows] == [list(row.a_classes) for row in walked]
+
     def test_rejects_other_d(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--d", "3", "--primes", "5"])
         assert code == 4
@@ -581,10 +595,10 @@ class TestEval:
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_negative_cf_terms_exit_4_before_evaluating(self, capsys, monkeypatch, output):
-        import mahlercf.cli as cli
+        import mahlercf.approx
 
         calls = []
-        monkeypatch.setattr(cli, "eval_mahler", lambda *args: calls.append(args))
+        monkeypatch.setattr(mahlercf.approx, "eval_mahler", lambda *args: calls.append(args))
         code, out, err = run_cli(capsys, ["eval", "--a", "2", "--d", "2", "--eps", "1e-100000",
                                           "--cf-terms", "-1", "--output", output])
         assert (code, out, calls) == (4, "", [])
@@ -943,17 +957,38 @@ class TestImportPath:
         }
 
     @pytest.mark.parametrize(
-        "args",
-        [("-c", "import mahlercf.cli"),
-         ("-m", "mahlercf.cli", "cf", "--d", "2", "--n", "5", "--no-timestamp")],
+        ("args", "loaded"),
+        [(("-c", "import mahlercf.cli"), "mahlercf.cli"),
+         (("-m", "mahlercf.cli", "cf", "--d", "2", "--n", "5", "--no-timestamp"),
+          "mahlercf.contfrac")],
         ids=["import", "cf-no-timestamp"],
     )
-    def test_cold_start_loads_no_dataclasses_inspect_or_datetime(self, args, child_env):
+    def test_cold_start_loads_no_dataclasses_inspect_or_datetime(self, args, loaded, child_env):
         # judged against a bare interpreter, so that a module that site
         # imports (through a .pth file, say) does not count against the package
         added = self._imported(child_env, *args) - self._imported(child_env, "-c", "pass")
-        assert "mahlercf.padic" in added
+        assert loaded in added
         assert added & {"dataclasses", "inspect", "datetime"} == set()
+
+    @pytest.mark.parametrize(
+        ("args", "loaded", "unloaded"),
+        [(("-c", "import mahlercf.cli"), "mahlercf.cli",
+          {*(f"mahlercf.{name}" for name in
+             ("polys", "laurent", "contfrac", "structure", "padic", "approx")),
+           "json", "fractions", "decimal"}),
+         (("-m", "mahlercf.cli", "cf", "--d", "2", "--n", "5"), "mahlercf.contfrac",
+          {"json", "mahlercf.padic", "mahlercf.approx"}),
+         (("-m", "mahlercf.cli", "eval", "--a", "2", "--d", "2"), "mahlercf.approx",
+          {"json", "mahlercf.padic", "mahlercf.structure"})],
+        ids=["import", "cf-text", "eval-text"],
+    )
+    def test_cold_start_loads_only_what_the_request_runs(self, args, loaded, unloaded,
+                                                         child_env):
+        # the parser loads no arithmetic, and a text request neither json nor
+        # the layers it does not run
+        added = self._imported(child_env, *args) - self._imported(child_env, "-c", "pass")
+        assert loaded in added
+        assert added & unloaded == set()
 
 
 class TestClosedStdout:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,16 +43,33 @@ def _nodes_outside_the_unit_tests() -> list[ast.AST]:
     ]
 
 
+# The package's exports, which its __init__ resolves lazily from one table.
+EXPORTS = {
+    "BadApproxWitness", "BetaSequence", "CFExpansion", "CertifiedValue",
+    "ClassificationFailure", "Convergent", "DivisionByZeroPoly", "HenselDemo",
+    "HypothesisFailed", "IDENTITY_NAMES", "IdentityFailure", "IdentityReport",
+    "InsufficientPrecision", "InvalidParameter", "IrrationalityReport", "MahlerCFError",
+    "MismatchAt", "NotFound", "OrbitRow", "RatPoly", "RateViolation", "ScaleNotInvertible",
+    "SearchExhausted", "ShapeViolation", "TruncatedLaurentSeries", "ZeroDenominator",
+    "beta_closed_form", "beta_sequence", "cf_expand", "check_conditions", "classify_all",
+    "classify_convergent", "convergent_denominators", "convergent_soundness",
+    "default_floor", "enumerate_orbit_hits", "eval_mahler", "expand_family",
+    "family_series", "generate", "hensel_divisibility_demo", "irrationality_witness",
+    "monic_normalize", "orbit_table", "orbit_table_csv", "partial_product",
+    "partial_product_value", "poly_eval_mod", "poly_normalize_integer",
+    "power_tower_residue", "rate_of_approximation", "real_cf_prefix", "revalidate_witness",
+    "verify_functional_equations", "verify_identity", "well_approx_rate",
+    "well_approx_report", "wieferich_scan", "witness_search",
+}
+
+
 def test_every_export_has_a_caller_outside_the_unit_tests():
     # An export counts as used when a library module other than __init__, a
     # script or the acceptance criteria refers to it by name or attribute.
-    init = ast.parse((Path(mahlercf.__file__).parent / "__init__.py").read_text())
-    exported = {
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    # The exports are the keys of the table that __init__ resolves them from.
+    exported = set(mahlercf._EXPORTS)
+    assert len(EXPORTS) == 59
+    assert exported == EXPORTS
     referenced = set()
     for node in _nodes_outside_the_unit_tests():
         if isinstance(node, ast.Name):
@@ -59,6 +77,77 @@ def test_every_export_has_a_caller_outside_the_unit_tests():
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
     assert sorted(exported - referenced) == []
+
+
+class TestLazyExports:
+    """``import mahlercf`` loads no submodule; each export is imported from
+    its module on first read (PEP 562)."""
+
+    def test_every_export_resolves_to_the_object_its_module_defines(self):
+        for name in mahlercf.__all__:
+            module = importlib.import_module(f"mahlercf.{mahlercf._EXPORTS[name]}")
+            value = getattr(mahlercf, name)
+            assert value is getattr(module, name), name
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+    def test_dir_lists_every_export(self):
+        assert set(dir(mahlercf)) >= EXPORTS | {"__version__"}
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_export'"):
+            mahlercf.no_such_export
+
+    def test_star_import_binds_every_export(self):
+        namespace: dict = {}
+        exec("from mahlercf import *", namespace)
+        assert set(namespace) - {"__builtins__"} == EXPORTS
+        assert namespace["RatPoly"] is importlib.import_module("mahlercf.polys").RatPoly
+
+
+def _module_level_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    # (line, module) of each import outside a function or class body, a
+    # relative module written with its leading dots.
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+        else:
+            found += _module_level_imports(node)
+    return found
+
+
+def test_module_level_imports_skip_function_and_class_bodies():
+    source = ("import a.b\nif x:\n    from .c import d\nfrom . import e\n"
+              "def f():\n    import g\nclass K:\n    from .h import i\n")
+    assert _module_level_imports(ast.parse(source)) == [(1, "a.b"), (3, ".c"), (4, ".")]
+
+
+def test_the_package_and_the_parser_import_no_arithmetic_at_module_level():
+    # ``import mahlercf`` and ``import mahlercf.cli`` load no arithmetic
+    # module: __init__ imports no submodule, and cli only the standard
+    # library, the errors and the identity vocabulary; each subcommand imports
+    # the rest.  tests/test_cli.py::TestImportPath checks a fresh interpreter;
+    # this names the line of a regression without starting one.
+    package = Path(mahlercf.__file__).parent
+
+    def imports(name: str) -> list[tuple[int, str]]:
+        return _module_level_imports(ast.parse((package / name).read_text()))
+
+    offenders = [
+        f"__init__.py:{line} {module}"
+        for line, module in imports("__init__.py")
+        if module.startswith(".") or module.split(".")[0] == "mahlercf"
+    ] + [
+        f"cli.py:{line} {module}"
+        for line, module in imports("cli.py")
+        if module not in (".errors", "._identities")
+        and module.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert offenders == []
 
 
 def _defaults(function: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
