@@ -20,8 +20,6 @@ All output is deterministic for identical inputs; JSON and CSV carry a
 timestamp field that --no-timestamp suppresses (text output never has one).
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys
@@ -77,7 +75,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 EPS_EXPONENT_BOUND = 100_000
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> "Fraction":
     from fractions import Fraction
 
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
@@ -136,7 +134,7 @@ def _emit_json(fields: dict, args: argparse.Namespace) -> None:
     sys.stdout.write("\n}\n")
 
 
-def _poly_json(poly: RatPoly, indent: str) -> str:
+def _poly_json(poly: "RatPoly", indent: str) -> str:
     """poly as the object {"coeffs": {degree: reduced fraction string}} that
     json.dumps(indent=2) lays out at `indent`, with one gcd per coefficient."""
     from .polys import _ratio_text
@@ -149,7 +147,7 @@ def _poly_json(poly: RatPoly, indent: str) -> str:
     return f'{{\n{indent}  "coeffs": {coeffs}\n{indent}}}'
 
 
-def _write_cf_json(cf: CFExpansion, args: argparse.Namespace) -> None:
+def _write_cf_json(cf: "CFExpansion", args: argparse.Namespace) -> None:
     """Write the `cf` document ("a", "convergents", "betas" for --kind G)
     through _emit_json, one convergent at a time, building no payload."""
     fields = {

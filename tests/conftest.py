@@ -56,3 +56,21 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture(scope="session")
+def cap_table():
+    """The run-time caps of docs/interface.md, one dict per table row:
+    constant, module, value, exit and corner (the argv as a list)."""
+    interface = Path(__file__).resolve().parents[1] / "docs" / "interface.md"
+    lines = interface.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| constant | module | value | exit | corner |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        constant, module, value, code, corner = (
+            cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.append({"constant": constant, "module": module, "value": int(value),
+                     "exit": int(code), "corner": corner.split()})
+    return rows

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mahlercf import structure
 from mahlercf.approx import TAIL_BITS_BOUND
 from mahlercf.cli import main
 from mahlercf.padic import N0_BOUND, P_BITS_BOUND, TABLE_PRIME_BOUND
 from mahlercf.contfrac import CFExpansion, expand_family
+from mahlercf.errors import ClassificationFailure
 
 
 def run_cli(capsys, argv):
@@ -79,6 +81,11 @@ class TestCF:
             f"precision exhausted: starting depth {start} for {family} with n={n} already "
             "exceeds the depth cap 2000\n"
         )
+
+    def test_depth_past_the_hard_cap_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, ["cf", "--d", "2", "--n", "2001"])
+        assert (code, out) == (4, "")
+        assert err == "invalid input: depth 2001 exceeds hard cap 2000\n"
 
     def test_rejects_d_below_2(self, capsys):
         code, _, err = run_cli(capsys, ["cf", "--d", "1", "--kind", "G", "--n", "3"])
@@ -209,6 +216,23 @@ class TestVerify:
         code, _, _ = run_cli(capsys, ["verify", "--identity", "nope"])
         assert code == 4
 
+    @pytest.mark.parametrize("k, message", [
+        ("5..2", "empty range '5..2'"),
+        ("1-5", "expected A..B, got '1-5'"),
+    ])
+    def test_malformed_k_range_is_usage_error(self, capsys, k, message):
+        code, out, err = run_cli(capsys, ["verify", "--identity", "prop2", "--k", k])
+        assert (code, out) == (4, "")
+        assert f"argument --k: {message}" in err
+
+    def test_library_error_no_other_clause_catches_exits_1(self, capsys, monkeypatch):
+        def failing(d, m_max):
+            raise ClassificationFailure(3, "q_3 matches no shape")
+
+        monkeypatch.setattr(structure, "classify_all", failing)
+        code, out, err = run_cli(capsys, ["verify", "--identity", "theorem1"])
+        assert (code, out, err) == (1, "", "error: q_3 matches no shape\n")
+
     def test_failed_identity_exits_1_listing_each_failure(self, capsys, monkeypatch):
         beta = CFExpansion.beta
         monkeypatch.setattr(
@@ -237,6 +261,11 @@ class TestWitness:
         assert code == 0
         assert "p=7, n0=2, t=8, residue=22" in out
         assert "'c4': True" in out
+
+    def test_neither_a_and_d_nor_replay_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, ["witness"])
+        assert (code, out) == (4, "")
+        assert err == "invalid input: witness requires --a and --d (or --replay FILE)\n"
 
     def test_exhausted_bounds_exit_1(self, capsys):
         code, out, _ = run_cli(
@@ -505,6 +534,11 @@ class TestTable:
         code, _, err = run_cli(capsys, ["table", "--d", "3", "--primes", "5"])
         assert code == 4
         assert "d = 2" in err
+
+    def test_non_integer_prime_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["table", "--primes", "3,x"])
+        assert (code, out) == (4, "")
+        assert "argument --primes: expected comma-separated integers, got '3,x'" in err
 
     def test_primes_above_the_bound_are_refused(self, capsys):
         assert TABLE_PRIME_BOUND == 10_000
@@ -795,6 +829,11 @@ class TestTopLevelUsage:
         code, _, _ = run_cli(capsys, ["frobnicate"])
         assert code == 4
 
+    def test_each_cap_corner_exits_with_its_documented_code(self, capsys, cap_table):
+        for row in cap_table:
+            code, _, _ = run_cli(capsys, row["corner"])
+            assert code == row["exit"], row["constant"]
+
 
 def _num(lo, hi):
     return st.integers(min_value=lo, max_value=hi).map(str)
@@ -975,7 +1014,7 @@ class TestImportPath:
         [(("-c", "import mahlercf.cli"), "mahlercf.cli",
           {*(f"mahlercf.{name}" for name in
              ("polys", "laurent", "contfrac", "structure", "padic", "approx")),
-           "json", "fractions", "decimal"}),
+           "json", "fractions", "decimal", "__future__"}),
          (("-m", "mahlercf.cli", "cf", "--d", "2", "--n", "5"), "mahlercf.contfrac",
           {"json", "mahlercf.padic", "mahlercf.approx"}),
          (("-m", "mahlercf.cli", "eval", "--a", "2", "--d", "2"), "mahlercf.approx",

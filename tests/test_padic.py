@@ -1,5 +1,6 @@
 """Primes, witness conditions, searches, orbit table, lifting."""
 
+import collections
 import itertools
 import json
 import math
@@ -618,6 +619,25 @@ class TestOrbitTable:
         once = {p: orbit_table([p], 60, include_missing=True) for p in (5, 7)}
         listed = [*once[7], *once[5], *once[7]]
         assert rows == sorted(listed, key=lambda r: (r.p, r.t if r.t is not None else 10**9))
+
+    @pytest.mark.parametrize("include_missing", [False, True])
+    def test_walks_only_the_orbits_it_returns(self, monkeypatch, include_missing):
+        steps = collections.Counter()
+        orbit = padic._orbit
+
+        def counting(c, d, p):
+            for x in orbit(c, d, p):
+                steps[p, x] += 1
+                yield x
+
+        primes = list(prime_range(3, 2000))
+        monkeypatch.setattr(padic, "_orbit", counting)
+        rows = orbit_table(primes, 200, include_missing=include_missing)
+        monkeypatch.setattr(padic, "_orbit", orbit)
+        members = collections.Counter((r.p, m // r.p) for r in rows for m in r.orbit)
+        assert steps == members
+        if include_missing:
+            assert steps == {(p, c): 1 for p in primes for c in range(1, p)}
 
     def test_include_missing_marks_row(self):
         rows = orbit_table([3], 5, include_missing=True)

@@ -26,6 +26,24 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
+# The constants that bound the run time of a request, by module.
+CAPS = {
+    ("approx", "TAIL_BITS_BOUND"), ("cli", "DEPTH_HARD_CAP"), ("cli", "EPS_EXPONENT_BOUND"),
+    ("contfrac", "DEPTH_CAP_DEFAULT"), ("laurent", "FUNCEQ_FLOOR_BOUND"),
+    ("padic", "N0_BOUND"), ("padic", "P_BITS_BOUND"), ("padic", "TABLE_PRIME_BOUND"),
+    ("padic", "HENSEL_STEP_LIMIT"), ("padic", "HENSEL_MODULUS_BITS"),
+}
+
+
+def test_the_cap_table_gives_every_cap_its_value(cap_table):
+    # docs/interface.md lists each cap once, at the value its module defines
+    documented = [(row["module"], row["constant"]) for row in cap_table]
+    assert sorted(documented) == sorted(CAPS)
+    for row in cap_table:
+        module = importlib.import_module(f"mahlercf.{row['module']}")
+        assert getattr(module, row["constant"]) == row["value"], row["constant"]
+
+
 def _nodes_outside_the_unit_tests() -> list[ast.AST]:
     # Every AST node of the library modules other than __init__, the scripts
     # and the acceptance criteria.
