@@ -104,21 +104,22 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _write_items(items: Iterable[str]) -> None:
-    """Write a list as json.dumps(indent=2) lays it out as the value of a
-    top-level key, each item being the text of one element laid out there."""
-    empty = True
+def _layout(items: Iterable[str], indent: str, brackets: str) -> Iterator[str]:
+    """The list or object (brackets "[]" or "{}") whose items have the given
+    texts, in pieces, as json.dumps(indent=2) lays it out at `indent`: each
+    item on its own line two spaces deeper, and bare brackets when empty."""
+    opening = brackets[0]
     for item in items:
-        sys.stdout.write(("[\n    " if empty else ",\n    ") + item)
-        empty = False
-    sys.stdout.write("[]" if empty else "\n  ]")
+        yield f"{opening}\n{indent}  {item}"
+        opening = ","
+    yield brackets if opening == brackets[0] else f"\n{indent}{brackets[1]}"
 
 
 def _emit_json(fields: dict, args: argparse.Namespace) -> None:
     """Write json.dumps(fields, indent=2) and a newline, with "generated_at"
     last unless --no-timestamp.  A field whose value is an iterator is a list
-    given as the texts of its items (see _write_items), written one at a
-    time, so that a large list is never held as one string."""
+    given as the texts of its items (see _layout), written one at a time, so
+    that a large list is never held as one string."""
     import json
 
     if not args.no_timestamp:
@@ -127,7 +128,7 @@ def _emit_json(fields: dict, args: argparse.Namespace) -> None:
     for key, value in fields.items():
         sys.stdout.write(f"{opening}\n  {json.dumps(key)}: ")
         if isinstance(value, Iterator):
-            _write_items(value)
+            sys.stdout.writelines(_layout(value, "  ", "[]"))
         else:
             sys.stdout.write(json.dumps(value, indent=2).replace("\n", "\n  "))
         opening = ","
@@ -140,11 +141,10 @@ def _poly_json(poly: "RatPoly", indent: str) -> str:
     from .polys import _ratio_text
 
     num, den = poly.scale.numerator, poly.scale.denominator
-    inner = indent + "    "
     terms = sorted(poly.int_coeffs().items())
-    body = f",\n{inner}".join(f'"{deg}": "{_ratio_text(num, c, den)}"' for deg, c in terms)
-    coeffs = f"{{\n{inner}{body}\n{indent}  }}" if body else "{}"
-    return f'{{\n{indent}  "coeffs": {coeffs}\n{indent}}}'
+    coeffs = "".join(_layout((f'"{deg}": "{_ratio_text(num, c, den)}"' for deg, c in terms),
+                             indent + "  ", "{}"))
+    return "".join(_layout((f'"coeffs": {coeffs}',), indent, "{}"))
 
 
 def _write_cf_json(cf: "CFExpansion", args: argparse.Namespace) -> None:
@@ -153,9 +153,9 @@ def _write_cf_json(cf: "CFExpansion", args: argparse.Namespace) -> None:
     fields = {
         "a": (_poly_json(a, "    ") for a in cf.partial_quotients),
         "convergents": (
-            f'{{\n      "n": {c.index},\n      "p": {_poly_json(c.p, "      ")},\n'
-            f'      "q": {_poly_json(c.q, "      ")},\n'
-            f'      "rate": {"null" if c.rate is None else c.rate}\n    }}'
+            "".join(_layout((f'"n": {c.index}', f'"p": {_poly_json(c.p, "      ")}',
+                             f'"q": {_poly_json(c.q, "      ")}',
+                             f'"rate": {"null" if c.rate is None else c.rate}'), "    ", "{}"))
             for c in cf.convergents
         ),
     }
@@ -309,14 +309,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise InvalidParameter("--t-bound must be positive")
     rows = orbit_table(primes, args.t_bound, include_missing=args.include_missing)
     if args.output == "json":
-        # the rows as json.dumps(indent=2) lays them out, each orbit walked
-        # once for both lists; no orbit is empty
-        item = ",\n        "
-        rows_json = (f'{{\n      "p": {r.p},\n      "t": {"null" if r.t is None else r.t},\n'
-                     f'      "residue": {"null" if r.residue is None else r.residue},\n'
-                     f'      "orbit": [\n        {item.join(map(str, orbit))}\n      ],\n'
-                     f'      "a_classes": [\n        {item.join(map(str, r.classes_of(orbit)))}'
-                     '\n      ]\n    }' for r in rows for orbit in (r.orbit,))
+        # each orbit is walked once for both lists
+        rows_json = ("".join(_layout((
+            f'"p": {r.p}', f'"t": {"null" if r.t is None else r.t}',
+            f'"residue": {"null" if r.residue is None else r.residue}',
+            f'"orbit": {"".join(_layout(map(str, orbit), "      ", "[]"))}',
+            f'"a_classes": {"".join(_layout(map(str, r.classes_of(orbit)), "      ", "[]"))}',
+        ), "    ", "{}")) for r in rows for orbit in (r.orbit,))
         _emit_json({"d": args.d, "t_bound": args.t_bound, "rows": rows_json}, args)
     elif args.output == "csv":
         if not args.no_timestamp:

@@ -52,7 +52,7 @@ from .errors import (
     SearchExhausted,
 )
 from .contfrac import _check_count, expand_family
-from .polys import RatPoly, poly_eval_mod, poly_normalize_integer
+from .polys import RatPoly, poly_eval_mod
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def convergent_denominators(d: int, t_max: int) -> list[RatPoly]:
     cached = _denominator_cache.get(d)
     if cached is None or len(cached) <= t_max:
         cf, _ = expand_family(d, "G", t_max)
-        cached = [poly_normalize_integer(q).monic() for q in cf.raw_q[: t_max + 1]]
+        cached = [q.monic() for q in cf.raw_q[: t_max + 1]]
         _denominator_cache[d] = cached
     return cached[: t_max + 1]
 
@@ -347,7 +347,7 @@ class BadApproxWitness(_Record):
         return cls(
             **{k: data[k] for k in _WITNESS_INTS},
             conditions=dict(data["conditions"]),
-            qt=poly_normalize_integer(qt_poly),
+            qt=qt_poly,
         )
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ShapeViolation,
     ZeroDenominator,
 )
-from .contfrac import CFExpansion, Convergent, expand_family, monic_normalize
+from .contfrac import CFExpansion, Convergent, expand_family
 from .laurent import generate, partial_product, rate_of_approximation, verify_functional_equations
 from .polys import RatPoly, poly_divmod, poly_substitute_power
 
@@ -184,7 +184,7 @@ def beta_sequence(d: int, n: int) -> BetaSequence:
         raise InvalidParameter(f"need d >= 2, got {d}")
     if n < 2:
         raise InvalidParameter(f"need at least two quotients, got n={n}")
-    cf = monic_normalize(expand_family(d, "G", n)[0])
+    cf, _ = expand_family(d, "G", n)
     odd_shape = ones_polynomial(d)
     for i in range(1, n + 1):
         shape = odd_shape if i % 2 == 1 else X_MINUS_1

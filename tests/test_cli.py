@@ -87,6 +87,15 @@ class TestCF:
         assert (code, out) == (4, "")
         assert err == "invalid input: depth 2001 exceeds hard cap 2000\n"
 
+    def test_one_quotient_of_g_exits_4(self, capsys):
+        # the betas of --kind G need a_1 and a_2; the other kinds print one quotient
+        code, out, err = run_cli(capsys, ["cf", "--d", "2", "--n", "1"])
+        assert (code, out) == (4, "")
+        assert err == "invalid input: need at least two quotients, got n=1\n"
+        code, out, err = run_cli(capsys, ["cf", "--d", "2", "--n", "1", "--kind", "F"])
+        assert (code, err) == (0, "")
+        assert out.startswith("continued fraction of f_2, 1 quotients")
+
     def test_rejects_d_below_2(self, capsys):
         code, _, err = run_cli(capsys, ["cf", "--d", "1", "--kind", "G", "--n", "3"])
         assert code == 4
@@ -377,6 +386,18 @@ class TestWitness:
                 f"invalid input: stored conditions {conditions} != recomputed "
                 "{'c1': True, 'c2': True, 'c3': True, 'c4': True}\n"
             )
+
+    def test_replay_of_a_witness_moved_to_another_a_exits_4(self, capsys, tmp_path):
+        # every stored field parses, but the conditions do not hold for a = 3
+        path = tmp_path / "witness.json"
+        code, _, _ = run_cli(capsys, ["witness", "--a", "2", "--d", "2", "--save", str(path)])
+        assert code == 0
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(stored, a=3)))
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert (code, out) == (4, "")
+        assert err == ("invalid input: witness fails revalidation: "
+                       "{'c1': False, 'c2': True, 'c3': False, 'c4': True}\n")
 
     def test_threads_flag_matches_serial(self, capsys, monkeypatch):
         argv = ["witness", "--a", "2", "--d", "2", "--p-bound", "11", "--n0-bound", "8",
@@ -740,6 +761,15 @@ class TestDemoHensel:
         assert code == 1
         assert "conditions fail" in out
 
+    def test_m_below_2_exits_4(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["demo-hensel", "--a", "2", "--d", "3", "--p", "7", "--n0", "2",
+             "--t", "8", "--m", "1"],
+        )
+        assert (code, out) == (4, "")
+        assert err == "invalid input: need m >= 2, got 1\n"
+
     def test_negative_cap_exits_4(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -830,8 +860,13 @@ class TestTopLevelUsage:
         assert code == 4
 
     def test_each_cap_corner_exits_with_its_documented_code(self, capsys, cap_table):
+        # CPU budgets of at least 3x the measured time: 0.45 s for the
+        # step-limit walk, at most 22 ms for each other corner
         for row in cap_table:
+            budget = 2.0 if row["constant"] == "HENSEL_STEP_LIMIT" else 1.0
+            start = time.process_time()
             code, _, _ = run_cli(capsys, row["corner"])
+            assert time.process_time() - start < budget, row["constant"]
             assert code == row["exit"], row["constant"]
 
 

@@ -331,6 +331,24 @@ def test_only_polys_makes_the_normal_form():
     assert offenders == []
 
 
+def test_no_library_code_calls_the_normalisers():
+    # Every RatPoly is stored in normal form and CFExpansion answers the
+    # monic quantities itself, so both normalisers return their argument;
+    # they stay exported for the tests and the tracer, which name them.
+    normalisers = ("monic_normalize", "poly_normalize_integer")
+    package = Path(mahlercf.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in normalisers
+    ]
+    assert offenders == []
+    assert all(name in mahlercf.__all__ and callable(getattr(mahlercf, name))
+               for name in normalisers)
+
+
 def test_every_traced_name_resolves_where_the_tracer_looks():
     # perfbench/tracing.py wraps each SPANNED name: a module attribute, or for
     # "Class.method" an entry of the class's own __dict__ (an inherited method
