@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Reproduce the per-prime witness survey: for each prime, the squaring
-orbits of the nontrivial 1-units mod p^2 and the first convergent
-denominator q_t with a certified root in each orbit. With --all-hits, also
-list every later (t, residue) pair so externally quoted rows can be located
-even when they are not the first hit in their orbit."""
+"""Reproduce the per-prime witness survey as `mahlercf table --include-missing
+--no-timestamp` prints it: the squaring orbits of the nontrivial 1-units
+mod p^2, each with the first convergent denominator q_t that has a certified
+root in it. With --all-hits, also list every later (t, residue) pair, so that
+a quoted pair is found even when it is not the first hit in its orbit."""
 
 import argparse
-import sys
 
-from mahlercf.padic import enumerate_orbit_hits, orbit_table, orbit_table_csv, prime_range
+from mahlercf.cli import main as mahlercf
+from mahlercf.padic import enumerate_orbit_hits, prime_range
 
 
 def main() -> int:
@@ -21,29 +21,19 @@ def main() -> int:
     parser.add_argument("--csv", action="store_true")
     args = parser.parse_args()
 
-    if args.primes:
-        primes = [int(p) for p in args.primes.split(",")]
-    else:
-        primes = list(prime_range(3, args.p_max + 1))
-
-    rows = orbit_table(primes, args.t_bound, include_missing=True)
-    if args.csv:
-        sys.stdout.writelines(orbit_table_csv(rows))
-    else:
-        for row in rows:
-            classes = ", ".join(f"+-{c}" for c in row.a_classes)
-            if row.t is None:
-                print(f"p={row.p}: no hit <= {args.t_bound} for orbit covering {{{classes}}}")
-            else:
-                print(f"p={row.p}: first t={row.t}, residue={row.residue}, "
-                      f"a in {{{classes}}} mod {row.p**2}")
-
-    if args.all_hits:
-        print()
-        for p in primes:
-            hits = enumerate_orbit_hits(p, args.t_bound)
-            rendered = ", ".join(f"(t={t}, r={r})" for t, r in hits)
-            print(f"p={p} all certified pairs: {rendered or 'none'}")
+    table = ["table", "--p-max", str(args.p_max), "--t-bound", str(args.t_bound),
+             *(["--primes", args.primes] if args.primes else []),
+             *(["--output", "csv"] if args.csv else []), "--include-missing", "--no-timestamp"]
+    code = mahlercf(table)
+    if code or not args.all_hits:
+        return code
+    print()
+    primes = ([int(p) for p in args.primes.split(",") if p.strip()] if args.primes
+              else prime_range(3, args.p_max + 1))
+    for p in primes:
+        hits = enumerate_orbit_hits(p, args.t_bound)
+        rendered = ", ".join(f"(t={t}, r={r})" for t, r in hits)
+        print(f"p={p} all certified pairs: {rendered or 'none'}")
     return 0
 
 

@@ -27,8 +27,8 @@ _EXPORTS = {
         "laurent": ("TruncatedLaurentSeries generate partial_product rate_of_approximation "
                     "verify_functional_equations"),
         "padic": ("BadApproxWitness HenselDemo OrbitRow check_conditions convergent_denominators "
-                  "enumerate_orbit_hits hensel_divisibility_demo orbit_table orbit_table_csv "
-                  "power_tower_residue revalidate_witness wieferich_scan witness_search"),
+                  "enumerate_orbit_hits hensel_divisibility_demo orbit_table power_tower_residue "
+                  "revalidate_witness wieferich_scan witness_search"),
         "polys": "RatPoly poly_eval_mod poly_normalize_integer",
         "_identities": "IDENTITY_NAMES",
         "structure": ("BetaSequence IdentityReport beta_closed_form beta_sequence classify_all "

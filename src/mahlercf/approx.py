@@ -27,10 +27,6 @@ from .errors import IdentityFailure, InvalidParameter
 # ---------------------------------------------------------------------------
 
 
-def _fraction_text(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _decimal_render(value: Fraction, digits: int) -> str:
     """Render `digits` >= 1 decimal places of `value` exactly, truncated
     toward zero, with a trailing ellipsis marking truncation."""
@@ -72,14 +68,6 @@ class CertifiedValue(_Record):
 
     def decimal(self) -> str:
         return _decimal_render(self.value, max(1, self.certified_digits()))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": _fraction_text(self.value),
-            "error_bound": _fraction_text(self.error_bound),
-            "decimal": self.decimal(),
-            "target": self.target,
-        }
 
 
 def partial_product_value(a: int, d: int, k: int) -> Fraction:

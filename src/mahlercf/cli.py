@@ -225,7 +225,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else IDENTITY_D.get(name, 2)
     report = verify_identity(name, d, k_range)
     if args.output == "json":
-        _emit_json(report.to_json_dict(), args)
+        _emit_json({"identity": report.identity, "d": report.d, "range": list(report.k_range),
+                    "status": report.status, "failures": report.failures}, args)
     else:
         print(f"identity {report.identity} (d={report.d}, range {report.k_range}): {report.status}")
         for failure in report.failures:
@@ -289,7 +290,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from .padic import TABLE_PRIME_BOUND, orbit_table, orbit_table_csv, prime_range
+    from .padic import TABLE_PRIME_BOUND, orbit_table, prime_range
 
     if args.d != 2:
         raise InvalidParameter("the orbit table is defined for d = 2")
@@ -320,7 +321,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     elif args.output == "csv":
         if not args.no_timestamp:
             print(f"# generated_at: {_timestamp()}")
-        sys.stdout.writelines(orbit_table_csv(rows))
+        print("p,t,residue,a_classes")
+        for row in rows:  # t and residue are both None for an orbit without a root
+            t, residue = ("", "") if row.t is None else (row.t, row.residue)
+            print(f"{row.p},{t},{residue},{' '.join(f'+-{c}' for c in row.a_classes)}")
     else:
         for row in rows:
             classes = ", ".join(f"+-{c}" for c in row.a_classes)
@@ -340,7 +344,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # Render the value before the prefix walk, so that a value too long to
     # render fails at once; print nothing until both are done.
     if args.output == "json":
-        payload = value.to_json_dict()
+        v, e = value.value, value.error_bound
+        payload = {"value": f"{v.numerator}/{v.denominator}",
+                   "error_bound": f"{e.numerator}/{e.denominator}",
+                   "decimal": value.decimal(), "target": value.target}
         if args.cf_terms:
             payload["cf_prefix"] = real_cf_prefix(value, args.cf_terms)
         _emit_json(payload, args)

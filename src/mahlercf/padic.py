@@ -663,7 +663,7 @@ def orbit_table(primes: list[int], t_bound: int, include_missing: bool = False) 
         if p not in rows_of:
             rows_of[p] = _orbit_rows(at_1, p, t_bound, include_missing)
         rows.extend(rows_of[p])
-    rows.sort(key=lambda r: (r.p, r.t if r.t is not None else 10**9))
+    rows.sort(key=lambda r: (r.p, r.t is None, r.t))  # a repeated prime's copies interleave
     return rows
 
 
@@ -700,15 +700,3 @@ def enumerate_orbit_hits(p: int, t_bound: int) -> list[tuple[int, int]]:
     p = int(p)
     _check_orbit_prime(p)
     return _roots([_at_1(qt) for qt in convergent_denominators(2, t_bound)], p, 2, t_bound)[0]
-
-
-def orbit_table_csv(rows: list[OrbitRow]) -> Iterator[str]:
-    """CSV rendering, one newline-terminated line at a time, so that a table
-    is printed as it is rendered: p, t, residue, a_classes (+/- compressed)."""
-    yield "p,t,residue,a_classes\n"
-    for r in rows:
-        classes = " ".join(f"+-{c}" for c in r.a_classes)
-        yield (
-            f"{r.p},{r.t if r.t is not None else ''},"
-            f"{r.residue if r.residue is not None else ''},{classes}\n"
-        )

@@ -238,15 +238,6 @@ class IdentityReport(_Record):
     status: str
     failures: list
 
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "d": self.d,
-            "range": list(self.k_range),
-            "status": self.status,
-            "failures": self.failures,
-        }
-
 
 def verify_identity(
     name: str,

@@ -1,5 +1,6 @@
 """Certified evaluation, real continued fractions, irrationality witnesses."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from mahlercf.approx import (
     partial_product_value,
     real_cf_prefix,
 )
+from mahlercf.cli import main
 from mahlercf.errors import InvalidParameter
 
 
@@ -25,9 +27,11 @@ class TestCertifiedValue:
         assert low == Fraction(1, 3) - Fraction(1, 100)
         assert high == Fraction(1, 3) + Fraction(1, 100)
 
-    def test_json_shape(self):
-        cv = eval_mahler(2, 2, Fraction(1, 10**6))
-        data = cv.to_json_dict()
+    def test_json_shape(self, capsys):
+        # the CLI lays out the value's JSON from the record fields
+        assert main(["eval", "--a", "2", "--d", "2", "--eps", "1e-6", "--output", "json",
+                     "--no-timestamp"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert set(data) == {"value", "error_bound", "decimal", "target"}
         assert data["value"] == "752014125/2147483648"
         assert data["error_bound"] == "1/2147483648"

@@ -523,6 +523,27 @@ class TestTable:
             "5,11,11,+-4 +-6 +-9 +-11\n"
         )
 
+    @pytest.mark.parametrize("output, sha256", [
+        ("text", "37b244d8d66755d61d3469569e2efcadbcb4741ee2be17dd293e61578a67fe5c"),
+        ("csv", "e2ac59db418887b1beec6e73b607d4f1325b9c724e57b7019264b5488f7c4c6f"),
+        ("json", "dfdfd57feaedac728281665c7faca0b48813a12cf9eefd3acd8f86054d9ad3df"),
+    ], ids=["text", "csv", "json"])
+    def test_table_at_the_prime_bound_keeps_its_bytes(self, capsys, output, sha256):
+        # every prime up to TABLE_PRIME_BOUND, in each layout, byte for byte
+        code, out, err = run_cli(capsys, ["table", "--d", "2", "--p-max", "10000",
+                                          "--no-timestamp", "--output", output])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_a_repeated_prime_interleaves_its_copies(self, capsys):
+        # the rows go by p, then by t, so each row of a prime listed twice is
+        # printed twice in a row
+        code, out, _ = run_cli(capsys, ["table", "--primes", "7,5,7", "--t-bound", "60",
+                                        "--output", "csv", "--no-timestamp"])
+        assert (code, out) == (0, "p,t,residue,a_classes\n5,11,11,+-4 +-6 +-9 +-11\n"
+                                  "7,41,15,+-8 +-15 +-20\n7,41,15,+-8 +-15 +-20\n"
+                                  "7,59,43,+-6 +-13 +-22\n7,59,43,+-6 +-13 +-22\n")
+
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(
             capsys,

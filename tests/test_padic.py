@@ -1,7 +1,6 @@
 """Primes, witness conditions, searches, orbit table, lifting."""
 
 import collections
-import itertools
 import json
 import math
 import time
@@ -16,6 +15,7 @@ from sympy.ntheory import n_order
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from mahlercf import padic
+from mahlercf.cli import main
 from mahlercf.contfrac import expand_family, monic_normalize
 from mahlercf.errors import (
     HypothesisFailed,
@@ -32,7 +32,6 @@ from mahlercf.padic import (
     hensel_divisibility_demo,
     is_prime,
     orbit_table,
-    orbit_table_csv,
     power_tower_residue,
     prime_range,
     revalidate_witness,
@@ -590,20 +589,15 @@ class TestOrbitTable:
         assert row.orbit == (4, 7)
         assert row.a_classes == (2, 4)
 
-    def test_csv_shape(self):
-        rows = orbit_table([3, 5], 50)
-        lines = list(orbit_table_csv(rows))
+    def test_csv_shape(self, capsys):
+        # the CLI lays out the table's CSV
+        assert main(["table", "--primes", "3,5", "--t-bound", "50", "--output", "csv",
+                     "--no-timestamp"]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
         assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
         lines = [line.rstrip("\n") for line in lines]
         assert lines[0] == "p,t,residue,a_classes"
         assert lines[1] == "3,9,7,+-2 +-4"
-
-    def test_csv_is_rendered_line_by_line(self):
-        # the lines come out one at a time, so an endless row source still
-        # yields its first lines
-        lines = orbit_table_csv(itertools.repeat(orbit_table([3], 50)[0]))
-        assert [next(lines) for _ in range(3)] == [
-            "p,t,residue,a_classes\n", "3,9,7,+-2 +-4\n", "3,9,7,+-2 +-4\n"]
 
     def test_a_prime_listed_twice_is_walked_once(self, monkeypatch):
         walked = []

@@ -1,11 +1,13 @@
-"""Smoke tests: every script under scripts/ runs to exit 0 on a small input,
-and the table script refuses a prime past the table bound."""
+"""Smoke tests: every script under scripts/ runs to exit 0 on a small input;
+the table script prints the CLI's table and refuses a prime past its bound."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mahlercf.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,9 +38,17 @@ def test_script_runs(script, argv, child_env):
     assert proc.stdout
 
 
+@pytest.mark.parametrize("flags, output", [((), "text"), (("--csv",), "csv")], ids=["text", "csv"])
+def test_table_script_prints_the_cli_table(flags, output, child_env, capsys):
+    proc = run_script(child_env, "reproduce_table.py", ("--p-max", "13", "--t-bound", "40", *flags))
+    assert main(["table", "--p-max", "13", "--t-bound", "40", "--output", output,
+                 "--include-missing", "--no-timestamp"]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
 def test_table_script_refuses_a_prime_above_the_bound(child_env):
-    # orbit_table refuses the prime before the O(p) walk over its orbits
+    # the table refuses the prime before the O(p) walk over its orbits, as
+    # bad input: exit 4 and one stderr line
     proc = run_script(child_env, "reproduce_table.py", ("--primes", "10007"))
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "InvalidParameter: table primes must not exceed 10000, got 10007" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "invalid input: table primes must not exceed 10000, got 10007\n"

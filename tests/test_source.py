@@ -73,9 +73,9 @@ EXPORTS = {
     "classify_convergent", "convergent_denominators", "convergent_soundness",
     "default_floor", "enumerate_orbit_hits", "eval_mahler", "expand_family",
     "family_series", "generate", "hensel_divisibility_demo", "irrationality_witness",
-    "monic_normalize", "orbit_table", "orbit_table_csv", "partial_product",
-    "partial_product_value", "poly_eval_mod", "poly_normalize_integer",
-    "power_tower_residue", "rate_of_approximation", "real_cf_prefix", "revalidate_witness",
+    "monic_normalize", "orbit_table", "partial_product", "partial_product_value",
+    "poly_eval_mod", "poly_normalize_integer", "power_tower_residue",
+    "rate_of_approximation", "real_cf_prefix", "revalidate_witness",
     "verify_functional_equations", "verify_identity", "well_approx_rate",
     "well_approx_report", "wieferich_scan", "witness_search",
 }
@@ -86,7 +86,7 @@ def test_every_export_has_a_caller_outside_the_unit_tests():
     # script or the acceptance criteria refers to it by name or attribute.
     # The exports are the keys of the table that __init__ resolves them from.
     exported = set(mahlercf._EXPORTS)
-    assert len(EXPORTS) == 59
+    assert len(EXPORTS) == 58
     assert exported == EXPORTS
     referenced = set()
     for node in _nodes_outside_the_unit_tests():
@@ -347,6 +347,33 @@ def test_no_library_code_calls_the_normalisers():
     assert offenders == []
     assert all(name in mahlercf.__all__ and callable(getattr(mahlercf, name))
                for name in normalisers)
+
+
+def test_only_cli_lays_out_output():
+    # Library modules return records and cli alone turns them into stdout:
+    # no other module prints or names sys.stdout, and the one to_json_dict
+    # left is the witness file format, which BadApproxWitness.from_json_dict
+    # reads back.
+    package = Path(mahlercf.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "cli.py":
+            offenders += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.Name) and node.id == "print")
+                or (isinstance(node, ast.Attribute) and node.attr == "stdout")
+            ]
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name != "BadApproxWitness"
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json_dict"
+        ]
+    assert offenders == []
+    assert callable(mahlercf.BadApproxWitness.to_json_dict)
 
 
 def test_every_traced_name_resolves_where_the_tracer_looks():

@@ -1,10 +1,12 @@
 """Quotient shape, beta extraction, classification, named identities."""
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from mahlercf.cli import main
 from mahlercf.contfrac import CFExpansion, Convergent, expand_family, monic_normalize
 from mahlercf.errors import (
     ClassificationFailure,
@@ -280,9 +282,11 @@ class TestIdentities:
         report = verify_identity("funceq", 3, (0, 40))
         assert report.status == "pass"
 
-    def test_report_json_schema(self):
-        report = verify_identity("prop2", 3, (0, 5))
-        data = report.to_json_dict()
+    def test_report_json_schema(self, capsys):
+        # the CLI lays out the report's JSON from the record fields
+        assert main(["verify", "--identity", "prop2", "--d", "3", "--k", "0..5", "--output",
+                     "json", "--no-timestamp"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert set(data) == {"identity", "d", "range", "status", "failures"}
 
     def test_unknown_identity_rejected(self):
@@ -319,13 +323,9 @@ class TestIdentityFailureReports:
     )
     def test_perturbed_beta_report(self, monkeypatch, name, d, k_range, failures):
         _perturb_beta(monkeypatch, 14)
-        assert verify_identity(name, d, k_range).to_json_dict() == {
-            "identity": name,
-            "d": d,
-            "range": list(k_range),
-            "status": "fail",
-            "failures": failures,
-        }
+        report = verify_identity(name, d, k_range)
+        assert (report.identity, report.d, report.k_range, report.status, report.failures) == (
+            name, d, k_range, "fail", failures)
 
     def test_lemma5_denominator_failure(self, monkeypatch):
         # lemma5 reads no betas; perturb qhat_12 = qhat_{6k} at k = 2
@@ -336,7 +336,7 @@ class TestIdentityFailureReports:
             lambda self, n: denominator(self, n) + (1 if n == 12 else 0),
         )
         report = verify_identity("lemma5", 3, (0, 4))
-        assert report.to_json_dict()["failures"] == [{"k": 2, "part": "denominator"}]
+        assert report.failures == [{"k": 2, "part": "denominator"}]
         assert report.status == "fail"
 
     def test_lemma5_numerator_failure(self, monkeypatch):
@@ -350,7 +350,7 @@ class TestIdentityFailureReports:
 
         monkeypatch.setattr(CFExpansion, "raw_p", property(perturbed))
         report = verify_identity("lemma5", 3, (0, 4))
-        assert report.to_json_dict()["failures"] == [{"k": 3, "part": "numerator"}]
+        assert report.failures == [{"k": 3, "part": "numerator"}]
         assert report.status == "fail"
 
 
