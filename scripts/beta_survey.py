@@ -8,6 +8,7 @@ bzz``, which compares them with the closed recurrence."""
 
 import argparse
 
+from mahlercf.errors import MahlerCFError
 from mahlercf.structure import beta_sequence
 
 
@@ -17,7 +18,10 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=40)
     args = parser.parse_args()
 
-    seq = beta_sequence(args.d, args.n)
+    try:
+        seq = beta_sequence(args.d, args.n)
+    except MahlerCFError as exc:
+        parser.error(str(exc))
 
     print(f"beta parameters for d={args.d}, n=2..{args.n}")
     print(f"{'n':>4}  {'beta_n':>24}")

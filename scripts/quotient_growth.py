@@ -7,6 +7,7 @@ import argparse
 from fractions import Fraction
 
 from mahlercf.approx import irrationality_witness
+from mahlercf.errors import MahlerCFError
 from mahlercf.structure import well_approx_rate, well_approx_report
 
 
@@ -19,7 +20,11 @@ def main() -> int:
     if args.d < 4:
         parser.error("growth phenomena require d >= 4")
 
-    report = well_approx_report(args.d, args.k_max)
+    try:
+        report = well_approx_report(args.d, args.k_max)
+        witness = irrationality_witness(args.a, args.d, args.k_max)
+    except MahlerCFError as exc:
+        parser.error(str(exc))
     print(f"approximation rates of r_k for d={args.d}, k=0..{args.k_max}:")
     for k, rate in enumerate(report.rates):
         print(f"  k={k}: rate {rate} (closed form {well_approx_rate(args.d, k)})")
@@ -27,7 +32,6 @@ def main() -> int:
           f"{report.first_large_quotient_index}, degree "
           f"{report.first_large_quotient_degree}")
 
-    witness = irrationality_witness(args.a, args.d, args.k_max)
     print(f"\neffective irrationality exponent samples for f_{args.d}({args.a}):")
     for sample in witness.samples:
         print(f"  k={sample.k}: denominator ~10^{len(str(sample.denominator)) - 1}, "

