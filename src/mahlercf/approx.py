@@ -169,9 +169,6 @@ class ExponentSample(_Record):
 
 
 class IrrationalityReport(_Record):
-    a: int
-    d: int
-    k_max: int
     samples: tuple[ExponentSample, ...]
 
     def exponent_at_least(self, tau: Fraction) -> bool:
@@ -232,4 +229,4 @@ def irrationality_witness(a: int, d: int, k_max: int) -> IrrationalityReport:
                 exponent_64ths=exponent,
             )
         )
-    return IrrationalityReport(a=a, d=d, k_max=k_max, samples=tuple(samples))
+    return IrrationalityReport(samples=tuple(samples))

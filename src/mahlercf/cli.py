@@ -200,7 +200,8 @@ def _cmd_cf(args: argparse.Namespace) -> int:
     print(f"a_0 = {cf.partial_quotients[0]}")
     for i, a in enumerate(cf.partial_quotients[1:], 1):
         # the rate of convergent i - 1 is deg a_i (Convergent.rate)
-        print(f"a_{i} = {a}   [rate of convergent {i - 1}: {int(a.degree())}]")
+        rate = a.degree()
+        print(f"a_{i} = {a}   [rate of convergent {i - 1}: {rate}]")
     if args.kind == "G":
         print("monic denominators and betas:")
         for i in range(1, args.n + 1):
@@ -213,15 +214,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .structure import verify_identity
 
     name = args.identity
-    if name == "bzz":
-        k_range = (2, args.n if args.n is not None else 200)
-    elif name == "theorem1":
-        k_range = args.m if args.m is not None else (0, 100)
-    elif name == "funceq":
-        depth = args.floor if args.floor is not None else 200
-        k_range = (0, abs(depth))
-    else:
-        k_range = args.k if args.k is not None else (0, 30)
+    k_range = {"bzz": (2, args.n), "theorem1": args.m,
+               "funceq": (0, abs(args.floor))}.get(name, args.k)
     d = args.d if args.d is not None else IDENTITY_D.get(name, 2)
     report = verify_identity(name, d, k_range)
     if args.output == "json":
@@ -423,10 +417,10 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="verify a named identity")
     p_verify.add_argument("--identity", choices=IDENTITY_NAMES, required=True)
     p_verify.add_argument("--d", type=int, default=None)
-    p_verify.add_argument("--k", type=_parse_range, default=None, metavar="A..B")
-    p_verify.add_argument("--m", type=_parse_range, default=None, metavar="A..B")
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--floor", type=int, default=None)
+    p_verify.add_argument("--k", type=_parse_range, default=(0, 30), metavar="A..B")
+    p_verify.add_argument("--m", type=_parse_range, default=(0, 100), metavar="A..B")
+    p_verify.add_argument("--n", type=int, default=200)
+    p_verify.add_argument("--floor", type=int, default=200)
     add_common(p_verify, ("text", "json"))
 
     p_witness = sub.add_parser("witness", help="search for or replay a witness")

@@ -108,8 +108,8 @@ class CFExpansion:
         # certifies quotients against this sum, so it is checked on the chain.
         total = 0
         for i in range(1, len(partial_quotients)):
-            total += int(partial_quotients[i].degree())
-            if int(self.raw_q[i].degree()) != total:
+            total += partial_quotients[i].degree()
+            if self.raw_q[i].degree() != total:
                 raise IdentityFailure(
                     f"deg q_{i} = {self.raw_q[i].degree()}, but deg a_1..a_{i} sum to {total}"
                 )
@@ -135,7 +135,7 @@ class CFExpansion:
                 p, q = -p, -q
             rate = None
             if i + 1 < len(self.partial_quotients):
-                rate = int(self.partial_quotients[i + 1].degree())
+                rate = self.partial_quotients[i + 1].degree()
             out.append(Convergent(index=i, p=p, q=q, rate=rate))
         return out
 
@@ -184,7 +184,7 @@ def _euclid_chain(num: RatPoly, depth: int, n: int) -> list[RatPoly]:
     x_cur, y_cur = den, rem
     deg_q = 0
     while len(quotients) <= n and not y_cur.is_zero():
-        deg_q += int(x_cur.degree() - y_cur.degree())
+        deg_q += x_cur.degree() - y_cur.degree()
         if 2 * deg_q > depth:
             break
         a, rem = poly_divmod(x_cur, y_cur, deg_q)
@@ -239,13 +239,13 @@ def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int
             raise InsufficientPrecision(
                 f"u - p/q vanishes above the floor {u.floor}; regenerate u deeper"
             )
-        measured = -u.floor - int(cur.degree()) - int(cf.raw_q[i].degree())
+        measured = -u.floor - cur.degree() - cf.raw_q[i].degree()
         if measured != a.degree():
             raise RateViolation(
                 f"convergent {i}: measured rate {measured} != deg a_{i + 1} = {a.degree()}"
             )
         rates.append(measured)
-        prev, cur = cur, _mul_add(a, cur, prev, int(cf.raw_q[i + 1].degree()))
+        prev, cur = cur, _mul_add(a, cur, prev, cf.raw_q[i + 1].degree())
     return rates
 
 

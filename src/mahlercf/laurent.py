@@ -78,17 +78,12 @@ class TruncatedLaurentSeries(_ScaledIntMap):
     def floor(self) -> int:
         return self._floor
 
-    def degree(self) -> int | None:
-        """Largest degree with a nonzero coefficient, or None when all known
-        coefficients vanish (true degree may hide below the floor)."""
-        return max(self._ints) if self._ints else None
-
     def coeff(self, degree: int) -> Fraction:
         if degree < self._floor:
             raise InsufficientPrecision(
                 f"coefficient at degree {degree} is below the floor {self._floor}"
             )
-        return self._scale * self._ints.get(degree, 0)
+        return super().coeff(degree)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -214,7 +209,7 @@ def rate_of_approximation(u: TruncatedLaurentSeries, p: RatPoly, q: RatPoly) -> 
         raise InsufficientPrecision(
             f"u - p/q vanishes above the floor {diff.floor}; regenerate u deeper"
         )
-    return -deg - 2 * int(q.degree())
+    return -deg - 2 * q.degree()
 
 
 def verify_functional_equations(d: int, floor: int) -> None:

@@ -351,9 +351,10 @@ def check_conditions(
 ) -> BadApproxWitness:
     """Evaluate the four witness conditions for the given parameters.
 
-    ``qt`` must be the integer-primitive denominator of the t-th convergent
-    of g_d; a normalization scale sharing a factor with p raises
-    ScaleNotInvertible (the polynomial cannot be reduced mod p)."""
+    ``qt`` must be the monic denominator q_t of the t-th convergent of g_d,
+    as ``convergent_denominators`` gives it: a primitive integer part with
+    scale 1/lc; a scale sharing a factor with p raises ScaleNotInvertible
+    (the polynomial cannot be reduced mod p)."""
     if d not in (2, 3):
         raise InvalidParameter(f"certificates exist for d in {{2, 3}}, got {d}")
     if n0 < 1 or t < 1:

@@ -5,10 +5,8 @@ rational scale times a primitive integer coefficient map (degree -> nonzero
 int): the map has content 1 and a positive top coefficient, so every value
 has exactly one stored form (Gauss's lemma).  The private base class
 ``_ScaledIntMap`` owns that form for both value classes.  The zero value is
-the empty map with scale 0; a zero polynomial's degree is the sentinel
-``NEG_INF`` so that degree comparisons never collide with genuine (possibly
-negative) degrees elsewhere in the package.  ``coeffs`` and ``coeff`` answer
-in ``Fraction``s.
+the empty map with scale 0, and its degree is ``None`` in both classes.
+``coeffs`` and ``coeff`` answer in ``Fraction``s.
 
 All values are immutable after construction; every operation returns a new
 value.  Values may share an integer map, which is never mutated.
@@ -22,8 +20,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import DivisionByZeroPoly, InvalidParameter, ZeroPolynomial
-
-NEG_INF = float("-inf")
 
 _ZERO = Fraction(0)
 
@@ -77,6 +73,16 @@ class _ScaledIntMap:
         """The stored primitive integer map itself, not a copy: callers must
         not mutate it."""
         return self._ints
+
+    def is_zero(self) -> bool:
+        return not self._ints
+
+    def degree(self) -> int | None:
+        """The largest degree with a nonzero coefficient; None for zero."""
+        return max(self._ints) if self._ints else None
+
+    def coeff(self, degree: int) -> Fraction:
+        return self._scale * self._ints.get(degree, 0)
 
     def __str__(self) -> str:
         return _render_terms(self._scale, self._ints) if self._ints else "0"
@@ -138,16 +144,6 @@ class RatPoly(_ScaledIntMap):
         """The integer part ``int_coeffs()`` as a polynomial of scale 1."""
         return RatPoly._of(Fraction(1) if self._ints else _ZERO, self._ints)
 
-    def is_zero(self) -> bool:
-        return not self._ints
-
-    def degree(self) -> int | float:
-        """Maximum stored degree; NEG_INF for the zero polynomial."""
-        return max(self._ints) if self._ints else NEG_INF
-
-    def coeff(self, degree: int) -> Fraction:
-        return self._scale * self._ints.get(degree, 0)
-
     def leading_coefficient(self) -> Fraction:
         if not self._ints:
             return Fraction(0)
@@ -171,9 +167,6 @@ class RatPoly(_ScaledIntMap):
 
     def __sub__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
-        return self._coerce(other) - self
 
     def __mul__(self, other: "RatPoly | int | Fraction") -> "RatPoly":
         if isinstance(other, (int, Fraction)):
@@ -201,7 +194,7 @@ class RatPoly(_ScaledIntMap):
         return self._scale == other._scale and self._ints == other._ints
 
     def __hash__(self) -> int:
-        if self.degree() in (0, NEG_INF):
+        if self.degree() in (0, None):
             # equal to its value as a number, so it hashes as that number
             return hash(self.coeff(0))
         return hash((self._scale, frozenset(self._ints.items())))
@@ -308,8 +301,7 @@ def _mul_add(
         for d2, c2 in long.items():
             deg = d1 + d2
             out[deg] = get(deg, 0) + c1 * c2
-    lowest = NEG_INF if floor is None else floor
-    out = {deg: coeff for deg, coeff in out.items() if coeff and deg >= lowest}
+    out = {deg: coeff for deg, coeff in out.items() if coeff and (floor is None or deg >= floor)}
     content, out = _primitive(out)
     return type(c)._of(sc * Fraction(content, v), out, floor)
 

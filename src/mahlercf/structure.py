@@ -325,8 +325,6 @@ def _verify_d3_identity(block, lo: int, hi: int) -> list:
 
 
 class WellApproxReport(_Record):
-    d: int
-    k_max: int
     rates: list[int]
     first_large_quotient_index: int
     first_large_quotient_degree: int
@@ -372,11 +370,6 @@ def well_approx_report(d: int, k_max: int) -> WellApproxReport:
         raise RateViolation(
             f"no partial quotient of degree >= {d} within depth 40"
         )
-    return WellApproxReport(
-        d=d,
-        k_max=k_max,
-        rates=rates,
-        first_large_quotient_index=first,
-        first_large_quotient_degree=int(quotients[first].degree()),
-    )
+    return WellApproxReport(rates=rates, first_large_quotient_index=first,
+                            first_large_quotient_degree=quotients[first].degree())
 

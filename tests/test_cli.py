@@ -21,7 +21,7 @@ from mahlercf.approx import TAIL_BITS_BOUND
 from mahlercf.cli import main
 from mahlercf.padic import N0_BOUND, P_BITS_BOUND, TABLE_PRIME_BOUND
 from mahlercf.contfrac import CFExpansion, expand_family
-from mahlercf.errors import ClassificationFailure
+from mahlercf.errors import ClassificationFailure, MismatchAt
 
 
 def run_cli(capsys, argv):
@@ -241,6 +241,17 @@ class TestVerify:
         monkeypatch.setattr(structure, "classify_all", failing)
         code, out, err = run_cli(capsys, ["verify", "--identity", "theorem1"])
         assert (code, out, err) == (1, "", "error: q_3 matches no shape\n")
+
+    def test_failed_funceq_reports_the_mismatch_degree(self, capsys, monkeypatch):
+        def mismatch(d, floor):
+            raise MismatchAt(-5)
+
+        monkeypatch.setattr(structure, "verify_functional_equations", mismatch)
+        code, out, err = run_cli(capsys, ["verify", "--identity", "funceq", "--output", "json",
+                                          "--no-timestamp"])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"identity": "funceq", "d": 2, "range": [0, 200],
+                                   "status": "fail", "failures": [{"degree": -5}]}
 
     def test_failed_identity_exits_1_listing_each_failure(self, capsys, monkeypatch):
         beta = CFExpansion.beta
@@ -507,6 +518,20 @@ class TestWitness:
         assert (code, out) == (4, "")
         assert err.startswith(f"invalid input: unreadable witness file {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("qt, message", [
+        ("", "empty polynomial text"),
+        ("1, x", "bad polynomial text '1, x': Invalid literal for Fraction: 'x'"),
+        ("1/0", "bad polynomial text '1/0': Fraction(1, 0)"),
+        ("1,,2", "bad polynomial text '1,,2': Invalid literal for Fraction: ''"),
+    ], ids=["empty", "not-a-number", "zero-denominator", "empty-entry"])
+    def test_unparsable_replay_qt_exits_4(self, capsys, tmp_path, qt, message):
+        path = tmp_path / "witness.json"
+        conditions = {"c1": True, "c2": True, "c3": True, "c4": True}
+        path.write_text(json.dumps({"a": 2, "d": 3, "p": 7, "n0": 1, "t": 24, "residue": 8,
+                                    "conditions": conditions, "qt": qt}))
+        code, out, err = run_cli(capsys, ["witness", "--replay", str(path)])
+        assert (code, out, err) == (4, "", f"invalid input: {message}\n")
 
 
 class TestTable:
