@@ -193,11 +193,6 @@ def _euclid_chain(num: RatPoly, depth: int, n: int) -> list[RatPoly]:
     return quotients
 
 
-def _lifted(u: TruncatedLaurentSeries) -> RatPoly:
-    """N = x^D u with D = -u.floor, the known terms of u as a polynomial."""
-    return RatPoly._of(u.scale, {k - u.floor: c for k, c in u.int_coeffs().items()})
-
-
 def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     """Expand u as a continued fraction with partial quotients a_0..a_n.
 
@@ -205,7 +200,7 @@ def cf_expand(u: TruncatedLaurentSeries, n: int) -> CFExpansion:
     InsufficientPrecision is raised if a_n is not reachable.
     """
     _check_count(n)
-    quotients = _euclid_chain(_lifted(u), -u.floor, n)
+    quotients = _euclid_chain(u.lifted(), -u.floor, n)
     if len(quotients) <= n:
         # Either a quotient failed certification or the truncation's Euclid
         # ran dry; in both cases the true series is not pinned down: a tail
@@ -232,7 +227,7 @@ def convergent_soundness(u: TruncatedLaurentSeries, cf: CFExpansion) -> list[int
     (RateViolation otherwise).  Returns the list of measured rates, each read
     off the residual x^D (q_i u - p_i), D = -u.floor (module docstring)."""
     prev = -RatPoly.monomial(-u.floor)
-    cur = _mul_add(cf.partial_quotients[0], prev, _lifted(u))
+    cur = _mul_add(cf.partial_quotients[0], prev, u.lifted())
     rates: list[int] = []
     for i, a in enumerate(cf.partial_quotients[1:]):
         if cur.is_zero():

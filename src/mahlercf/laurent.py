@@ -114,6 +114,10 @@ class TruncatedLaurentSeries(_ScaledIntMap):
             self._scale, {deg + offset: c for deg, c in self._ints.items()}, self._floor + offset
         )
 
+    def lifted(self) -> RatPoly:
+        """x^{-floor} times the series: its known terms as a polynomial."""
+        return RatPoly._of(self._scale, {deg - self._floor: c for deg, c in self._ints.items()})
+
     def substitute_power(self, d: int) -> "TruncatedLaurentSeries":
         """Return the series with x replaced by x^d; floor becomes d*floor."""
         if not isinstance(d, int) or d < 1:
@@ -195,8 +199,7 @@ def partial_product(d: int, k: int) -> tuple[RatPoly, RatPoly]:
     if d < 2 or k < 0:
         raise InvalidParameter("need d >= 2 and k >= 0")
     total = (d ** (k + 1) - 1) // (d - 1)
-    num = _generate_f(d, -total).shift(total)
-    return RatPoly._of(num.scale, num.int_coeffs()), RatPoly.monomial(total)
+    return _generate_f(d, -total).lifted(), RatPoly.monomial(total)
 
 
 def rate_of_approximation(u: TruncatedLaurentSeries, p: RatPoly, q: RatPoly) -> int:

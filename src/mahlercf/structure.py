@@ -1,11 +1,12 @@
 """Structural facts about the continued fractions of the generated families.
 
 Everything here is *checked against the Euclidean oracle* in contfrac rather
-than assumed: the parity classification of g_d convergents, the rigid
-quotient shape for d in {2, 3} with its beta parameters (read off the
-expansion of g_d, which answers the monic quantities), the closed beta
-recurrence for d = 2, the d = 3 coefficient identities, and the
-well-approximability witnesses for d >= 4.
+than assumed: the parity classification of g_d convergents (the h_d or u_d
+convergent each one comes from, put into the shape of its parity, gives it
+up to a scalar), the rigid quotient shape for d in {2, 3} with its beta
+parameters (read off the expansion of g_d, which answers the monic
+quantities), the closed beta recurrence for d = 2, the d = 3 coefficient
+identities, and the well-approximability witnesses for d >= 4.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .contfrac import CFExpansion, Convergent, expand_family
 from .laurent import generate, partial_product, rate_of_approximation, verify_functional_equations
-from .polys import RatPoly, poly_divmod, poly_substitute_power
+from .polys import RatPoly, poly_substitute_power
 
 
 def ones_polynomial(d: int) -> RatPoly:
@@ -35,14 +36,6 @@ def ones_polynomial(d: int) -> RatPoly:
 
 
 X_MINUS_1 = RatPoly.from_ascending([-1, 1])
-
-
-def _undo_power(p: RatPoly, d: int) -> RatPoly | None:
-    """Inverse of substituting x -> x^d, or None if p is not a polynomial in x^d."""
-    ints = p.int_coeffs()
-    if any(deg % d for deg in ints):
-        return None
-    return RatPoly._of(p.scale, {deg // d: c for deg, c in ints.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +52,15 @@ def classify_convergent(
     h_expansion: CFExpansion,
     u_expansion: CFExpansion,
 ) -> Convergent:
-    """Decompose a convergent p_m/q_m of g_d according to its parity and
-    return the convergent it comes from by the substitution x -> x^d.
+    """Return the convergent P/Q that the convergent p_m/q_m of g_d comes
+    from by the substitution x -> x^d, checked forward: P/Q is put into the
+    shape of m's parity and compared with the pair.
 
-    Even m: p_m = (x-1) P(x^d) and q_m = Q(x^d), and P/Q must be the h_d
-    convergent of degree deg Q, with a denominator coprime to x-1.
+    Even m: P/Q is the h_d convergent with deg q_m = d deg Q, the pair is
+    c ((x-1) P(x^d), Q(x^d)) for one scalar c, and Q is coprime to x-1.
 
-    Odd m: p_m = P(x^d) and q_m = (1+x+...+x^{d-1}) Q(x^d), and P/Q must be
-    the u_d convergent of degree deg Q, with a numerator coprime to x-1.
+    Odd m: P/Q is the u_d convergent with deg q_m = (d-1) + d deg Q, the
+    pair is c (P(x^d), (1+x+...+x^{d-1}) Q(x^d)), and P is coprime to x-1.
 
     Raises ClassificationFailure(m) when any step fails.
     """
@@ -75,32 +69,23 @@ def classify_convergent(
     def fail(reason: str) -> ClassificationFailure:
         return ClassificationFailure(m, f"convergent {m} of g_{d}: {reason}")
 
-    if m % 2 == 0:
-        factors, source_exp, coprime = (X_MINUS_1, None), h_expansion, 1
-    else:
-        factors, source_exp, coprime = (None, ones_polynomial(d)), u_expansion, 0
-    inner = []
-    for side, poly, factor in zip(_SIDES, (conv.p, conv.q), factors):
-        if factor is not None:
-            poly, rem = poly_divmod(poly, factor)
-            if not rem.is_zero():
-                raise fail(f"{side} is not divisible by {factor}")
-        undone = _undo_power(poly, d)
-        if undone is None:
-            raise fail(f"{side} is not of the form ({factor or 1}) P(x^d)")
-        inner.append(undone)
-    inner_p, inner_q = inner
-
-    target_deg = inner_q.degree()
-    source = next((c for c in source_exp.convergents if c.q.degree() == target_deg), None)
+    side = m % 2  # the side the factor multiplies: p_m at even m, q_m at odd m
+    factor, sources = (X_MINUS_1, h_expansion) if side == 0 else (ones_polynomial(d), u_expansion)
+    top = conv.q.degree()
+    target = None if top is None else Fraction(top - side * (d - 1), d)
+    source = next((c for c in sources.convergents if c.q.degree() == target), None)
     if source is None:
-        raise fail(
-            f"no source convergent of degree {target_deg} within the supplied expansion"
-        )
-    # Same fraction up to a scalar: cross-multiplication must be proportional.
-    if inner_p * source.q != inner_q * source.p:
-        raise fail(f"undone pair does not match source convergent {source.index}")
+        raise fail(f"no source convergent of degree {target} within the supplied expansion")
+    shape = [poly_substitute_power(source.p, d), poly_substitute_power(source.q, d)]
+    shape[side] = factor * shape[side]
+    p, q = shape
+    # (p_m, q_m) = c (p, q) for one scalar c: both sides keep their primitive
+    # maps, and their scales share one ratio
+    if ((conv.p.int_coeffs(), conv.q.int_coeffs()) != (p.int_coeffs(), q.int_coeffs())
+            or conv.p.scale * q.scale != p.scale * conv.q.scale):
+        raise fail(f"pair does not match source convergent {source.index}")
     # x-1 divides a polynomial exactly when its coefficients sum to 0
+    coprime = 1 - side
     if sum((source.p, source.q)[coprime].int_coeffs().values()) == 0:
         raise fail(f"source {_SIDES[coprime]} is divisible by x-1")
     return source

@@ -38,6 +38,9 @@ GUARDS = {
         lambda: partial_product(1, 0), InvalidParameter, "need d >= 2 and k >= 0"),
     "padic.wieferich_scan": (
         lambda: wieferich_scan(2, 2), InvalidParameter, "bound must be >= 3, got 2"),
+    "padic.wieferich_scan-bound": (
+        lambda: wieferich_scan(2, 10**7 + 1),
+        InvalidParameter, "bound must not exceed 10000000, got 10000001"),
     "padic.power_tower_residue": (
         lambda: power_tower_residue(2, 2, -1, 7), InvalidParameter, "n0 must be >= 0, got -1"),
     "padic.check_conditions": (

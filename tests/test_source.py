@@ -1,7 +1,10 @@
 """Rules on the library source itself, and on how the tests run it."""
 
 import ast
+import contextlib
 import importlib
+import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -244,33 +247,58 @@ def test_every_parameter_default_is_overridden_outside_the_unit_tests():
     assert sorted(label for label in unset if label != "main(argv)") == []
 
 
-def test_every_record_field_is_read_outside_the_unit_tests():
-    # A record field that only the unit tests read is a result nobody uses;
-    # it counts as read when a library module, a script or the acceptance
-    # criteria refers to an attribute of that name.  Records are the classes
-    # based on _Record, and their fields the names annotated in the class body.
-    read = {
-        node.attr for node in _nodes_outside_the_unit_tests() if isinstance(node, ast.Attribute)
-    }
-    fields = {
-        f"{cls.name}.{stmt.target.id}"
-        for path in sorted(Path(mahlercf.__file__).parent.glob("*.py"))
-        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(cls, ast.ClassDef)
-        and any(getattr(base, "id", None) == "_Record" for base in cls.bases)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-    }
-    # the scan sees every field of every record class the package defines
-    assert fields == {
-        f"{record.__name__}.{name}" for record in _Record.__subclasses__() for name in record.__slots__
-    }
-    assert {field.partition(".")[0] for field in fields} == {
+# The survey scripts at small sizes; with the benchmark menus they read every
+# record field.
+SURVEYS = [
+    ("beta_survey.py", "--d", "3", "--n", "20"),
+    ("quotient_growth.py",),
+    ("reproduce_table.py", "--p-max", "13", "--t-bound", "40", "--all-hits"),
+]
+
+
+def test_every_record_field_is_read_outside_the_unit_tests(monkeypatch, tmp_path):
+    # A record field that only the unit tests read is a result nobody uses.
+    # Each field's slot is wrapped in a property that notes the record class
+    # and the field whenever code other than the record base (which compares,
+    # hashes and prints every field) reads it; then every request of the
+    # benchmark menus and the survey scripts run in this process.
+    root = Path(__file__).resolve().parents[1]
+    for path in Path(mahlercf.__file__).parent.glob("*.py"):
+        importlib.import_module(f"mahlercf.{path.stem}")
+    records = _Record.__subclasses__()
+    assert {record.__name__ for record in records} == {
         "CertifiedValue", "ExponentSample", "IrrationalityReport", "Convergent",
         "BadApproxWitness", "HenselDemo", "OrbitRow",
         "BetaSequence", "IdentityReport", "WellApproxReport",
     }
-    assert sorted(field for field in fields if field.rpartition(".")[2] not in read) == []
+    read = set()
+    for record in records:
+        for name in record.__slots__:
+            slot = vars(record)[name]
+
+            def get(obj, field=f"{record.__name__}.{name}", slot=slot):
+                if sys._getframe(1).f_globals["__name__"] != "mahlercf._record":
+                    read.add(field)
+                return slot.__get__(obj)
+
+            monkeypatch.setattr(record, name, property(get, slot.__set__))
+
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from workloads import WORKLOADS, menu
+
+    from mahlercf.cli import main
+
+    monkeypatch.chdir(tmp_path)  # where the witness requests save and replay
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for request in (r for w in WORKLOADS for r in menu(w)):
+            with contextlib.suppress(ValueError):  # the seed's digit-limit defect
+                main([*request.argv, "--no-timestamp"])
+        for script, *argv in SURVEYS:
+            monkeypatch.setattr(sys, "argv", [script, *argv])
+            with contextlib.suppress(SystemExit):
+                runpy.run_path(str(root / "scripts" / script), run_name="__main__")
+    fields = {f"{record.__name__}.{name}" for record in records for name in record.__slots__}
+    assert sorted(fields - read) == []
 
 
 def test_every_error_class_is_constructed_by_the_library():
@@ -327,6 +355,21 @@ def test_only_polys_makes_the_normal_form():
         if (isinstance(node, ast.Name) and node.id == "_primitive")
         or (isinstance(node, ast.Attribute) and node.attr == "_primitive")
         or (isinstance(node, ast.alias) and node.name == "_primitive")
+    ]
+    assert offenders == []
+
+
+def test_only_polys_and_laurent_build_a_stored_form():
+    # ``_of`` takes a scale and an integer map as they stand, unchecked; the
+    # two modules that define the value classes are the only callers, and
+    # any other module builds its values through their operations.
+    package = Path(mahlercf.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("polys.py", "laurent.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_of"
     ]
     assert offenders == []
 
