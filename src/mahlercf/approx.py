@@ -46,12 +46,11 @@ class CertifiedValue(_Record):
 
     value: Fraction
     error_bound: Fraction
-    target: str
 
-    def __init__(self, value: Fraction, error_bound: Fraction, target: str) -> None:
+    def __init__(self, value: Fraction, error_bound: Fraction) -> None:
         if error_bound < 0:
             raise InvalidParameter("error_bound must be non-negative")
-        super().__init__(value, error_bound, target)
+        super().__init__(value, error_bound)
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self.value - self.error_bound, self.value + self.error_bound)
@@ -113,9 +112,7 @@ def eval_mahler(a: int, d: int, eps: Fraction, which: str = "F") -> CertifiedVal
             break
         k += 1
     value = partial_product_value(a, d, k) * Fraction(1, a**extra)
-    bound = Fraction(2, tail)
-    name = "f" if which == "F" else "g"
-    return CertifiedValue(value=value, error_bound=bound, target=f"{name}_{d}({a})")
+    return CertifiedValue(value=value, error_bound=Fraction(2, tail))
 
 
 # ---------------------------------------------------------------------------

@@ -219,10 +219,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else IDENTITY_D.get(name, 2)
     report = verify_identity(name, d, k_range)
     if args.output == "json":
-        _emit_json({"identity": report.identity, "d": report.d, "range": list(report.k_range),
+        _emit_json({"identity": name, "d": d, "range": list(k_range),
                     "status": report.status, "failures": report.failures}, args)
     else:
-        print(f"identity {report.identity} (d={report.d}, range {report.k_range}): {report.status}")
+        print(f"identity {name} (d={d}, range {k_range}): {report.status}")
         for failure in report.failures:
             print(f"  failure: {failure}")
     return EXIT_OK if report.status == "pass" else EXIT_FAIL
@@ -318,10 +318,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         print("p,t,residue,a_classes")
         for row in rows:  # t and residue are both None for an orbit without a root
             t, residue = ("", "") if row.t is None else (row.t, row.residue)
-            print(f"{row.p},{t},{residue},{' '.join(f'+-{c}' for c in row.a_classes)}")
+            print(f"{row.p},{t},{residue},{' '.join(f'+-{c}' for c in row.classes_of(row.orbit))}")
     else:
         for row in rows:
-            classes = ", ".join(f"+-{c}" for c in row.a_classes)
+            classes = ", ".join(f"+-{c}" for c in row.classes_of(row.orbit))
             print(f"p={row.p}: first t={row.t}, residue={row.residue}, a in {{{classes}}} mod {row.p**2}")
     return EXIT_OK
 
@@ -335,18 +335,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise InvalidParameter("max_terms must be non-negative")
     eps = Fraction(1, 10**12) if args.eps is None else args.eps
     value = eval_mahler(args.a, args.d, eps, args.which)
+    target = f"{args.which.lower()}_{args.d}({args.a})"
     # Render the value before the prefix walk, so that a value too long to
     # render fails at once; print nothing until both are done.
     if args.output == "json":
         v, e = value.value, value.error_bound
         payload = {"value": f"{v.numerator}/{v.denominator}",
                    "error_bound": f"{e.numerator}/{e.denominator}",
-                   "decimal": value.decimal(), "target": value.target}
+                   "decimal": value.decimal(), "target": target}
         if args.cf_terms:
             payload["cf_prefix"] = real_cf_prefix(value, args.cf_terms)
         _emit_json(payload, args)
         return EXIT_OK
-    lines = [f"{value.target} = {value.decimal()}  (error <= {value.error_bound})"]
+    lines = [f"{target} = {value.decimal()}  (error <= {value.error_bound})"]
     if args.cf_terms:
         lines.append(f"certified continued-fraction prefix: {real_cf_prefix(value, args.cf_terms)}")
     print("\n".join(lines))
@@ -374,22 +375,22 @@ def _cmd_demo_hensel(args: argparse.Namespace) -> int:
         "d": args.d,
         "p": args.p,
         "t": args.t,
-        "m": demo.m,
+        "m": args.m,
         "lifted_root": demo.lifted_root,
         "n": demo.n,
         "exponent_residue": demo.exponent_residue,
-        "evaluation": demo.evaluation,
+        "evaluation": 0,  # the demo raises unless q_t vanishes there
     }
     if args.output == "json":
         _emit_json(payload, args)
     else:
         print(
             f"root {witness.residue} mod {args.p}^2 lifts to {demo.lifted_root} "
-            f"mod {args.p}^{demo.m}"
+            f"mod {args.p}^{args.m}"
         )
         print(
             f"n = {demo.n}: {args.a}^{args.d}^{demo.n} = {demo.exponent_residue} "
-            f"mod {args.p}^{demo.m}, and q_{args.t} evaluates to {demo.evaluation} there"
+            f"mod {args.p}^{args.m}, and q_{args.t} evaluates to 0 there"
         )
     return EXIT_OK
 

@@ -519,13 +519,12 @@ def witness_search(
 
 
 class HenselDemo(_Record):
-    """Evidence that p^m divides q_t(a^{d^n}) for an explicitly found n."""
+    """Evidence that p^m divides q_t(a^{d^n}) for an explicitly found n, the
+    m that ``hensel_divisibility_demo`` was given."""
 
-    m: int
     n: int
     lifted_root: int
-    exponent_residue: int  # a^{d^n} mod p^m
-    evaluation: int  # q_t(a^{d^n}) mod p^m (must be 0)
+    exponent_residue: int  # a^{d^n} mod p^m, where q_t vanishes mod p^m
 
 
 # The exponent walk takes at most this many steps whatever the cap, so that
@@ -590,9 +589,7 @@ def hensel_divisibility_demo(
             evaluation = poly_eval_mod(coeffs, x, pm)
             if evaluation != 0:
                 raise HypothesisFailed(f"q_{w.t}({x}) = {evaluation} mod {p}^{m}, not 0")
-            return HenselDemo(
-                m=m, n=n, lifted_root=root, exponent_residue=x, evaluation=evaluation
-            )
+            return HenselDemo(n=n, lifted_root=root, exponent_residue=x)
         x = pow(x, w.d, pm)
     if steps < cap:
         raise SearchExhausted(
@@ -615,7 +612,7 @@ class OrbitRow(_Record):
 
     ``t`` and ``residue`` give the first convergent denominator with a root
     in the orbit (t = None when none exists within the scanned bound);
-    ``orbit`` and ``a_classes`` are worked out when read."""
+    ``orbit`` is worked out when read, and ``classes_of`` its a-classes."""
 
     p: int
     t: int | None
@@ -627,14 +624,9 @@ class OrbitRow(_Record):
         """The members 1 + cp, with c on the ``_orbit`` of ``start``."""
         return tuple(sorted(1 + c * self.p for c in _orbit(self.start // self.p, 2, self.p)))
 
-    @property
-    def a_classes(self) -> tuple[int, ...]:
-        """The +/- compressed residues a mod p^2 in this orbit (a and -a reach
-        the same squaring orbit)."""
-        return self.classes_of(self.orbit)
-
     def classes_of(self, orbit: tuple[int, ...]) -> tuple[int, ...]:
-        """``a_classes`` from the ``orbit`` already read, without a second walk."""
+        """The +/- compressed residues a mod p^2 in the ``orbit`` already read
+        (a and -a reach the same squaring orbit)."""
         square = self.p**2
         return tuple(sorted(min(e, square - e) for e in orbit))
 

@@ -11,6 +11,7 @@ identities, and the well-approximability witnesses for d >= 4.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from ._identities import IDENTITY_D, IDENTITY_NAMES
@@ -73,8 +74,10 @@ def classify_convergent(
     factor, sources = (X_MINUS_1, h_expansion) if side == 0 else (ones_polynomial(d), u_expansion)
     top = conv.q.degree()
     target = None if top is None else Fraction(top - side * (d - 1), d)
-    source = next((c for c in sources.convergents if c.q.degree() == target), None)
-    if source is None:
+    convergents = sources.convergents  # the degree of q rises strictly along them
+    i = 0 if top is None else bisect_left(convergents, target, key=lambda c: c.q.degree())
+    source = convergents[i] if i < len(convergents) else None
+    if source is None or source.q.degree() != target:
         raise fail(f"no source convergent of degree {target} within the supplied expansion")
     shape = [poly_substitute_power(source.p, d), poly_substitute_power(source.q, d)]
     shape[side] = factor * shape[side]
@@ -93,15 +96,20 @@ def classify_convergent(
 
 def classify_all(d: int, m_max: int) -> list[Convergent]:
     """Classify every convergent of g_d up to index m_max: the source
-    convergent of each, from h_d at even m and from u_d at odd m."""
-    g_exp, _ = expand_family(d, "G", m_max)
-    depth = m_max // 2 + 2
-    h_exp, _ = expand_family(d, "H", depth)
-    u_exp, _ = expand_family(d, "U", depth)
-    return [
-        classify_convergent(d, conv, h_exp, u_exp)
-        for conv in g_exp.convergents[: m_max + 1]
-    ]
+    convergent of each, from h_d at even m and from u_d at odd m.  Each
+    source expansion doubles from m_max // 2 + 2 quotients until it reaches
+    the degree (deg q_m - side (d-1)) // d of the source of the last m of its
+    parity; at d in {2, 3} the first already does, at d >= 4 not always."""
+    convergents = expand_family(d, "G", m_max)[0].convergents[: m_max + 1]
+    sources = []
+    for side, kind in enumerate("HU"):
+        last = convergents[side::2][-1:]  # degrees rise, so it needs the deepest source
+        needed = max(((c.q.degree() - side * (d - 1)) // d for c in last), default=0)
+        n = m_max // 2 + 2
+        while (expansion := expand_family(d, kind, n)[0]).convergents[-1].q.degree() < needed:
+            n *= 2
+        sources.append(expansion)
+    return [classify_convergent(d, conv, *sources) for conv in convergents]
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +225,11 @@ _D3_BLOCKS = {
 
 
 class IdentityReport(_Record):
-    identity: str
-    d: int
-    k_range: tuple[int, int]
-    status: str
     failures: list
+
+    @property
+    def status(self) -> str:
+        return "fail" if self.failures else "pass"
 
 
 def verify_identity(
@@ -241,7 +249,8 @@ def verify_identity(
       theorem1  — every g_d convergent classifies (even -> H, odd -> U);
       bzz       — d=2: the closed beta recurrence matches the oracle betas.
 
-    Returns a report with status "pass"/"fail" and the failing k values.
+    Returns a report of the failing k values, whose status is "pass" when
+    there are none and "fail" otherwise.
     """
     lo, hi = k_range
     if name in IDENTITY_D and d != IDENTITY_D[name]:
@@ -272,8 +281,7 @@ def verify_identity(
     else:
         raise InvalidParameter(f"unknown identity {name!r} (choose from {IDENTITY_NAMES})")
 
-    status = "pass" if not failures else "fail"
-    return IdentityReport(identity=name, d=d, k_range=(lo, hi), status=status, failures=failures)
+    return IdentityReport(failures=failures)
 
 
 def _verify_lemma5(lo: int, hi: int) -> list:

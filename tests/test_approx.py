@@ -20,9 +20,7 @@ from mahlercf.errors import InvalidParameter
 
 class TestCertifiedValue:
     def test_interval_is_symmetric_around_value(self):
-        cv = CertifiedValue(
-            value=Fraction(1, 3), error_bound=Fraction(1, 100), target="t"
-        )
+        cv = CertifiedValue(value=Fraction(1, 3), error_bound=Fraction(1, 100))
         low, high = cv.interval()
         assert low == Fraction(1, 3) - Fraction(1, 100)
         assert high == Fraction(1, 3) + Fraction(1, 100)
@@ -45,10 +43,10 @@ class TestCertifiedValue:
         assert cv.decimal() == "0.350183865…"
 
     def test_decimal_cap(self):
-        exact = CertifiedValue(value=Fraction(-1, 3), error_bound=Fraction(0), target="e")
+        exact = CertifiedValue(value=Fraction(-1, 3), error_bound=Fraction(0))
         assert exact.certified_digits() == DECIMAL_DIGITS_CAP == 30
         assert exact.decimal() == "-0." + "3" * 30 + "…"
-        wide = CertifiedValue(value=Fraction(7, 3), error_bound=Fraction(1), target="w")
+        wide = CertifiedValue(value=Fraction(7, 3), error_bound=Fraction(1))
         assert wide.certified_digits() == 0
         assert wide.decimal() == "2.3…"
 
@@ -81,7 +79,11 @@ class TestEvalMahler:
         g = eval_mahler(2, 3, Fraction(1, 10**6), which="G")
         assert g.value == f.value / 2 ** (3 - 1)
         assert g.error_bound == f.error_bound / 2 ** (3 - 1)
-        assert g.target == "g_3(2)"
+
+    def test_cli_labels_the_value_by_its_function(self, capsys):
+        # the label is layout: the CLI builds it from --which, --d and --a
+        assert main(["eval", "--a", "2", "--d", "3", "--which", "G", "--eps", "1e-6"]) == 0
+        assert capsys.readouterr().out.startswith("g_3(2) = ")
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameter):
@@ -117,14 +119,13 @@ class TestRealCFPrefix:
         assert real_cf_prefix(cv, 10) == [0, 2, 1, 5, 1, 12, 1, 2, 1, 19]
 
     def test_exact_rational_terminates_canonically(self):
-        cv = CertifiedValue(value=Fraction(7, 3), error_bound=Fraction(0), target="e")
+        cv = CertifiedValue(value=Fraction(7, 3), error_bound=Fraction(0))
         assert real_cf_prefix(cv, 10) == [2, 3]
 
     def test_wide_interval_stops_early(self):
         wide = CertifiedValue(
             value=Fraction(752014125, 2**31),
             error_bound=Fraction(1, 100),
-            target="w",
         )
         prefix = real_cf_prefix(wide, 10)
         assert len(prefix) < 10

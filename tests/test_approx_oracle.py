@@ -104,7 +104,7 @@ def _intervals(draw):
     else:
         whole = draw(st.integers(-50, 50))
         value = whole + bound if kind == "low on integer" else whole - bound
-    return CertifiedValue(value=value, error_bound=bound, target="t")
+    return CertifiedValue(value=value, error_bound=bound)
 
 
 # -- the tests -----------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_prefix_matches_the_fraction_walk(value, max_terms):
 
 @given(_rationals, st.integers(1, 40))
 def test_point_intervals_match_the_exact_branch(point, max_terms):
-    value = CertifiedValue(value=point, error_bound=Fraction(0), target="t")
+    value = CertifiedValue(value=point, error_bound=Fraction(0))
     assert real_cf_prefix(value, max_terms) == reference_prefix(value, max_terms)
 
 
@@ -130,7 +130,7 @@ def test_prefix_of_eval_values_matches(a, d, exponent, which):
 
 @given(_bounds)
 def test_certified_digits_match(bound):
-    value = CertifiedValue(value=Fraction(1, 3), error_bound=bound, target="t")
+    value = CertifiedValue(value=Fraction(1, 3), error_bound=bound)
     assert value.certified_digits() == reference_digits(bound, DECIMAL_DIGITS_CAP)
 
 
@@ -139,7 +139,7 @@ def test_certified_digits_at_the_decade_edges(n, scale):
     # bounds just below, at and just above 10^-n / 2
     edge = Fraction(1, 2 * 10**n)
     for bound in (edge, edge * (1 - Fraction(1, scale + 1)), edge * (1 + Fraction(1, scale))):
-        value = CertifiedValue(value=Fraction(0), error_bound=bound, target="t")
+        value = CertifiedValue(value=Fraction(0), error_bound=bound)
         assert value.certified_digits() == reference_digits(bound, DECIMAL_DIGITS_CAP)
 
 

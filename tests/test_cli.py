@@ -595,7 +595,20 @@ class TestTable:
         assert code == 0
         rows, walked = json.loads(out)["rows"], list(walks)
         assert len(walked) == len(rows) > 10
-        assert [r["a_classes"] for r in rows] == [list(row.a_classes) for row in walked]
+        classes = [list(row.classes_of(orbit(row))) for row in walked]
+        assert [r["a_classes"] for r in rows] == classes
+
+    @pytest.mark.parametrize("output, header", [("text", 0), ("csv", 1)])
+    def test_text_and_csv_walk_each_orbit_once(self, capsys, monkeypatch, output, header):
+        from mahlercf.padic import OrbitRow
+
+        walks = []
+        orbit = OrbitRow.orbit.fget
+        monkeypatch.setattr(OrbitRow, "orbit", property(lambda row: walks.append(row) or orbit(row)))
+        code, out, _ = run_cli(capsys, ["table", "--d", "2", "--p-max", "37", "--include-missing",
+                                        "--output", output, "--no-timestamp"])
+        assert code == 0
+        assert len(walks) == len(out.splitlines()) - header > 10
 
     def test_rejects_other_d(self, capsys):
         code, _, err = run_cli(capsys, ["table", "--d", "3", "--primes", "5"])

@@ -19,7 +19,7 @@ GUARDS = {
     "approx.partial_product_value": (
         lambda: partial_product_value(1, 2, 0), InvalidParameter, "need a >= 2, d >= 2, k >= 0"),
     "approx.real_cf_prefix": (
-        lambda: real_cf_prefix(CertifiedValue(Fraction(1), Fraction(0), "one"), -1),
+        lambda: real_cf_prefix(CertifiedValue(Fraction(1), Fraction(0)), -1),
         InvalidParameter, "max_terms must be non-negative"),
     "approx.irrationality_witness": (
         lambda: irrationality_witness(2, 4, -1), InvalidParameter, "need k_max >= 0"),

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from mahlercf import BadApproxWitness, CertifiedValue, Convergent, InvalidParameter, OrbitRow
+from mahlercf import (
+    BadApproxWitness,
+    CertifiedValue,
+    Convergent,
+    HenselDemo,
+    IdentityReport,
+    InvalidParameter,
+    OrbitRow,
+)
 from mahlercf._record import _Record
 from mahlercf.polys import RatPoly
 
@@ -19,7 +27,8 @@ RECORDS = [
          "conditions": {"c1": True, "c2": True, "c3": True, "c4": True}, "qt": QT},
     ),
     (OrbitRow, {"p": 7, "t": 3, "residue": 22, "start": 8}),
-    (CertifiedValue, {"value": Fraction(1, 3), "error_bound": Fraction(1, 100), "target": "f_2(2)"}),
+    (CertifiedValue, {"value": Fraction(1, 3), "error_bound": Fraction(1, 100)}),
+    (HenselDemo, {"n": 1, "lifted_root": 4, "exponent_residue": 4}),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
@@ -89,6 +98,20 @@ def test_wrong_fields_raise_type_error(cls, fields):
 
 def test_certified_value_rejects_a_negative_error_bound():
     with pytest.raises(InvalidParameter, match="error_bound must be non-negative"):
-        CertifiedValue(value=Fraction(1, 3), error_bound=-1, target="f_2(2)")
+        CertifiedValue(value=Fraction(1, 3), error_bound=-1)
     with pytest.raises(InvalidParameter):
-        CertifiedValue(Fraction(1, 3), Fraction(-1, 10), "f_2(2)")
+        CertifiedValue(Fraction(1, 3), Fraction(-1, 10))
+
+
+def test_records_hold_only_what_their_call_computed():
+    # no argument the caller passed is echoed back, and no field holds a
+    # value its function can only ever return
+    assert IdentityReport.__slots__ == ("failures",)
+    assert HenselDemo.__slots__ == ("n", "lifted_root", "exponent_residue")
+    assert CertifiedValue.__slots__ == ("value", "error_bound")
+    assert not hasattr(OrbitRow, "a_classes")
+
+
+def test_identity_report_status_follows_its_failures():
+    assert IdentityReport(failures=[]).status == "pass"
+    assert IdentityReport([{"k": 2}]).status == "fail"

@@ -5,11 +5,13 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mahlercf.structure as structure
 from mahlercf.cli import main
 from mahlercf.contfrac import CFExpansion, Convergent, expand_family, monic_normalize
 from mahlercf.errors import (
@@ -340,10 +342,46 @@ def _tampered(draw) -> tuple[int, Convergent]:
     return d, Convergent(index=conv.index, p=p, q=q, rate=conv.rate)
 
 
+def _scan_left(convergents, target, key):
+    """The lookup that the bisection replaced: the first convergent whose key
+    is target, scanning the whole expansion, or len(convergents)."""
+    return next((i for i, c in enumerate(convergents) if key(c) == target), len(convergents))
+
+
+def _verdict(d, conv, h_exp, u_exp) -> int | str:
+    """The index of the source of conv, or the message of its failure."""
+    try:
+        return classify_convergent(d, conv, h_exp, u_exp).index
+    except ClassificationFailure as exc:
+        return str(exc)
+
+
+def _verdicts(d, conv) -> tuple[int | str, int | str]:
+    """conv's verdict with the bisection, and with the scan in its place."""
+    _, h_exp, u_exp = _expansions(d)
+    bisected = _verdict(d, conv, h_exp, u_exp)
+    with mock.patch.object(structure, "bisect_left", _scan_left):
+        return bisected, _verdict(d, conv, h_exp, u_exp)
+
+
+# convergents whose denominator has no source: (d, m, new q from the old)
+_NO_SOURCE = {
+    # deg q_6 + 1 is odd, so the target degree (deg q + 1) / 2 is no integer
+    "non-integer": (2, 6, lambda q: q * RatPoly.monomial(1)),
+    # an integer degree past the last source of the expansion
+    "past the end": (3, 8, lambda q: q * RatPoly.monomial(300)),
+    # (0 - (d-1)) / d lies below every source degree
+    "below the first": (3, 5, lambda q: RatPoly.one()),
+    "zero": (2, 4, lambda q: RatPoly.zero()),
+}
+
+
 class TestClassificationAgainstTheReference:
     """classify_convergent builds the shape forward from the source; the
     procedure it replaced took the pair apart.  Every source convergent is
-    coprime, so the two accept the same pairs with the same source."""
+    coprime, so the two accept the same pairs with the same source.  It
+    finds the source by bisection on the degree of q, which gives the verdict
+    of the scan it replaced."""
 
     @settings(max_examples=300)
     @given(_tampered())
@@ -355,6 +393,20 @@ class TestClassificationAgainstTheReference:
         except ClassificationFailure:
             index = None
         assert index == reference_classify(d, conv, h_exp, u_exp)
+
+    @settings(max_examples=300)
+    @given(_tampered())
+    def test_tampered_pairs_get_the_scan_verdict(self, case):
+        bisected, scanned = _verdicts(*case)
+        assert bisected == scanned
+
+    @pytest.mark.parametrize("d, m, change", _NO_SOURCE.values(), ids=_NO_SOURCE)
+    def test_a_degree_without_a_source_fails_as_the_scan_did(self, d, m, change):
+        conv = _expansions(d)[0].convergents[m]
+        conv = Convergent(index=m, p=conv.p, q=change(conv.q), rate=conv.rate)
+        bisected, scanned = _verdicts(d, conv)
+        assert bisected == scanned
+        assert f"convergent {m} of g_{d}: no source convergent of degree " in bisected
 
 
 class TestIdentities:
@@ -392,6 +444,22 @@ class TestIdentities:
         report = verify_identity("theorem1", d, (0, m_max))
         assert time.process_time() - start < budget
         assert report.status == "pass"
+
+    @pytest.mark.parametrize("d, m_max", [(4, 84), (5, 60), (6, 34)])
+    def test_theorem1_at_d_from_4(self, capsys, d, m_max):
+        # the sources of the last convergents lie past index m_max // 2 + 2
+        assert main(["verify", "--identity", "theorem1", "--d", str(d), "--m", f"0..{m_max}",
+                     "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == f"identity theorem1 (d={d}, range (0, {m_max})): pass\n"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_classify_all_expands_each_family_once_at_d_2_and_3(self, d, monkeypatch):
+        calls = []
+        expand = structure.expand_family
+        monkeypatch.setattr(structure, "expand_family",
+                            lambda d, kind, n: calls.append((kind, n)) or expand(d, kind, n))
+        classify_all(d, 100)
+        assert calls == [("G", 100), ("H", 52), ("U", 52)]
 
     def test_funceq_passes(self):
         report = verify_identity("funceq", 3, (0, 40))
@@ -439,8 +507,7 @@ class TestIdentityFailureReports:
     def test_perturbed_beta_report(self, monkeypatch, name, d, k_range, failures):
         _perturb_beta(monkeypatch, 14)
         report = verify_identity(name, d, k_range)
-        assert (report.identity, report.d, report.k_range, report.status, report.failures) == (
-            name, d, k_range, "fail", failures)
+        assert (report.status, report.failures) == ("fail", failures)
 
     def test_lemma5_denominator_failure(self, monkeypatch):
         # lemma5 reads no betas; perturb qhat_12 = qhat_{6k} at k = 2
