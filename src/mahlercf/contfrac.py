@@ -269,9 +269,11 @@ def expand_family(
     floor: int | None = None,
 ) -> tuple[CFExpansion, TruncatedLaurentSeries]:
     """Expand one of the built-in families to n quotients, doubling the
-    generation depth on InsufficientPrecision up to DEPTH_CAP_DEFAULT.
-    Without a floor, the first attempt is at the certificate depth n*d + 16
-    and the next at the default floor's depth (``default_floor``)."""
+    generation depth on InsufficientPrecision up to DEPTH_CAP_DEFAULT, and
+    trying the cap itself when the next doubling would pass it, so that
+    every n the cap depth certifies expands.  Without a floor, the first
+    attempt is at the certificate depth n*d + 16 and the next at the default
+    floor's depth (``default_floor``)."""
     depth = -(floor if floor is not None else default_floor(d, n))
     if depth <= 0:
         raise InvalidParameter(f"floor must be negative, got {-depth}")
@@ -283,7 +285,8 @@ def expand_family(
             return cf_expand(series, n), series
         except InsufficientPrecision as exc:
             last_error = exc
-            attempt = depth if attempt < depth else 2 * attempt
+            following = depth if attempt < depth else 2 * attempt
+            attempt = DEPTH_CAP_DEFAULT if attempt < DEPTH_CAP_DEFAULT < following else following
     if last_error is None:
         raise InsufficientPrecision(
             f"starting depth {depth} for {kind}_{d} with n={n} already exceeds "

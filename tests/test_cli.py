@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -11,12 +12,13 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mahlercf import structure
+from mahlercf import cli, structure
 from mahlercf.approx import TAIL_BITS_BOUND
 from mahlercf.cli import main
 from mahlercf.padic import N0_BOUND, P_BITS_BOUND, TABLE_PRIME_BOUND
@@ -929,6 +931,36 @@ class TestTopLevelUsage:
             assert code == row["exit"], row["constant"]
 
 
+class TestProcessEntry:
+    """``run`` is the process entry: it freezes the start-up heap, then exits
+    with ``main``'s code.  ``main`` never freezes, since tests and scripts
+    call it in a long-lived process."""
+
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_run_freezes_then_exits_with_the_code_of_main(self, code, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert calls == ["freeze", "main"]
+        assert exit_.value.code == code
+
+    def test_main_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, ["cf", "--d", "2", "--n", "5", "--no-timestamp"])
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_the_console_script_runs_the_process_entry(self):
+        import tomllib
+
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as file:
+            scripts = tomllib.load(file)["project"]["scripts"]
+        assert scripts == {"mahlercf": "mahlercf.cli:run"}
+
+
 def _num(lo, hi):
     return st.integers(min_value=lo, max_value=hi).map(str)
 
@@ -1079,6 +1111,20 @@ class TestImportPath:
             f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))",
         )
         assert proc.stdout == "[]\n"
+
+    def test_the_module_entry_freezes_the_start_up_heap(self, child_env):
+        # python -m mahlercf.cli runs the module as __main__, as runpy does
+        # here; an atexit probe reads the freeze count after the request
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "before = gc.get_freeze_count()\n"
+            "atexit.register(lambda: print(before, gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['mahlercf', 'cf', '--d', '2', '--n', '5', '--no-timestamp']\n"
+            "runpy.run_module('mahlercf.cli', run_name='__main__')\n"
+        )
+        proc = self._python(child_env, "-c", probe)
+        assert proc.stdout.startswith("continued fraction of g_2, 5 quotients\n")
+        assert proc.stderr == "0 True\n"
 
     def _imported(self, env: dict, *args: str) -> set[str]:
         # every module a fresh interpreter imports, as -X importtime lists them

@@ -221,6 +221,18 @@ class TestCertification:
         with pytest.raises(InsufficientPrecision, match="depth cap 16 reached"):
             expand_family(6, "U", 50, floor=-8)
 
+    @pytest.mark.parametrize("n", [93, 118, 128])
+    def test_the_cap_depth_is_tried_before_giving_up(self, n):
+        # the doubling from g_4's first attempts passes the cap (at n = 93:
+        # 388, 760, 1520, then 3040), so the cap itself is tried once; the
+        # old reach ended at 92 and resumed only at 119
+        cf, _ = expand_family(4, "G", n)
+        assert len(cf.partial_quotients) == n + 1
+
+    def test_past_the_cap_depth_reach_the_expansion_gives_up(self):
+        with pytest.raises(InsufficientPrecision, match="depth cap 2000 reached for G_4 with n=129"):
+            expand_family(4, "G", 129)
+
     def test_default_floor_formula(self):
         assert default_floor(2, 10) == -(2 * 10 * 2 + 16)
         assert default_floor(3, 7) == -(2 * 7 * 3 + 16)

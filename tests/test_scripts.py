@@ -21,6 +21,7 @@ SCRIPT_ARGV = {
     ("reproduce_table.py", ("--p-max", "13", "--t-bound", "40", "--csv")):
         "reproduce_table.py-csv",
     ("check_references.py", ("--help",)): "check_references.py",
+    ("bench_record.py", ("--help",)): "bench_record.py",
 }
 RUNS = sorted(SCRIPT_ARGV)
 

@@ -205,8 +205,8 @@ def test_every_parameter_default_is_overridden_outside_the_unit_tests():
     # turns.  A call passes it when it names it, reaches its place among the
     # positional arguments, or unpacks * or ** arguments; calls are matched by
     # name, and a class's __init__ by the class name or by ``cls`` in its own
-    # body.  main's argv stays: the console script and ``python -m
-    # mahlercf.cli`` call main() bare.
+    # body.  main's argv stays: ``run``, the entry of the console script and
+    # of ``python -m mahlercf.cli``, calls main() bare.
     passed: dict[str, list[ast.Call]] = {}
     for node in _nodes_outside_the_unit_tests():
         if isinstance(node, ast.Call):

